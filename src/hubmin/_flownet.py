@@ -1,37 +1,39 @@
 """Integer max-flow and SCC plumbing shared by the cut and rerouting code.
 
-Nodes are arbitrary hashable keys chosen by the caller; arcs are stored as a
-flat list where arc ``i`` and ``i ^ 1`` form a forward/residual pair.  All
-traversals follow insertion order, so results are deterministic.
+Nodes are the integers ``0 .. len(adj) - 1``, handed out by ``add_node`` in
+creation order; ``adj[node]`` lists the arc ids leaving a node.  Arcs are
+stored as a flat list where arc ``i`` and ``i ^ 1`` form a forward/residual
+pair.  All traversals follow insertion order, so results are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Sequence
 
 INF = 10**9
 
-Node = Hashable
+_UNSEEN = -1
+_ROOT = -2
 
 
 class FlowNet:
     """Arc-list flow network with unit or large integer capacities."""
 
     def __init__(self):
-        self.to: List[Node] = []
-        self.frm: List[Node] = []
+        self.to: List[int] = []
+        self.frm: List[int] = []
         self.cap: List[int] = []
         self.base_cap: List[int] = []
-        self.adj: Dict[Node, List[int]] = {}
+        self.adj: List[List[int]] = []
 
-    def add_node(self, node: Node) -> None:
-        self.adj.setdefault(node, [])
+    def add_node(self) -> int:
+        """A new node with no arcs; returns its id."""
+        self.adj.append([])
+        return len(self.adj) - 1
 
-    def add_arc(self, tail: Node, head: Node, cap: int) -> int:
+    def add_arc(self, tail: int, head: int, cap: int) -> int:
         """Add tail->head with the given capacity; returns the forward arc id."""
-        self.add_node(tail)
-        self.add_node(head)
         arc = len(self.to)
         self.to.extend((head, tail))
         self.frm.extend((tail, head))
@@ -51,67 +53,32 @@ class FlowNet:
         self.cap[arc] -= amount
         self.cap[arc ^ 1] += amount
 
-    def _bfs_parent(self, s: Node, t: Node) -> Optional[Dict[Node, int]]:
-        """Shortest residual path search; returns child->arc map or None."""
-        parent: Dict[Node, int] = {}
-        seen = {s}
+    def _bfs_parent(self, s: int, t: int) -> Optional[List[int]]:
+        """Shortest residual s->t search.
+
+        Returns the parent array (``parent[node]`` is the arc that reached
+        ``node``; only the entries along the found path are meaningful to
+        callers) or None when ``t`` is unreachable.
+        """
+        adj, cap, to = self.adj, self.cap, self.to
+        parent = [_UNSEEN] * len(adj)
+        parent[s] = _ROOT
         queue = deque([s])
         while queue:
-            node = queue.popleft()
-            for arc in self.adj[node]:
-                if self.cap[arc] <= 0:
+            for arc in adj[queue.popleft()]:
+                if cap[arc] <= 0:
                     continue
-                nxt = self.to[arc]
-                if nxt in seen:
+                nxt = to[arc]
+                if parent[nxt] != _UNSEEN:
                     continue
-                seen.add(nxt)
                 parent[nxt] = arc
                 if nxt == t:
                     return parent
                 queue.append(nxt)
         return None
 
-    def max_flow(self, s: Node, t: Node, limit: int = INF) -> int:
-        """Edmonds-Karp augmentation until no path remains or ``limit`` reached."""
-        total = 0
-        while total < limit:
-            parent = self._bfs_parent(s, t)
-            if parent is None:
-                break
-            bottleneck = limit - total
-            node = t
-            while node != s:
-                arc = parent[node]
-                bottleneck = min(bottleneck, self.cap[arc])
-                node = self.frm[arc]
-            node = t
-            while node != s:
-                arc = parent[node]
-                self.push(arc, bottleneck)
-                node = self.frm[arc]
-            total += bottleneck
-        return total
-
-    def residual_reachable(self, s: Node) -> Set[Node]:
-        """Nodes reachable from ``s`` through arcs with remaining capacity."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            node = queue.popleft()
-            for arc in self.adj[node]:
-                if self.cap[arc] <= 0:
-                    continue
-                nxt = self.to[arc]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    def residual_path(self, s: Node, t: Node) -> Optional[List[int]]:
-        """Arc ids of one shortest residual s->t path, or None."""
-        parent = self._bfs_parent(s, t)
-        if parent is None:
-            return None
+    def path_arcs(self, parent: List[int], s: int, t: int) -> List[int]:
+        """Arc ids of the s->t path recorded in a ``_bfs_parent`` result, s first."""
         arcs: List[int] = []
         node = t
         while node != s:
@@ -121,38 +88,79 @@ class FlowNet:
         arcs.reverse()
         return arcs
 
+    def max_flow(self, s: int, t: int, limit: int = INF) -> int:
+        """Edmonds-Karp augmentation until no path remains or ``limit`` reached."""
+        cap = self.cap
+        total = 0
+        while total < limit:
+            parent = self._bfs_parent(s, t)
+            if parent is None:
+                break
+            arcs = self.path_arcs(parent, s, t)
+            bottleneck = min(limit - total, min(cap[arc] for arc in arcs))
+            for arc in arcs:
+                cap[arc] -= bottleneck
+                cap[arc ^ 1] += bottleneck
+            total += bottleneck
+        return total
 
-def strongly_connected_components(adj: Dict[Node, Iterable[Node]]) -> Dict[Node, int]:
-    """Iterative Tarjan; returns node -> component id (ids are arbitrary)."""
-    index: Dict[Node, int] = {}
-    lowlink: Dict[Node, int] = {}
-    on_stack: Set[Node] = set()
-    stack: List[Node] = []
-    comp: Dict[Node, int] = {}
+    def residual_reachable(self, s: int) -> List[bool]:
+        """``reachable[node]``: whether arcs with remaining capacity lead s to node."""
+        adj, cap, to = self.adj, self.cap, self.to
+        seen = [False] * len(adj)
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            for arc in adj[queue.popleft()]:
+                if cap[arc] <= 0:
+                    continue
+                nxt = to[arc]
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    queue.append(nxt)
+        return seen
+
+    def residual_path(self, s: int, t: int) -> Optional[List[int]]:
+        """Arc ids of one shortest residual s->t path, or None."""
+        parent = self._bfs_parent(s, t)
+        if parent is None:
+            return None
+        return self.path_arcs(parent, s, t)
+
+
+def strongly_connected_components(adj: Sequence[Sequence[int]]) -> List[int]:
+    """Iterative Tarjan over nodes ``0 .. len(adj) - 1``; returns each node's
+    component id (ids are arbitrary)."""
+    n = len(adj)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    comp = [-1] * n
     counter = 0
     comp_count = 0
 
-    for root in adj:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work: List[Tuple[Node, Iterable]] = [(root, iter(adj.get(root, ())))]
+        work = [(root, iter(adj[root]))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, it = work[-1]
             advanced = False
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj.get(nxt, ()))))
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(adj[nxt])))
                     advanced = True
                     break
-                if nxt in on_stack:
+                if on_stack[nxt]:
                     lowlink[node] = min(lowlink[node], index[nxt])
             if advanced:
                 continue
@@ -163,7 +171,7 @@ def strongly_connected_components(adj: Dict[Node, Iterable[Node]]) -> Dict[Node,
             if lowlink[node] == index[node]:
                 while True:
                     member = stack.pop()
-                    on_stack.remove(member)
+                    on_stack[member] = False
                     comp[member] = comp_count
                     if member == node:
                         break

@@ -7,6 +7,11 @@ equals the min cut.  A direct source->sink edge of the queried pair has no
 interior vertex to cut, so it counts 1 toward the cut value (as if it were
 subdivided); ``CutResult.separator`` holds interior vertices only, hence
 ``value == len(separator) + number of direct pair edges``.
+
+``_build_pair_net`` compiles one pair into an integer-indexed ``FlowNet``.
+``_DeletionQueries`` keeps one such net per pair, each carrying a max flow,
+and answers "is the network still in class without edge e?" by rerouting
+that flow around e instead of rebuilding the nets.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ._flownet import INF, FlowNet
-from .graph_core import Network, Path, PathSystem, make_path_system
+from .graph_core import InvariantError, Network, Path, PathSystem, make_path_system
 
 
 @dataclass(frozen=True)
@@ -28,12 +33,27 @@ class CutResult:
 
 @dataclass
 class _PairNet:
-    """Vertex-split flow network for one pair, with arc bookkeeping."""
+    """Vertex-split flow network for one pair, with arc bookkeeping.
+
+    ``s`` and ``t`` are the node ids of the pair's source and sink.  Every
+    other vertex ``v`` is split into an in-node and an out-node joined by the
+    unit arc ``vertex_arc[v]``.  ``edge_arcs`` maps each edge arc to its step
+    ``(edge_id, forward)``, and ``arc_of_step`` is the inverse map.
+    """
 
     net: FlowNet
+    s: int
+    t: int
+    vertex_arc: Dict[int, int] = field(default_factory=dict)
     edge_arcs: Dict[int, Tuple[int, bool]] = field(default_factory=dict)
     arc_of_step: Dict[Tuple[int, bool], int] = field(default_factory=dict)
-    vertex_arc: Dict[int, int] = field(default_factory=dict)
+
+    def arcs_of_edge(self) -> Dict[int, List[int]]:
+        """Edge id -> its arcs: the forward one, then the backward one if any."""
+        by_edge: Dict[int, List[int]] = {}
+        for arc, (eid, _) in self.edge_arcs.items():
+            by_edge.setdefault(eid, []).append(arc)
+        return by_edge
 
 
 def _build_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> _PairNet:
@@ -44,31 +64,24 @@ def _build_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> _PairNe
     pair always get capacity 1 (see module docstring).
     """
     pair = g.pairs[pair_index]
-    s, t = pair.source, pair.sink
-
-    def node_in(v: int):
-        return v if v in (s, t) else ("in", v)
-
-    def node_out(v: int):
-        return v if v in (s, t) else ("out", v)
-
-    built = _PairNet(net=FlowNet())
-    net = built.net
-    net.add_node(s)
-    net.add_node(t)
+    net = FlowNet()
+    built = _PairNet(net=net, s=net.add_node(), t=net.add_node())
+    vin = {pair.source: built.s, pair.sink: built.t}
+    vout = dict(vin)
     for v in sorted(g.vertices):
-        if v not in (s, t):
-            built.vertex_arc[v] = net.add_arc(("in", v), ("out", v), 1)
+        if v not in vin:
+            vin[v], vout[v] = net.add_node(), net.add_node()
+            built.vertex_arc[v] = net.add_arc(vin[v], vout[v], 1)
 
     def add_edge_arc(e, forward: bool, cap: int):
         tail, head = e.ends(forward)
-        arc = net.add_arc(node_out(tail), node_in(head), cap)
+        arc = net.add_arc(vout[tail], vin[head], cap)
         built.edge_arcs[arc] = (e.id, forward)
         built.arc_of_step[(e.id, forward)] = arc
 
     for e in sorted(g.edges, key=lambda e: e.id):
         if e.directed:
-            cap = 1 if (e.u == s and e.v == t) else edge_cap
+            cap = 1 if (e.u == pair.source and e.v == pair.sink) else edge_cap
             add_edge_arc(e, True, cap)
         else:
             add_edge_arc(e, True, edge_cap)
@@ -78,16 +91,14 @@ def _build_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> _PairNe
 
 def min_vertex_cut(g: Network, pair_index: int) -> CutResult:
     """Exact minimum interior-vertex cut between the pair's terminals."""
-    pair = g.pairs[pair_index]
-    net = _build_pair_net(g, pair_index).net
-    value = net.max_flow(pair.source, pair.sink)
-    reachable = net.residual_reachable(pair.source)
+    built = _build_pair_net(g, pair_index)
+    net = built.net
+    value = net.max_flow(built.s, built.t)
+    reachable = net.residual_reachable(built.s)
     separator = frozenset(
         v
-        for v in g.vertices
-        if v not in (pair.source, pair.sink)
-        and ("in", v) in reachable
-        and ("out", v) not in reachable
+        for v, arc in built.vertex_arc.items()
+        if reachable[net.frm[arc]] and not reachable[net.to[arc]]
     )
     return CutResult(value=value, separator=separator)
 
@@ -99,10 +110,9 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pair = g.pairs[pair_index]
     built = _build_pair_net(g, pair_index)
     net, edge_arcs = built.net, built.edge_arcs
-    if net.max_flow(pair.source, pair.sink, limit=k) < k:
+    if net.max_flow(built.s, built.t, limit=k) < k:
         return None
 
     # Net out opposing flow on the two directions of each undirected edge so
@@ -110,10 +120,7 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     remaining: Dict[int, int] = {}
     for arc in range(0, len(net.to), 2):
         remaining[arc] = net.flow_on(arc)
-    by_edge: Dict[int, List[int]] = {}
-    for arc, (eid, _) in edge_arcs.items():
-        by_edge.setdefault(eid, []).append(arc)
-    for arcs in by_edge.values():
+    for arcs in built.arcs_of_edge().values():
         if len(arcs) == 2:
             cancel = min(remaining[arcs[0]], remaining[arcs[1]])
             remaining[arcs[0]] -= cancel
@@ -122,8 +129,8 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     paths: List[Path] = []
     for _ in range(k):
         steps: List[Tuple[int, bool]] = []
-        node = pair.source
-        while node != pair.sink:
+        node = built.s
+        while node != built.t:
             for arc in net.adj[node]:
                 if arc % 2 == 0 and remaining.get(arc, 0) > 0:
                     remaining[arc] -= 1
@@ -142,3 +149,76 @@ def in_class(g: Network) -> bool:
     return all(
         min_vertex_cut(g, i).value == pair.demand for i, pair in enumerate(g.pairs)
     )
+
+
+class _DeletionQueries:
+    """Answers "does ``g`` stay in class without edge e?" from warm max flows.
+
+    Each pair is compiled once and carries one max flow of value ``demand``.
+    An edge arc carries at most one unit.  For each pair, a query on edge e:
+
+    * does nothing when no arc of e carries flow: the flow already avoids e;
+    * cancels the unit cycle through both endpoints when both directions of
+      an undirected e carry flow, which leaves the flow valid and e idle;
+    * otherwise blocks e's arcs, takes the unit off the carrying arc a, and
+      looks for one residual path from a's tail to its head.  Such a path
+      exists exactly when a flow of value ``demand`` avoids e: for any such
+      flow f', f' - f is a circulation that runs through the reverse of a.
+
+    Deleting edges never raises a cut, so the network stays in class after
+    a deletion exactly when every pair still reaches its demand.  A query
+    with ``delete=True`` that answers yes keeps the rerouted flows and
+    removes e's arcs for good; every other query restores the flows.
+    """
+
+    def __init__(self, g: Network):
+        self._g = g
+        self._nets: List[Tuple[_PairNet, Dict[int, List[int]]]] = []
+        for i, pair in enumerate(g.pairs):
+            built = _build_pair_net(g, i)
+            if built.net.max_flow(built.s, built.t) != pair.demand:
+                raise InvariantError("not-in-class", f"pair {i} cut differs from its demand")
+            self._nets.append((built, built.arcs_of_edge()))
+
+    def stays_in_class(self, eid: int, delete: bool = False) -> bool:
+        """Whether ``g`` minus ``eid`` (and every edge deleted before) is in
+        class; with ``delete``, a yes also deletes ``eid``."""
+        undo: List[Tuple[List[int], int, int]] = []
+        ok = all(self._reroute(built, arcs[eid], undo) for built, arcs in self._nets)
+        if ok and delete:
+            # No flow is left on e's arcs; zero capacity removes them.
+            for built, arcs in self._nets:
+                for arc in arcs[eid]:
+                    built.net.cap[arc] = built.net.base_cap[arc] = 0
+        else:
+            for cap, arc, old in reversed(undo):
+                cap[arc] = old
+        return ok
+
+    def _reroute(self, built: _PairNet, arcs: List[int], undo: list) -> bool:
+        """Move one pair's flow off the edge with these arcs; False if the
+        demand cannot avoid the edge.  Saves every capacity it changes."""
+        net = built.net
+        cap = net.cap
+        carrying = [arc for arc in arcs if net.flow_on(arc) > 0]
+        if not carrying:
+            return True
+        if len(carrying) == 2:
+            edge = self._g.edge_by_id[built.edge_arcs[arcs[0]][0]]
+            for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):
+                net.push(arc ^ 1, 1)
+            return True
+        for arc in arcs:
+            for a in (arc, arc ^ 1):
+                undo.append((cap, a, cap[a]))
+                cap[a] = 0
+        tail, head = net.frm[carrying[0]], net.to[carrying[0]]
+        parent = net._bfs_parent(tail, head)
+        if parent is None:
+            return False
+        for arc in net.path_arcs(parent, tail, head):
+            undo.append((cap, arc, cap[arc]))
+            undo.append((cap, arc ^ 1, cap[arc ^ 1]))
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+        return True

@@ -312,7 +312,12 @@ def _as_bool(value, where: str) -> bool:
 
 
 def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
-    """Parse a network plus its optional path systems from JSON text."""
+    """Parse a network plus its optional path systems from JSON text.
+
+    When present, ``systems`` must hold one valid system per pair, each with
+    exactly ``demand`` paths; a system that breaks this raises ``ParseError``
+    located at ``systems[i]`` (or at ``systems`` for a missing one).
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -389,7 +394,15 @@ def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
                 paths.append(Path(steps=tuple(steps)))
             if si >= len(g.pairs):
                 raise ParseError(where, "more systems than pairs")
-            systems.append(make_path_system(g, si, paths))
+            demand = g.pairs[si].demand
+            if len(paths) != demand:
+                raise ParseError(where, f"{len(paths)} paths, but pair {si} has demand {demand}")
+            try:
+                systems.append(make_path_system(g, si, paths))
+            except InvariantError as exc:
+                raise ParseError(where, str(exc)) from exc
+        if len(systems) != len(g.pairs):
+            raise ParseError("systems", f"{len(systems)} systems for {len(g.pairs)} pairs")
     return g, systems
 
 

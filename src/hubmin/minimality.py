@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ._flownet import strongly_connected_components
-from .cuts import _build_pair_net, in_class
+from .cuts import _build_pair_net, _DeletionQueries, in_class
 from .graph_core import (
     InvariantError,
     Network,
@@ -177,12 +177,10 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
 
     # More flow available than the system carries: any augmentation yields
     # extra disjoint paths, hence a different selection.
-    if net.residual_path(pair.source, pair.sink) is not None:
+    if net.residual_path(built.s, built.t) is not None:
         return True
 
-    residual_adj: Dict = {}
-    for node, arc_ids in net.adj.items():
-        residual_adj[node] = [net.to[a] for a in arc_ids if net.cap[a] > 0]
+    residual_adj = [[net.to[a] for a in arc_ids if net.cap[a] > 0] for arc_ids in net.adj]
     comp = strongly_connected_components(residual_adj)
     for arc in range(1, len(net.to), 2):  # odd ids are the reverse directions
         if net.cap[arc] > 0:  # forward arc carries flow: cancellation possible
@@ -195,10 +193,10 @@ def is_minimal(g: Network) -> bool:
     """True iff no single edge can be deleted without leaving the class."""
     if not in_class(g):
         raise InvariantError("not-in-class")
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if in_class(delete_edges(g, [e.id])):
-            return False
-    return True
+    queries = _DeletionQueries(g)
+    return not any(
+        queries.stays_in_class(e.id) for e in sorted(g.edges, key=lambda e: e.id)
+    )
 
 
 def minimalize(g: Network, seed: Optional[int] = None) -> Network:
@@ -206,22 +204,32 @@ def minimalize(g: Network, seed: Optional[int] = None) -> Network:
 
     The sweep runs in ascending edge-id order and restarts after every
     deletion; a seed permutes the sweep to sample other minimal subgraphs.
+    An edge found undeletable is never queried again: deleting edges never
+    raises a cut, so it stays undeletable, and each sweep still deletes the
+    first deletable edge of the same (possibly shuffled) order.  Seeded and
+    unseeded results are therefore those of the plain restart loop.
     """
     if not in_class(g):
         raise InvariantError("not-in-class")
     rng = random.Random(seed) if seed is not None else None
-    current = g
+    queries = _DeletionQueries(g)
+    surviving = sorted(e.id for e in g.edges)
+    deleted: List[int] = []
+    undeletable: Set[int] = set()
     while True:
-        order = sorted(e.id for e in current.edges)
+        order = list(surviving)
         if rng is not None:
             rng.shuffle(order)
         for eid in order:
-            candidate = delete_edges(current, [eid])
-            if in_class(candidate):
-                current = candidate
+            if eid in undeletable:
+                continue
+            if queries.stays_in_class(eid, delete=True):
+                surviving.remove(eid)
+                deleted.append(eid)
                 break
+            undeletable.add(eid)
         else:
-            return current
+            return delete_edges(g, deleted)
 
 
 @dataclass(frozen=True)
@@ -270,13 +278,10 @@ def deletable_private_edges(
     """Private edges of the system whose deletion keeps the graph in class.
 
     When a system is reroutable, at least one such edge exists (rerouting
-    frees an edge only that system was using).
+    frees an edge only that system was using).  ``g`` must be in class.
     """
     other = systems[1 - pair_index] if len(systems) == 2 else None
-    result = []
     own = systems[pair_index].edge_ids()
     shared = own & other.edge_ids() if other is not None else frozenset()
-    for eid in sorted(own - shared):
-        if in_class(delete_edges(g, [eid])):
-            result.append(eid)
-    return result
+    queries = _DeletionQueries(g)
+    return [eid for eid in sorted(own - shared) if queries.stays_in_class(eid)]

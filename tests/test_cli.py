@@ -154,3 +154,30 @@ def test_verify_all_passes(capsys):
     assert main(["verify-all"]) == 0
     out = capsys.readouterr().out
     assert "9/9 claims verified" in out
+
+
+def _broken_fixture(tmp_path, example_text, edit):
+    obj = json.loads(example_text)
+    edit(obj)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda obj: obj["systems"][0].pop(), "systems[0]"),
+        (lambda obj: obj["systems"][0][0][0].update(edge=9999), "systems[0]"),
+        (lambda obj: obj["systems"].pop(), "systems"),
+    ],
+    ids=["short-system", "unknown-edge", "missing-system"],
+)
+def test_bad_systems_map_to_exit_two(tmp_path, capsys, example_text, edit, where):
+    path = _broken_fixture(tmp_path, example_text, edit)
+    for command in ("check", "represent", "interconnect"):
+        assert main([command, "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {where}: ")
+        assert "Traceback" not in captured.err
+        assert "agree" not in captured.out

@@ -304,6 +304,28 @@ def test_parse_rejects_more_systems_than_pairs():
     _expect_parse_error("systems[1]", text)
 
 
+def test_parse_rejects_systems_that_miss_the_demand(example_text):
+    obj = json.loads(example_text)
+    obj["systems"][1].pop()
+    _expect_parse_error("systems[1]", json.dumps(obj))
+    obj = json.loads(example_text)
+    obj["systems"][1].append(obj["systems"][1][0])
+    _expect_parse_error("systems[1]", json.dumps(obj))
+    obj = json.loads(example_text)
+    obj["systems"] = obj["systems"][:1]
+    _expect_parse_error("systems", json.dumps(obj))
+
+
+def test_parse_reports_invalid_paths_as_parse_errors(example_text):
+    obj = json.loads(example_text)
+    obj["systems"][0][1][0]["edge"] = 9999
+    with pytest.raises(ParseError) as err:
+        parse_instance(json.dumps(obj))
+    assert err.value.where == "systems[0]"
+    assert "unknown-edge" in str(err.value)
+    assert isinstance(err.value.__cause__, InvariantError)
+
+
 def test_parse_network_ignores_but_validates_systems(example_text):
     g = parse_network(example_text)
     assert len(g.edges) == 16 and len(g.vertices) == 12
