@@ -314,9 +314,11 @@ def _as_bool(value, where: str) -> bool:
 def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
     """Parse a network plus its optional path systems from JSON text.
 
-    When present, ``systems`` must hold one valid system per pair, each with
-    exactly ``demand`` paths; a system that breaks this raises ``ParseError``
-    located at ``systems[i]`` (or at ``systems`` for a missing one).
+    A network that breaks a construction invariant raises ``ParseError`` at
+    ``network``.  When present, ``systems`` must hold one valid system per
+    pair, each with exactly ``demand`` paths; a system that breaks this
+    raises ``ParseError`` at ``systems[i]`` (or at ``systems`` for a
+    missing one).
     """
     try:
         obj = json.loads(text)
@@ -363,7 +365,10 @@ def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
             )
         )
 
-    g = Network(vertices=vertices, edges=tuple(edges), pairs=tuple(pairs))
+    try:
+        g = Network(vertices=vertices, edges=tuple(edges), pairs=tuple(pairs))
+    except InvariantError as exc:
+        raise ParseError("network", str(exc)) from exc
 
     systems: Optional[List[PathSystem]] = None
     if "systems" in obj and obj["systems"] is not None:

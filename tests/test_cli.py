@@ -141,6 +141,15 @@ def test_malformed_json_maps_to_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_network_maps_to_exit_two(tmp_path, capsys, example_text):
+    obj = json.loads(example_text)
+    obj["edges"][0]["u"] = 999
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", "-i", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: network: unknown-vertex")
+
+
 def test_missing_file_maps_to_exit_two(tmp_path, capsys):
     assert main(["check", "-i", str(tmp_path / "absent.json")]) == 2
 

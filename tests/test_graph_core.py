@@ -326,6 +326,15 @@ def test_parse_reports_invalid_paths_as_parse_errors(example_text):
     assert isinstance(err.value.__cause__, InvariantError)
 
 
+def test_parse_reports_network_invariants_as_parse_errors(example_text):
+    obj = json.loads(example_text)
+    obj["vertices"].append(obj["vertices"][0])
+    with pytest.raises(ParseError) as err:
+        parse_instance(json.dumps(obj))
+    assert err.value.where == "network"
+    assert err.value.__cause__.code == "duplicate-vertex"
+
+
 def test_parse_network_ignores_but_validates_systems(example_text):
     g = parse_network(example_text)
     assert len(g.edges) == 16 and len(g.vertices) == 12
