@@ -107,9 +107,10 @@ def _cmd_check(args) -> int:
     lines.append(f"in class: {member}")
     lines.append(f"hubs: {int(hub_count(g))}")
     if member:
-        lines.append(f"minimal: {is_minimal(g)}")
         if len(g.pairs) == 2:
+            # The agreement report's deletion-minimality verdict is is_minimal's.
             report = theorem1_agreement(g, _systems_or_computed(g, systems))
+            lines.append(f"minimal: {report.minimal}")
             lines.append(
                 "two-pair characterizations: "
                 f"minimal={report.minimal} "
@@ -118,6 +119,7 @@ def _cmd_check(args) -> int:
                 f"agree={report.agree}"
             )
         else:
+            lines.append(f"minimal: {is_minimal(g)}")
             lines.append(
                 "two-pair characterizations: skipped "
                 f"(the minimal/non-reroutable equivalence requires exactly two "

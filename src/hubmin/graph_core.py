@@ -85,6 +85,9 @@ class Network:
     # Derived lookups, built once in __post_init__.
     edge_by_id: Dict[int, Edge] = field(init=False, repr=False, compare=False)
     incident: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    source_set: frozenset = field(init=False, repr=False, compare=False)
+    sink_set: frozenset = field(init=False, repr=False, compare=False)
+    terminal_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertex_set = set()
@@ -138,21 +141,12 @@ class Network:
         object.__setattr__(
             self, "incident", {v: tuple(sorted(ids)) for v, ids in inc.items()}
         )
+        object.__setattr__(self, "source_set", frozenset(sources))
+        object.__setattr__(self, "sink_set", frozenset(sinks))
+        object.__setattr__(self, "terminal_set", frozenset(sources | sinks))
 
     def __hash__(self):
         return hash((self.vertices, self.edges, self.pairs))
-
-    @property
-    def source_set(self) -> frozenset:
-        return frozenset(p.source for p in self.pairs)
-
-    @property
-    def sink_set(self) -> frozenset:
-        return frozenset(p.sink for p in self.pairs)
-
-    @property
-    def terminal_set(self) -> frozenset:
-        return self.source_set | self.sink_set
 
     def degree(self, v: int) -> int:
         return len(self.incident.get(v, ()))
@@ -209,14 +203,6 @@ def path_vertices(g: Network, path: Path) -> List[int]:
     if len(set(seq)) != len(seq):
         raise InvariantError("path-revisits-vertex")
     return seq
-
-
-def path_tail(g: Network, path: Path) -> int:
-    return path_vertices(g, path)[0]
-
-
-def path_head(g: Network, path: Path) -> int:
-    return path_vertices(g, path)[-1]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .graph_core import (
     InvariantError,
     Network,
     Path,
+    classify_edges,
     hub_count,
     path_vertices,
 )
@@ -111,7 +112,9 @@ class _State:
 
         self.public_at: Dict[int, int] = {}
         self.private_at: Dict[int, Dict[str, int]] = {}
-        edge_tags = self._all_tags()
+        # The decomposition above rejects unused edges, so every edge is
+        # public or private to one system.
+        edge_tags = classify_edges(self.g, rep.systems)
         for v in self.g.vertices:
             if self.g.is_terminal(v):
                 continue
@@ -134,15 +137,8 @@ class _State:
         self.delta = sum(1 for a in self.alt if a.kind == S1S2)
         self.budget = 10 * len(self.g.edges) * self.delta
         self.steps_taken = 0
-
-    def _edge_tag(self, eid: int) -> str:
-        phi, psi = self.rep.systems
-        if eid in phi.edge_ids() and eid in psi.edge_ids():
-            return PUBLIC
-        return PHI if eid in phi.edge_ids() else PSI
-
-    def _all_tags(self) -> Dict[int, str]:
-        return {e.id: self._edge_tag(e.id) for e in self.g.edges}
+        # Step tuple -> (vertex set, edge-id set) of a path already validated.
+        self._path_sets: Dict[Tuple[Step, ...], Tuple[frozenset, frozenset]] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -200,17 +196,21 @@ class _State:
         seen_e: set = set()
         groups = self.paths + ([extra] if extra is not None else [])
         for p in groups:
-            verts = path_vertices(self.g, Path(steps=tuple(p)))
-            if seen_v & set(verts):
+            key = tuple(p)
+            sets = self._path_sets.get(key)
+            if sets is None:
+                verts = path_vertices(self.g, Path(steps=key))
+                sets = self._path_sets[key] = (frozenset(verts), frozenset(e for e, _ in p))
+            verts, eids = sets
+            if not seen_v.isdisjoint(verts):
                 raise InvariantError(
                     "algorithm-stuck", "interconnecting paths share a vertex"
                 )
-            eids = {e for e, _ in p}
-            if seen_e & eids:
+            if not seen_e.isdisjoint(eids):
                 raise InvariantError(
                     "algorithm-stuck", "interconnecting paths share an edge"
                 )
-            seen_v |= set(verts)
+            seen_v |= verts
             seen_e |= eids
 
     def pick_start(self) -> Optional[int]:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ._flownet import strongly_connected_components
-from .cuts import _build_pair_net, _DeletionQueries, in_class
+from .cuts import _build_pair_net, _DeletionQueries
+from .cuts import in_class  # noqa: F401  (still importable here; perfbench's tests look it up)
 from .graph_core import (
     InvariantError,
     Network,
@@ -189,11 +190,17 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
     return False
 
 
+def _queries_in_class(g: Network) -> _DeletionQueries:
+    """Deletion queries on ``g``, which refuse an out-of-class network."""
+    try:
+        return _DeletionQueries(g)
+    except InvariantError:
+        raise InvariantError("not-in-class") from None
+
+
 def is_minimal(g: Network) -> bool:
     """True iff no single edge can be deleted without leaving the class."""
-    if not in_class(g):
-        raise InvariantError("not-in-class")
-    queries = _DeletionQueries(g)
+    queries = _queries_in_class(g)
     return not any(
         queries.stays_in_class(e.id) for e in sorted(g.edges, key=lambda e: e.id)
     )
@@ -209,10 +216,8 @@ def minimalize(g: Network, seed: Optional[int] = None) -> Network:
     first deletable edge of the same (possibly shuffled) order.  Seeded and
     unseeded results are therefore those of the plain restart loop.
     """
-    if not in_class(g):
-        raise InvariantError("not-in-class")
+    queries = _queries_in_class(g)
     rng = random.Random(seed) if seed is not None else None
-    queries = _DeletionQueries(g)
     surviving = sorted(e.id for e in g.edges)
     deleted: List[int] = []
     undeletable: Set[int] = set()

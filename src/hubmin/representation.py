@@ -12,6 +12,7 @@ interconnecting-path algorithm walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cuts import vertex_disjoint_paths
@@ -26,9 +27,7 @@ from .graph_core import (
     Path,
     PathSystem,
     classify_edges,
-    hub_count,
     make_path_system,
-    path_vertices,
 )
 
 # Alternating-path kinds, named by their terminal anchors.
@@ -40,19 +39,37 @@ R2R1 = "R2R1"
 
 @dataclass(frozen=True)
 class Representation:
-    """A degree-3, naturally oriented minimal two-pair network."""
+    """A degree-3, naturally oriented minimal two-pair network.
+
+    The merged edge orientation and the alternating-path decomposition are
+    derived from the fields once per representation, on first use.
+    """
 
     graph: Network
     systems: Tuple[PathSystem, PathSystem]
     provenance: Dict[str, Dict[int, int]]
     naturally_oriented: bool
 
+    @cached_property
+    def _orientation(self) -> Dict[int, bool]:
+        """Edge id -> natural direction; the first system's where both use it."""
+        merged: Dict[int, bool] = {}
+        for system in reversed(self.systems):
+            merged.update(system.orientation)
+        return merged
+
+    @cached_property
+    def _alternating(self) -> Tuple[AlternatingPath, ...]:
+        # A failed decomposition raises and caches nothing, so it raises again
+        # on the next use.
+        return tuple(_decompose(self))
+
     def natural_direction(self, edge_id: int) -> bool:
         """The direction every system path traverses this edge."""
-        for system in self.systems:
-            if edge_id in system.orientation:
-                return system.orientation[edge_id]
-        raise KeyError(f"edge {edge_id} is on neither system")
+        try:
+            return self._orientation[edge_id]
+        except KeyError:
+            raise KeyError(f"edge {edge_id} is on neither system") from None
 
 
 @dataclass(frozen=True)
@@ -72,17 +89,33 @@ class AlternatingPath:
     choke: Optional[int]
 
 
-def _rewrite_path_through(g: Network, path: Path, relay: int, new_edge: Edge) -> Path:
-    """Replace the two steps through ``relay`` with one step on ``new_edge``."""
-    seq = path_vertices(g, path)
-    if relay not in seq:
-        return path
-    at = seq.index(relay)  # seq[at-1] -e-> relay -f-> seq[at+1]
-    entry, exit_ = at - 1, at
-    forward = new_edge.u == seq[at - 1]
-    steps = list(path.steps)
-    steps[entry:exit_ + 1] = [(new_edge.id, forward)]
-    return Path(steps=tuple(steps))
+def _build(
+    g: Network,
+    vertices: Sequence[int],
+    edges: Dict[int, Edge],
+    systems: Sequence[PathSystem],
+    paths: Sequence[Sequence[Sequence[Tuple[int, bool]]]],
+) -> Tuple[Network, List[PathSystem]]:
+    """Validate a rewrite step's working copies as one network and one path
+    system per pair."""
+    net = Network(vertices=tuple(vertices), edges=tuple(edges.values()), pairs=g.pairs)
+    return net, [
+        make_path_system(net, s.pair_index, [Path(steps=tuple(p)) for p in ps])
+        for s, ps in zip(systems, paths)
+    ]
+
+
+def _working_paths(systems: Sequence[PathSystem]):
+    """Mutable step lists per system, and per system a map from each edge id
+    to the index of the path that uses it."""
+    paths = [[list(p.steps) for p in s.paths] for s in systems]
+    path_of = [{eid: i for i, p in enumerate(ps) for eid, _ in p} for ps in paths]
+    return paths, path_of
+
+
+def _step_index(steps: List[Tuple[int, bool]], eids: Sequence[int]) -> int:
+    """Index of the first step on one of these edges."""
+    return next(i for i, (eid, _) in enumerate(steps) if eid in eids)
 
 
 def remove_relays(
@@ -93,66 +126,67 @@ def remove_relays(
     Isolated non-terminal vertices (possible after edge deletions) are
     dropped as well.  Returns the new network, rewritten systems, and a
     provenance map (new edge id -> id of one merged original edge).
+
+    A merge leaves every other vertex's degree as it was, so the relays are
+    the degree-2 non-terminals of ``g``, merged in ascending order.  The
+    merges edit working copies of the edges and paths; the step ends with
+    one validated build of the network and its path systems.
     """
     provenance = {"vertices": {}, "edges": {}}
-    current = g
-    cur_systems = list(systems)
-    while True:
-        relay = None
-        for v in sorted(current.vertices):
-            if not current.is_terminal(v) and current.degree(v) == 2:
-                relay = v
-                break
-        if relay is None:
-            break
-        e_id, f_id = current.incident[relay]
-        e, f = current.edge_by_id[e_id], current.edge_by_id[f_id]
+    relays = [v for v in sorted(g.vertices) if not g.is_terminal(v) and g.degree(v) == 2]
+    isolated = {v for v in g.vertices if not g.is_terminal(v) and g.degree(v) == 0}
+    if not relays and not isolated:
+        return g, list(systems), provenance
+    edges = dict(g.edge_by_id)
+    incident = {v: list(g.incident[v]) for v in relays}
+    paths, path_of = _working_paths(systems)
+    sources, sinks = g.source_set, g.sink_set
+    next_id = max(edges, default=0) + 1
+    for relay in relays:
+        e_id, f_id = incident[relay]
+        e, f = edges[e_id], edges[f_id]
         a, b = e.other(relay), f.other(relay)
         if a == b:
             raise InvariantError("degenerate-relay", f"merging at {relay} would close a loop")
         # Direction of the merged edge: a source endpoint forces a->b, a sink
         # endpoint b; otherwise the edge is interior and undirected.
-        if a in current.source_set or b in current.sink_set:
-            new_edge = Edge(id=max(current.edge_by_id) + 1, u=a, v=b, directed=True)
-        elif b in current.source_set or a in current.sink_set:
-            new_edge = Edge(id=max(current.edge_by_id) + 1, u=b, v=a, directed=True)
+        if a in sources or b in sinks:
+            new_edge = Edge(id=next_id, u=a, v=b, directed=True)
+        elif b in sources or a in sinks:
+            new_edge = Edge(id=next_id, u=b, v=a, directed=True)
         else:
-            new_edge = Edge(id=max(current.edge_by_id) + 1, u=a, v=b, directed=False)
-        next_net = Network(
-            vertices=tuple(v for v in current.vertices if v != relay),
-            edges=tuple(x for x in current.edges if x.id not in (e_id, f_id))
-            + (new_edge,),
-            pairs=current.pairs,
-        )
-        new_systems = []
-        for system in cur_systems:
-            paths = [
-                _rewrite_path_through(current, p, relay, new_edge) for p in system.paths
-            ]
-            new_systems.append(make_path_system(next_net, system.pair_index, paths))
+            new_edge = Edge(id=next_id, u=a, v=b, directed=False)
+        next_id += 1
+        del edges[e_id], edges[f_id]
+        edges[new_edge.id] = new_edge
+        if new_edge.v in sources or new_edge.u in sinks:
+            # An edge into a source or out of a sink fails at this merge, with
+            # the error the network's own validation gives.
+            Network(vertices=g.vertices, edges=tuple(edges.values()), pairs=g.pairs)
+        for end, old in ((a, e_id), (b, f_id)):
+            if end in incident:  # a later relay: the new id is the largest
+                incident[end].remove(old)
+                incident[end].append(new_edge.id)
+        for ps, where in zip(paths, path_of):
+            i = where.pop(e_id, None)
+            if i is None:
+                continue
+            del where[f_id]
+            where[new_edge.id] = i
+            steps = ps[i]
+            at = _step_index(steps, (e_id, f_id))  # the step into the relay
+            eid, forward = steps[at]
+            tail = (e if eid == e_id else f).ends(forward)[0]
+            steps[at:at + 2] = [(new_edge.id, new_edge.u == tail)]
         provenance["edges"][new_edge.id] = min(
             provenance["edges"].get(e_id, e_id), provenance["edges"].get(f_id, f_id)
         )
         provenance["edges"].pop(e_id, None)
         provenance["edges"].pop(f_id, None)
-        current, cur_systems = next_net, new_systems
 
-    isolated = [
-        v
-        for v in current.vertices
-        if not current.is_terminal(v) and current.degree(v) == 0
-    ]
-    if isolated:
-        doomed = set(isolated)
-        current = Network(
-            vertices=tuple(v for v in current.vertices if v not in doomed),
-            edges=current.edges,
-            pairs=current.pairs,
-        )
-        cur_systems = [
-            make_path_system(current, s.pair_index, s.paths) for s in cur_systems
-        ]
-    return current, cur_systems, provenance
+    doomed = isolated.union(relays)
+    vertices = [v for v in g.vertices if v not in doomed]
+    return (*_build(g, vertices, edges, systems, paths), provenance)
 
 
 def stretch_crossings(
@@ -165,95 +199,79 @@ def stretch_crossings(
     both outgoing edges to v2, and a new public edge v1->v2 carries both
     systems through.  Any other degree-4 (or higher) non-terminal means the
     input was not a relay-free minimal two-pair network.
+
+    A stretch changes no other vertex's degree or edge tags, so one
+    ascending scan of ``g`` meets the crossings in order.  The stretches
+    edit working copies of the vertices, edges and paths; the step ends
+    with one validated build of the network and its path systems.
     """
     provenance = {"vertices": {}, "edges": {}}
-    current = g
-    cur_systems = list(systems)
-    while True:
-        tags = classify_edges(current, cur_systems)
-        crossing = None
-        for v in sorted(current.vertices):
-            if current.is_terminal(v):
-                continue
-            deg = current.degree(v)
-            if deg <= 3:
-                continue
-            incident = current.incident[v]
-            by_tag = {PHI: [], PSI: [], PUBLIC: [], UNUSED: []}
-            for eid in incident:
-                by_tag[tags[eid]].append(eid)
-            if deg != 4 or len(by_tag[PHI]) != 2 or len(by_tag[PSI]) != 2:
-                raise InvariantError(
-                    "unexpected-degree-4",
-                    f"vertex {v} has degree {deg} with tags "
-                    f"{{phi: {len(by_tag[PHI])}, psi: {len(by_tag[PSI])}, "
-                    f"public: {len(by_tag[PUBLIC])}, unused: {len(by_tag[UNUSED])}}}",
-                )
-            crossing = v
-            break
-        if crossing is None:
-            break
+    tags = classify_edges(g, systems)
+    orientation_all: Dict[int, bool] = {}
+    for s in systems:
+        orientation_all.update(s.orientation)
+    vertices = dict.fromkeys(g.vertices)
+    edges = dict(g.edge_by_id)
+    paths, path_of = _working_paths(systems)
+    top_vertex = max(g.vertices, default=0)
+    next_id = max(edges, default=0) + 1
+    for v in sorted(g.vertices):
+        if g.is_terminal(v):
+            continue
+        deg = g.degree(v)
+        if deg <= 3:
+            continue
+        by_tag = {PHI: [], PSI: [], PUBLIC: [], UNUSED: []}
+        for eid in g.incident[v]:
+            by_tag[tags[eid]].append(eid)
+        if deg != 4 or len(by_tag[PHI]) != 2 or len(by_tag[PSI]) != 2:
+            raise InvariantError(
+                "unexpected-degree-4",
+                f"vertex {v} has degree {deg} with tags "
+                f"{{phi: {len(by_tag[PHI])}, psi: {len(by_tag[PSI])}, "
+                f"public: {len(by_tag[PUBLIC])}, unused: {len(by_tag[UNUSED])}}}",
+            )
 
-        v = crossing
-        v1 = max(current.vertices) + 1
-        v2 = v1 + 1
-        new_eid = max(current.edge_by_id) + 1
+        v1, v2 = top_vertex + 1, top_vertex + 2
+        top_vertex = v2
+        new_eid = next_id
+        next_id += 1
         # Sort the four incident edges by how their system traverses them.
         incoming, outgoing = [], []
-        orientation_all = {}
-        for s in cur_systems:
-            orientation_all.update(s.orientation)
-        for eid in current.incident[v]:
-            e = current.edge_by_id[eid]
-            tail, head = e.ends(orientation_all[eid])
+        for eid in g.incident[v]:
+            head = edges[eid].ends(orientation_all[eid])[1]
             (incoming if head == v else outgoing).append(eid)
         if len(incoming) != 2 or len(outgoing) != 2:
             raise InvariantError(
                 "unexpected-degree-4", f"vertex {v} is not a two-in two-out crossing"
             )
 
-        def reattach(e: Edge, target: int) -> Edge:
-            u = target if e.u == v else e.u
-            w = target if e.v == v else e.v
-            return Edge(id=e.id, u=u, v=w, directed=e.directed)
+        for group, target in ((incoming, v1), (outgoing, v2)):
+            for eid in group:
+                e = edges[eid]
+                u = target if e.u == v else e.u
+                w = target if e.v == v else e.v
+                edges[eid] = Edge(id=e.id, u=u, v=w, directed=e.directed)
+        edges[new_eid] = Edge(id=new_eid, u=v1, v=v2, directed=False)
+        del vertices[v]
+        vertices[v1] = vertices[v2] = None
 
-        new_edges = []
-        for e in current.edges:
-            if e.id in incoming:
-                new_edges.append(reattach(e, v1))
-            elif e.id in outgoing:
-                new_edges.append(reattach(e, v2))
-            else:
-                new_edges.append(e)
-        new_edges.append(Edge(id=new_eid, u=v1, v=v2, directed=False))
-        next_net = Network(
-            vertices=tuple(x for x in current.vertices if x != v) + (v1, v2),
-            edges=tuple(new_edges),
-            pairs=current.pairs,
-        )
-
-        new_systems = []
-        for system in cur_systems:
-            paths = []
-            for p in system.paths:
-                seq = path_vertices(current, p)
-                if v not in seq:
-                    paths.append(p)
-                    continue
-                at = seq.index(v)
-                steps = list(p.steps)
-                # The step entering v now enters v1; insert v1->v2; the step
-                # leaving v leaves from v2.  Stored endpoints of the re-attached
-                # edges changed, but step directions (u->v flags) survive
-                # because reattach keeps endpoint order.
-                steps[at - 1:at] = [steps[at - 1], (new_eid, True)]
-                paths.append(Path(steps=tuple(steps)))
-            new_systems.append(make_path_system(next_net, system.pair_index, paths))
+        # Each system's step into v now enters v1 and is followed by v1->v2;
+        # its step out of v leaves from v2.  Step directions (u->v flags)
+        # survive because re-attaching keeps endpoint order.
+        for ps, where in zip(paths, path_of):
+            for eid in incoming:
+                i = where.get(eid)
+                if i is not None:
+                    steps = ps[i]
+                    steps.insert(_step_index(steps, (eid,)) + 1, (new_eid, True))
+                    break
 
         provenance["vertices"][v1] = provenance["vertices"].pop(v, v)
         provenance["vertices"][v2] = provenance["vertices"][v1]
-        current, cur_systems = next_net, new_systems
-    return current, cur_systems, provenance
+    if not provenance["vertices"]:
+        return g, list(systems), provenance
+    return (*_build(g, vertices, edges, systems, paths), provenance)
 
 
 def match_directions(
@@ -265,31 +283,31 @@ def match_directions(
     path enters and leaves through private edges; those two private edges are
     replaced by their "swapped" counterparts so the path runs through the
     public edge in the first system's direction.
+
+    A swap fixes its own public edge and adds only private edges, so the
+    conflicts are those of ``g``, swapped in ascending edge-id order.  The
+    swaps edit working copies of the edges and the second system's paths;
+    the step ends with one validated build of the network and both systems.
     """
     provenance = {"vertices": {}, "edges": {}}
-    current = g
-    cur_systems = list(systems)
-    while True:
-        tags = classify_edges(current, cur_systems)
-        phi, psi = cur_systems
-        conflict = None
-        for eid in sorted(tags):
-            if tags[eid] == PUBLIC and phi.orientation[eid] != psi.orientation[eid]:
-                conflict = eid
-                break
-        if conflict is None:
-            break
-        e = current.edge_by_id[conflict]
-        u, v = e.ends(phi.orientation[conflict])  # phi runs u -> v
+    tags = classify_edges(g, systems)
+    phi, psi = systems
+    conflicts = [
+        eid
+        for eid in sorted(tags)
+        if tags[eid] == PUBLIC and phi.orientation[eid] != psi.orientation[eid]
+    ]
+    if not conflicts:
+        return g, list(systems), provenance
+    edges = dict(g.edge_by_id)
+    (psi_paths,), (path_of,) = _working_paths((psi,))
+    next_id = max(edges) + 1
+    for conflict in conflicts:
+        u, v = edges[conflict].ends(phi.orientation[conflict])  # phi runs u -> v
         # The psi path runs ... w3 -> v -> u -> w4 ...; find its two private
         # steps around the public edge.
-        psi_path_idx, psi_path = next(
-            (i, p)
-            for i, p in enumerate(psi.paths)
-            if conflict in (eid_ for eid_, _ in p.steps)
-        )
-        steps = list(psi_path.steps)
-        at = next(i for i, (eid_, _) in enumerate(steps) if eid_ == conflict)
+        steps = psi_paths[path_of[conflict]]
+        at = _step_index(steps, (conflict,))
         if at == 0 or at == len(steps) - 1:
             raise InvariantError(
                 "decomposition-violation", f"public edge {conflict} at a path end"
@@ -301,33 +319,25 @@ def match_directions(
                 "decomposition-violation",
                 f"edges around inconsistent public edge {conflict} are not private",
             )
-        enter_e = current.edge_by_id[enter_eid]
-        leave_e = current.edge_by_id[leave_eid]
-        w3 = enter_e.other(v)
-        w4 = leave_e.other(u)
-        id1 = max(current.edge_by_id) + 1
-        id2 = id1 + 1
-        new1 = Edge(id=id1, u=w3, v=u, directed=w3 in current.source_set)
-        new2 = Edge(id=id2, u=v, v=w4, directed=w4 in current.sink_set)
-        next_net = Network(
-            vertices=current.vertices,
-            edges=tuple(x for x in current.edges if x.id not in (enter_eid, leave_eid))
-            + (new1, new2),
-            pairs=current.pairs,
-        )
+        w3 = edges[enter_eid].other(v)
+        w4 = edges[leave_eid].other(u)
+        id1, id2 = next_id, next_id + 1
+        next_id += 2
+        del edges[enter_eid], edges[leave_eid]
+        edges[id1] = Edge(id=id1, u=w3, v=u, directed=w3 in g.source_set)
+        edges[id2] = Edge(id=id2, u=v, v=w4, directed=w4 in g.sink_set)
+        tags[id1] = tags[id2] = PSI
+        path_of[id1] = path_of[id2] = path_of.pop(enter_eid)
+        del path_of[leave_eid]
         steps[at - 1:at + 2] = [
             (id1, True),
             (conflict, phi.orientation[conflict]),
             (id2, True),
         ]
-        new_paths = list(psi.paths)
-        new_paths[psi_path_idx] = Path(steps=tuple(steps))
-        new_psi = make_path_system(next_net, psi.pair_index, new_paths)
-        new_phi = make_path_system(next_net, phi.pair_index, phi.paths)
         provenance["edges"][id1] = provenance["edges"].pop(enter_eid, enter_eid)
         provenance["edges"][id2] = provenance["edges"].pop(leave_eid, leave_eid)
-        current, cur_systems = next_net, [new_phi, new_psi]
-    return current, cur_systems, provenance
+    phi_paths = [p.steps for p in phi.paths]
+    return (*_build(g, g.vertices, edges, (phi, psi), (phi_paths, psi_paths)), provenance)
 
 
 def _compose_provenance(
@@ -395,7 +405,16 @@ def decompose_private(rep: Representation) -> List[AlternatingPath]:
     are named by the two terminals the walk connects; decks follow the
     head/tail rule; the initial choke is the rightmost lower vertex for an
     S1S2 path and the rightmost upper vertex for an R2R1 path.
+
+    The decomposition is walked and validated once per representation; each
+    call returns a new list of the same paths.  A representation that fails
+    validation raises on every call.
     """
+    return list(rep._alternating)
+
+
+def _decompose(rep: Representation) -> List[AlternatingPath]:
+    """Walk and validate the decomposition that ``decompose_private`` returns."""
     g = rep.graph
     tags = classify_edges(g, rep.systems)
     if any(tag == UNUSED for tag in tags.values()):

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from hubmin import grid_graph, grid_instance, parse_instance, serialize_network
+import hubmin
+from hubmin import grid_graph, grid_instance, minimality, parse_instance, serialize_network
 from hubmin.cli import main
 
 
@@ -69,6 +74,45 @@ def test_check_fails_out_of_class_input(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert main(["check", "-i", str(path)]) == 1
     assert "in class: False" in capsys.readouterr().out
+
+
+def test_check_builds_deletion_queries_once(tmp_path, capsys, monkeypatch):
+    # The minimal: line reuses the agreement report's is_minimal verdict.
+    real = minimality._DeletionQueries
+    builds = []
+    monkeypatch.setattr(
+        minimality, "_DeletionQueries", lambda g: builds.append(g) or real(g)
+    )
+    path = _write_grid(tmp_path)
+    assert main(["check", "-i", str(path)]) == 0
+    assert "minimal: True" in capsys.readouterr().out
+    assert len(builds) == 1
+
+
+def test_minimalize_reports_out_of_class_input(tmp_path, capsys):
+    g = grid_graph(2, 2)
+    obj = json.loads(serialize_network(g))
+    obj["edges"] = [e for e in obj["edges"] if e["id"] != 0]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(obj))
+    assert main(["minimalize", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: not-in-class\n"
+    assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert main(["generate", "--family", "grid"]) == 0
+    expected = capsys.readouterr().out
+    src = str(pathlib.Path(hubmin.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "hubmin", "generate", "--family", "grid"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 def test_check_skips_equivalence_for_other_pair_counts(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 Warm-start deletion queries are checked against rebuilding the network and
 calling ``in_class``; ``minimalize`` against the plain restart loop it
-replaces; ``min_vertex_cut`` against networkx max-flow on vertex-split
-graphs far beyond the brute-force oracle's size guards.
+replaces; ``min_vertex_cut`` and the paths of ``vertex_disjoint_paths``
+against networkx max-flow on vertex-split graphs far beyond the
+brute-force oracle's size guards.
 """
 
 from __future__ import annotations
@@ -269,4 +270,42 @@ def test_min_vertex_cut_matches_networkx_on_large_graphs():
             assert cut.value == len(cut.separator) + direct
             if cut.value:
                 assert vertex_disjoint_paths(g, i, cut.value) is not None
+    assert max(sizes) >= 450
+
+
+def _walk(g: Network, pair, steps):
+    """The vertices a path visits, checked step by step without hubmin's
+    own path validation."""
+    seq = [pair.source]
+    for eid, forward in steps:
+        e = g.edge_by_id[eid]
+        assert forward or not e.directed, f"directed edge {eid} walked backward"
+        tail, head = (e.u, e.v) if forward else (e.v, e.u)
+        assert tail == seq[-1], f"edge {eid} does not continue the walk"
+        seq.append(head)
+    assert seq[-1] == pair.sink
+    assert len(set(seq)) == len(seq), "path revisits a vertex"
+    return seq
+
+
+def test_vertex_disjoint_paths_match_networkx_on_large_graphs():
+    nx = pytest.importorskip("networkx")
+    sizes = []
+    for g in _large_graphs():
+        sizes.append(len(g.edges))
+        for i, pair in enumerate(g.pairs):
+            value = _nx_cut(nx, g, i)
+            assert vertex_disjoint_paths(g, i, value + 1) is None
+            if not value:
+                continue
+            system = vertex_disjoint_paths(g, i, value)
+            assert len(system.paths) == value
+            seen_interior, seen_edges = set(), set()
+            for path in system.paths:
+                interior = set(_walk(g, pair, path.steps)[1:-1])
+                assert not interior & seen_interior, "paths share an interior vertex"
+                edges = {eid for eid, _ in path.steps}
+                assert not edges & seen_edges, "paths share an edge"
+                seen_interior |= interior
+                seen_edges |= edges
     assert max(sizes) >= 450

@@ -374,3 +374,94 @@ def test_vertex_order_does_not_change_canonical_form(seed):
     random.Random(seed).shuffle(shuffled)
     h = Network(vertices=tuple(shuffled), edges=g.edges, pairs=g.pairs)
     assert serialize_network(h) == serialize_network(g)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input boundary: whatever the text, only ParseError escapes.
+# ---------------------------------------------------------------------------
+
+_ODD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=9),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "edge"]), st.integers(0, 3), max_size=1),
+)
+# Mostly plausible small ids, sometimes a value of the wrong kind.
+_ID = st.one_of(st.integers(min_value=0, max_value=7), _ODD)
+_FLAG = st.one_of(st.booleans(), _ODD)
+
+
+def _record(fields):
+    """An object with these fields, some possibly missing, or a stray value."""
+    return st.one_of(
+        st.fixed_dictionaries(fields),
+        st.fixed_dictionaries({}, optional=fields),
+        _ODD,
+    )
+
+
+_STEP = _record({"edge": _ID, "forward": _FLAG})
+_INSTANCE = st.fixed_dictionaries(
+    {
+        "vertices": st.one_of(st.lists(_ID, max_size=8), _ODD),
+        "edges": st.lists(
+            _record({"id": _ID, "u": _ID, "v": _ID, "directed": _FLAG}), max_size=10
+        ),
+        "pairs": st.lists(_record({"source": _ID, "sink": _ID, "demand": _ID}), max_size=3),
+    },
+    optional={
+        "systems": st.one_of(
+            st.lists(st.lists(st.lists(_STEP, max_size=4), max_size=3), max_size=3), _ODD
+        )
+    },
+)
+
+
+def _locations(obj, out):
+    """Every (container, key) slot in a parsed JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        out.append((obj, key))
+        if isinstance(value, (dict, list)):
+            _locations(value, out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.one_of(
+        _INSTANCE.map(json.dumps), st.text(max_size=30), _ODD.map(json.dumps)
+    )
+)
+def test_parse_instance_raises_only_parse_errors(text):
+    try:
+        parse_instance(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(min_value=0), st.one_of(st.just("drop"), _ID)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_parse_instance_rejects_edited_examples_with_parse_errors(example_text, edits):
+    # Edits of a valid instance reach the network and system validation.
+    obj = json.loads(example_text)
+    for pick, value in edits:
+        slots = _locations(obj, [])
+        container, key = slots[pick % len(slots)]
+        if value == "drop":
+            del container[key]
+        else:
+            container[key] = value
+    try:
+        parse_instance(json.dumps(obj))
+    except ParseError:
+        pass

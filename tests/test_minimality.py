@@ -24,6 +24,7 @@ from hubmin import (
     theorem1_agreement,
     vertex_disjoint_paths,
 )
+from hubmin import cuts
 
 from conftest import two_pair_corpus
 
@@ -72,6 +73,26 @@ def test_minimalize_rejects_out_of_class_input():
     with pytest.raises(InvariantError) as err:
         minimalize(delete_edges(grid_graph(2, 2), [0]))
     assert err.value.code == "not-in-class"
+
+
+def test_membership_check_reuses_the_deletion_nets(monkeypatch):
+    # One flow net per pair: the deletion queries' own max flows decide
+    # membership, and an out-of-class network still reads "not-in-class".
+    real = cuts._build_pair_net
+    built = []
+    monkeypatch.setattr(
+        cuts, "_build_pair_net", lambda g, i, *a, **k: built.append(i) or real(g, i, *a, **k)
+    )
+    g, _ = random_network(5, (2, 2), extra=3)
+    for run in (is_minimal, minimalize):
+        built.clear()
+        run(g)
+        assert built == [0, 1]
+    built.clear()
+    with pytest.raises(InvariantError) as err:
+        is_minimal(delete_edges(grid_graph(2, 2), [0]))
+    assert str(err.value) == "not-in-class"
+    assert built == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hubmin import (
     Network,
     Pair,
     Path,
+    Representation,
     classify_edges,
     decompose_private,
     delete_edges,
@@ -149,6 +150,31 @@ def test_remove_relays_rejects_degenerate_relay():
     assert err.value.code == "degenerate-relay"
 
 
+def test_remove_relays_fails_at_the_first_bad_merge():
+    # Relay 6 hangs between the two sources, so its merged edge (9, after
+    # relay 5's edge 8) enters a source; relay 7 would close a loop, but
+    # comes after 6.
+    g = _net(
+        range(8),
+        [
+            Edge(0, 0, 4, True),
+            Edge(1, 4, 1, True),
+            Edge(2, 2, 5, True),
+            Edge(3, 5, 3, True),
+            Edge(4, 0, 6, True),
+            Edge(5, 2, 6, True),
+            Edge(6, 4, 7, False),
+            Edge(7, 7, 4, False),
+        ],
+        [Pair(0, 1, 1), Pair(2, 3, 1)],
+    )
+    phi = make_path_system(g, 0, [Path(((0, True), (1, True)))])
+    psi = make_path_system(g, 1, [Path(((2, True), (3, True)))])
+    with pytest.raises(InvariantError) as err:
+        remove_relays(g, [phi, psi])
+    assert str(err.value) == "source-incoming-edge: edge 9 at 2"
+
+
 # ---------------------------------------------------------------------------
 # Crossing stretch.
 # ---------------------------------------------------------------------------
@@ -219,6 +245,51 @@ def test_match_directions_rewires_opposing_public_edge():
     assert prov["edges"] == {5: 3, 6: 4}
     assert systems3[0].orientation[1] == systems3[1].orientation[1]
     assert systems3[1].paths[0].steps == ((5, True), (1, True), (6, True))
+
+
+def test_match_directions_swaps_in_ascending_edge_order():
+    # Two copies of the conflict case, one per unit of demand: the public
+    # edges 1 and 6 are both traversed against the first system.
+    g = _net(
+        range(8),
+        [
+            Edge(0, 0, 4, True),
+            Edge(1, 4, 5, False),
+            Edge(2, 5, 1, True),
+            Edge(3, 2, 5, True),
+            Edge(4, 4, 3, True),
+            Edge(5, 0, 6, True),
+            Edge(6, 6, 7, False),
+            Edge(7, 7, 1, True),
+            Edge(8, 2, 7, True),
+            Edge(9, 6, 3, True),
+        ],
+        [Pair(0, 1, 2), Pair(2, 3, 2)],
+    )
+    phi = make_path_system(g, 0, [Path(((0, True), (1, True), (2, True))),
+                                  Path(((5, True), (6, True), (7, True)))])
+    psi = make_path_system(g, 1, [Path(((3, True), (1, False), (4, True))),
+                                  Path(((8, True), (6, False), (9, True)))])
+    g3, systems3, prov = match_directions(g, [phi, psi])
+    assert prov["edges"] == {10: 3, 11: 4, 12: 8, 13: 9}
+    assert [p.steps for p in systems3[1].paths] == [
+        ((10, True), (1, True), (11, True)),
+        ((12, True), (6, True), (13, True)),
+    ]
+    assert [e.id for e in g3.edges] == [0, 1, 2, 5, 6, 7, 10, 11, 12, 13]
+
+
+def test_natural_direction_prefers_the_first_system():
+    g, (phi, psi) = _conflict_case()
+    rep = Representation(
+        graph=g, systems=(phi, psi), provenance={}, naturally_oriented=False
+    )
+    assert rep.natural_direction(1) is True  # psi walks edge 1 backward
+    for e in g.edges:
+        want = phi.orientation.get(e.id, psi.orientation.get(e.id))
+        assert rep.natural_direction(e.id) is want
+    with pytest.raises(KeyError):
+        rep.natural_direction(99)
 
 
 def test_match_directions_preserves_degrees_and_hubs():
