@@ -15,9 +15,11 @@ from .extremal import (
     grid_graph,
     grid_instance,
     ones_graph,
+    ones_instance,
     reroutable_witness,
     signature_bound,
     witness_222,
+    witness_222_instance,
 )
 from .graph_core import (
     Edge,
@@ -102,6 +104,7 @@ __all__ = [
     "min_vertex_cut",
     "minimalize",
     "ones_graph",
+    "ones_instance",
     "parse_instance",
     "parse_network",
     "path_vertices",
@@ -117,4 +120,5 @@ __all__ = [
     "verify_run",
     "vertex_disjoint_paths",
     "witness_222",
+    "witness_222_instance",
 ]

@@ -47,7 +47,7 @@ from .interconnect import run_interconnect, verify_run
 from .minimality import is_minimal, is_reroutable, minimalize, theorem1_agreement
 from .oracle import enumerate_path_systems, min_hub_subgraph
 from .random_graphs import random_network
-from .representation import S1S2, decompose_private, to_representation
+from .representation import S1S2, Representation, decompose_private, to_representation
 
 Claim = Tuple[str, str, bool, str]
 
@@ -80,6 +80,12 @@ def claim_t1(seed: int) -> Tuple[bool, str]:
     return True, f"{checked} raw + {checked} minimalized graphs"
 
 
+def directions_agree(rep: Representation) -> bool:
+    """Whether both systems traverse every edge they share the same way."""
+    phi, psi = (system.orientation for system in rep.systems)
+    return all(psi[eid] == forward for eid, forward in phi.items() if eid in psi)
+
+
 def claim_t2(seed: int) -> Tuple[bool, str]:
     checked = 0
     for g, _ in _two_pair_corpus(seed + 1, 30):
@@ -87,8 +93,8 @@ def claim_t2(seed: int) -> Tuple[bool, str]:
         for v in rep.graph.vertices:
             if not rep.graph.is_terminal(v) and rep.graph.degree(v) != 3:
                 return False, f"degree {rep.graph.degree(v)} hub"
-        if not rep.naturally_oriented:
-            return False, "not naturally oriented"
+        if not directions_agree(rep):
+            return False, "systems traverse a shared edge in opposite directions"
         checked += 1
     return True, f"{checked} representations"
 

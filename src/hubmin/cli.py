@@ -19,10 +19,11 @@ from typing import List, Optional, Sequence
 from . import acceptance
 from .cuts import in_class, min_vertex_cut, vertex_disjoint_paths
 from .extremal import (
-    _build_lattice,
     grid_instance,
+    ones_instance,
     reroutable_witness,
     signature_bound,
+    witness_222_instance,
 )
 from .graph_core import (
     InvariantError,
@@ -78,10 +79,10 @@ def _cmd_generate(args) -> int:
         spec = grid_instance(args.c1, args.c2)
         text = serialize_network(spec.network, list(spec.systems))
     elif args.family == "ones":
-        spec = _build_lattice(args.c1, args.c2, args.n, merge=False)
+        spec = ones_instance(args.c1, args.c2, args.n)
         text = serialize_network(spec.network, list(spec.systems))
     elif args.family == "witness222":
-        spec = _build_lattice(2, 2, 2, merge=True)
+        spec = witness_222_instance()
         text = serialize_network(spec.network, list(spec.systems))
     elif args.family == "reroutable":
         g = reroutable_witness()

@@ -162,14 +162,24 @@ def grid_graph(c1: int, c2: int) -> Network:
     return grid_instance(c1, c2).network
 
 
+def ones_instance(c1: int, c2: int, n: int) -> GridSpec:
+    """The lattice with n demand-1 pairs threaded in, plus its systems and layout."""
+    return _build_lattice(c1, c2, n, merge=False)
+
+
 def ones_graph(c1: int, c2: int, n: int) -> Network:
     """The lattice with n demand-1 pairs threaded in: 2*(c1*c2 + n) hubs."""
-    return _build_lattice(c1, c2, n, merge=False).network
+    return ones_instance(c1, c2, n).network
+
+
+def witness_222_instance() -> GridSpec:
+    """The 12-hub (2,2,2) witness, plus its systems and layout."""
+    return _build_lattice(2, 2, 2, merge=True)
 
 
 def witness_222() -> Network:
     """A minimal network for demands (2,2,2) with 12 hubs."""
-    return _build_lattice(2, 2, 2, merge=True).network
+    return witness_222_instance().network
 
 
 def reroutable_witness() -> Network:

@@ -3,7 +3,9 @@
 Exhaustive enumeration of path systems and of edge-deletion subgraphs.
 Deliberately independent of the structural machinery (no representations,
 no alternating paths) so it can cross-check those modules; guarded against
-inputs too large to enumerate.
+inputs too large to enumerate.  The minimum-hub search shares only the pair
+net compiler with ``minimalize``: it runs a fresh max flow for every
+deletion set instead of rerouting warm flows.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
-from .cuts import min_vertex_cut
+from .cuts import _build_pair_net, min_vertex_cut
 from .extremal import signature_bound
 from .graph_core import (
     InvariantError,
@@ -101,18 +103,40 @@ def enumerate_path_systems(g: Network, pair_index: int) -> List[PathSystem]:
     return systems
 
 
-def _cut_profile(g: Network) -> Tuple[bool, bool]:
-    """(feasible: all cuts >= demand, exact: all cuts == demand)."""
-    feasible = exact = True
-    for i, pair in enumerate(g.pairs):
-        value = min_vertex_cut(g, i).value
-        if value < pair.demand:
-            feasible = False
-            exact = False
-            break
-        if value != pair.demand:
-            exact = False
-    return feasible, exact
+class _CompiledPairs:
+    """Every pair's vertex-split net, compiled once for one network.
+
+    ``profile`` decides a deletion set with a fresh max flow per pair on
+    the compiled nets, with the deleted edges' arcs at zero capacity.  The
+    flows start from zero on every call, so no answer depends on the order
+    in which deletion sets are visited.
+    """
+
+    def __init__(self, g: Network):
+        self._pairs = []
+        for i, pair in enumerate(g.pairs):
+            built = _build_pair_net(g, i)
+            self._pairs.append(
+                (built.net, built.s, built.t, pair.demand, built.arcs_of_edge())
+            )
+
+    def profile(self, deleted: Iterable[int]) -> Tuple[bool, bool]:
+        """(feasible: all cuts >= demand, exact: all cuts == demand) once the
+        ``deleted`` edges are gone."""
+        exact = True
+        for net, s, t, demand, arcs_of_edge in self._pairs:
+            cap = net.cap
+            cap[:] = net.base_cap
+            for eid in deleted:
+                for arc in arcs_of_edge[eid]:
+                    cap[arc] = 0
+            # One unit past the demand tells "above" from "exact".
+            value = net.max_flow(s, t, limit=demand + 1)
+            if value < demand:
+                return False, False
+            if value != demand:
+                exact = False
+        return True, exact
 
 
 def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport:
@@ -120,19 +144,18 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
 
     Edges whose single removal already destroys feasibility can never be
     deleted; the search branches only on the rest, pruning any deletion set
-    that drops some pair's cut below its demand.
+    that drops some pair's cut below its demand.  Each pair's net is
+    compiled once; only the returned subgraph is built as a ``Network``,
+    and its cuts are checked once more with ``min_vertex_cut``.
     """
     start = time.perf_counter()
-    feasible, _ = _cut_profile(g)
+    nets = _CompiledPairs(g)
+    feasible, _ = nets.profile(())
     if not feasible:
         raise InvariantError(
             "no-in-class-subgraph", "a cut is already below its demand"
         )
-    free: List[int] = []
-    for e in sorted(g.edge_by_id):
-        sub_feasible, _ = _cut_profile(delete_edges(g, [e]))
-        if sub_feasible:
-            free.append(e)
+    free = [e for e in sorted(g.edge_by_id) if nets.profile((e,))[0]]
     if len(free) > max_free:
         raise InvariantError(
             "size-guard-exceeded",
@@ -142,8 +165,7 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
     in_class_states: Set[FrozenSet[int]] = set()
 
     def search(deleted: FrozenSet[int], from_index: int) -> None:
-        h = delete_edges(g, deleted) if deleted else g
-        sub_feasible, exact = _cut_profile(h)
+        sub_feasible, exact = nets.profile(deleted)
         if not sub_feasible:
             return
         if exact:
@@ -164,12 +186,27 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
         if all(s | {f} not in in_class_states for f in free_set - s)
     ]
 
+    interior_degree = {v: g.degree(v) for v in g.vertices if not g.is_terminal(v)}
+
     def keyed(state: FrozenSet[int]) -> Tuple[int, Tuple[int, ...]]:
-        h = delete_edges(g, state)
-        return (int(hub_count(h)), tuple(sorted(g.edge_by_id.keys() - state)))
+        degree = dict(interior_degree)
+        for eid in state:
+            e = g.edge_by_id[eid]
+            for end in (e.u, e.v):
+                if end in degree:
+                    degree[end] -= 1
+        hubs = sum(1 for d in degree.values() if d >= 3)
+        return (hubs, tuple(sorted(g.edge_by_id.keys() - state)))
 
     best = min(in_class_states, key=keyed)
     best_graph = delete_edges(g, best)
+    for i, pair in enumerate(best_graph.pairs):
+        value = min_vertex_cut(best_graph, i).value
+        if value != pair.demand:
+            raise InvariantError(
+                "oracle-cut-mismatch",
+                f"pair {i} cut {value} differs from demand {pair.demand}",
+            )
     return OracleReport(
         min_hub_subgraph=best_graph,
         min_hubs=int(hub_count(best_graph)),

@@ -16,9 +16,11 @@ from hubmin import (
     make_path_system,
     min_vertex_cut,
     ones_graph,
+    ones_instance,
     reroutable_witness,
     signature_bound,
     witness_222,
+    witness_222_instance,
 )
 
 
@@ -77,6 +79,18 @@ def test_ones_graph_hub_counts():
 def test_ones_graph_without_units_is_the_grid():
     for c1, c2 in ((1, 1), (2, 2), (2, 3), (3, 2)):
         assert ones_graph(c1, c2, 0) == grid_graph(c1, c2)
+
+
+def test_ones_and_witness_instances_carry_valid_systems():
+    for spec, g in (
+        (ones_instance(2, 3, 2), ones_graph(2, 3, 2)),
+        (witness_222_instance(), witness_222()),
+    ):
+        assert spec.network == g
+        assert len(spec.systems) == len(g.pairs)
+        for i, system in enumerate(spec.systems):
+            assert len(system.paths) == g.pairs[i].demand
+            make_path_system(g, i, system.paths)
 
 
 def test_ones_graph_is_minimal():

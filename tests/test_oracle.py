@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import hubmin.cuts
+import hubmin.oracle
 from hubmin import (
+    CutResult,
+    Edge,
     InvariantError,
+    Network,
+    Pair,
     check_bound,
     delete_edges,
     enumerate_path_systems,
@@ -14,6 +22,7 @@ from hubmin import (
     in_class,
     is_minimal,
     min_hub_subgraph,
+    min_vertex_cut,
     minimalize,
     ones_graph,
     random_network,
@@ -126,3 +135,180 @@ def test_oracle_is_deterministic():
     assert a.min_hub_subgraph == b.min_hub_subgraph
     assert a.min_hubs == b.min_hubs
     assert a.num_minimal_subgraphs == b.num_minimal_subgraphs
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the plain search: a new Network and fresh
+# min_vertex_cut calls for every deletion set it visits.
+# ---------------------------------------------------------------------------
+
+
+def _reference_profile(g):
+    feasible = exact = True
+    for i, pair in enumerate(g.pairs):
+        value = min_vertex_cut(g, i).value
+        if value < pair.demand:
+            feasible = False
+            exact = False
+            break
+        if value != pair.demand:
+            exact = False
+    return feasible, exact
+
+
+def _reference_min_hub_subgraph(g, max_free):
+    """(min_hubs, num_minimal_subgraphs, subgraph), or raises like the oracle."""
+    if not _reference_profile(g)[0]:
+        raise InvariantError("no-in-class-subgraph")
+    free = [e for e in sorted(g.edge_by_id) if _reference_profile(delete_edges(g, [e]))[0]]
+    if len(free) > max_free:
+        raise InvariantError("size-guard-exceeded")
+    states = set()
+
+    def search(deleted, from_index):
+        h = delete_edges(g, deleted) if deleted else g
+        feasible, exact = _reference_profile(h)
+        if not feasible:
+            return
+        if exact:
+            states.add(deleted)
+        for i in range(from_index, len(free)):
+            search(deleted | {free[i]}, i + 1)
+
+    search(frozenset(), 0)
+    if not states:
+        raise InvariantError("no-in-class-subgraph")
+    minimal = [s for s in states if all(s | {f} not in states for f in set(free) - s)]
+    best = min(
+        states,
+        key=lambda s: (
+            int(hub_count(delete_edges(g, s))),
+            tuple(sorted(g.edge_by_id.keys() - s)),
+        ),
+    )
+    best_graph = delete_edges(g, best)
+    return int(hub_count(best_graph)), len(minimal), best_graph
+
+
+def _with_direct_edge(g, pair_index, raise_demand=True):
+    """``g`` plus a direct source->sink edge for one pair; its demand rises by
+    one unless ``raise_demand`` is False, which leaves the cut above it."""
+    pairs = list(g.pairs)
+    pair = pairs[pair_index]
+    pairs[pair_index] = Pair(pair.source, pair.sink, pair.demand + raise_demand)
+    edge = Edge(max(g.edge_by_id) + 1, pair.source, pair.sink, True)
+    return Network(vertices=g.vertices, edges=g.edges + (edge,), pairs=tuple(pairs))
+
+
+def _with_lowered_demand(g, pair_index):
+    """``g`` with one pair's demand one below its cut, where the cut allows."""
+    pairs = list(g.pairs)
+    pair = pairs[pair_index]
+    pairs[pair_index] = Pair(pair.source, pair.sink, max(1, pair.demand - 1))
+    return Network(vertices=g.vertices, edges=g.edges, pairs=tuple(pairs))
+
+
+def _differential_corpus():
+    rng = random.Random(4242)
+    demand_sets = ((2, 2), (1, 3), (2, 3), (3, 3), (2, 2, 2), (1, 2, 2))
+    out = [witness_222(), grid_graph(2, 2)]
+    for k in range(2 * len(demand_sets) * 7):
+        demands = demand_sets[k % len(demand_sets)]
+        g, _ = random_network(
+            rng, list(demands), reuse=rng.uniform(0.3, 0.8), extra=k // 2 % 7
+        )
+        if k % 4 == 1:
+            g = _with_direct_edge(g, k % len(g.pairs))
+        elif k % 4 == 2:
+            g = _with_direct_edge(g, k % len(g.pairs), raise_demand=False)
+        elif k % 8 == 3:
+            g = delete_edges(g, [rng.choice(sorted(g.edge_by_id))])
+        out.append(g)
+    # Cuts above their demands, where exactness and feasibility differ.
+    for k in range(36):
+        demands = demand_sets[k % len(demand_sets)]
+        g, _ = random_network(
+            rng, list(demands), reuse=rng.uniform(0.3, 0.8), extra=k % 4
+        )
+        out.append(_with_lowered_demand(g, k % len(g.pairs)))
+    return out
+
+
+def _has_parallel_edges(g):
+    ends = [frozenset((e.u, e.v)) for e in g.edges if not e.directed]
+    return len(ends) != len(set(ends))
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except InvariantError as exc:
+        return exc.code
+
+
+def test_oracle_matches_the_plain_search():
+    max_free = 8
+    corpus = _differential_corpus()
+    codes = set()
+    answered = 0
+    for g in corpus:
+        want = _outcome(lambda h: _reference_min_hub_subgraph(h, max_free), g)
+        got = _outcome(lambda h: min_hub_subgraph(h, max_free=max_free), g)
+        if isinstance(want, str):
+            assert got == want, g
+            codes.add(want)
+            continue
+        assert not isinstance(got, str), (got, g)
+        assert (got.min_hubs, got.num_minimal_subgraphs, got.min_hub_subgraph) == want
+        answered += 1
+    # The corpus reaches both errors, answers most inputs, and has parallel
+    # interior edges and direct source->sink edges.
+    assert codes == {"no-in-class-subgraph", "size-guard-exceeded"}
+    assert answered >= 80
+    assert any(_has_parallel_edges(g) for g in corpus)
+    assert any(
+        any((e.u, e.v) == (p.source, p.sink) for p in g.pairs for e in g.edges)
+        for g in corpus
+    )
+
+
+def test_oracle_compiles_each_pair_once(monkeypatch):
+    counts = {"nets": 0, "networks": 0}
+    build = hubmin.cuts._build_pair_net
+    init = Network.__post_init__
+
+    def counting_build(*args, **kwargs):
+        counts["nets"] += 1
+        return build(*args, **kwargs)
+
+    def counting_init(self):
+        counts["networks"] += 1
+        init(self)
+
+    monkeypatch.setattr(hubmin.cuts, "_build_pair_net", counting_build)
+    monkeypatch.setattr(hubmin.oracle, "_build_pair_net", counting_build)
+    monkeypatch.setattr(Network, "__post_init__", counting_init)
+    rng = random.Random(77)
+    free_counts = set()
+    for k in range(12):
+        demands = [(2, 2), (2, 2, 2), (2, 3)][k % 3]
+        g, _ = random_network(rng, list(demands), reuse=0.5, extra=k % 7)
+        free_counts.add(
+            sum(_reference_profile(delete_edges(g, [e]))[0] for e in g.edge_by_id)
+        )
+        counts.update(nets=0, networks=0)
+        min_hub_subgraph(g)
+        assert len(g.pairs) <= counts["nets"] <= 2 * len(g.pairs), k
+        assert 1 <= counts["networks"] <= 2, k
+    assert min(free_counts) <= 1 and max(free_counts) >= 6
+
+
+def test_oracle_checks_the_returned_cuts(monkeypatch):
+    monkeypatch.setattr(
+        hubmin.oracle,
+        "min_vertex_cut",
+        lambda g, i: CutResult(value=g.pairs[i].demand + 1, separator=frozenset()),
+    )
+    with pytest.raises(InvariantError) as err:
+        min_hub_subgraph(grid_graph(2, 2))
+    assert err.value.code == "oracle-cut-mismatch"

@@ -29,6 +29,8 @@ from hubmin import (
     vertex_disjoint_paths,
 )
 
+from hubmin.acceptance import directions_agree
+
 from conftest import two_pair_corpus
 
 
@@ -290,6 +292,19 @@ def test_natural_direction_prefers_the_first_system():
         assert rep.natural_direction(e.id) is want
     with pytest.raises(KeyError):
         rep.natural_direction(99)
+
+
+def test_directions_agree_rejects_opposed_systems():
+    g, (phi, psi) = _conflict_case()
+    rep = Representation(
+        graph=g, systems=(phi, psi), provenance={}, naturally_oriented=False
+    )
+    assert not directions_agree(rep)
+    g3, systems3, _ = match_directions(g, [phi, psi])
+    matched = Representation(
+        graph=g3, systems=tuple(systems3), provenance={}, naturally_oriented=True
+    )
+    assert directions_agree(matched)
 
 
 def test_match_directions_preserves_degrees_and_hubs():
