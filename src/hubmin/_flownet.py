@@ -1,14 +1,13 @@
 """Integer max-flow and SCC plumbing shared by the cut and rerouting code.
 
-Nodes are the integers ``0 .. len(adj) - 1``, handed out by ``add_node`` in
-creation order; ``adj[node]`` lists the arc ids leaving a node.  Arcs are
-stored as a flat list where arc ``i`` and ``i ^ 1`` form a forward/residual
-pair.  All traversals follow insertion order, so results are deterministic.
+Nodes are the integers ``0 .. len(adj) - 1``; ``adj[node]`` lists the arc
+ids leaving a node.  Arcs are stored as flat lists where arc ``i`` and
+``i ^ 1`` form a forward/residual pair.  All traversals follow the order of
+the adjacency lists, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional, Sequence
 
 INF = 10**9
@@ -18,30 +17,21 @@ _ROOT = -2
 
 
 class FlowNet:
-    """Arc-list flow network with unit or large integer capacities."""
+    """Arc-list flow network with unit or large integer capacities.
 
-    def __init__(self):
-        self.to: List[int] = []
-        self.frm: List[int] = []
-        self.cap: List[int] = []
-        self.base_cap: List[int] = []
-        self.adj: List[List[int]] = []
+    ``to``, ``frm`` and ``adj`` are held, not copied, so several nets can
+    share one topology; ``base_cap`` is the net's own, and ``cap`` starts as
+    a copy of it.
+    """
 
-    def add_node(self) -> int:
-        """A new node with no arcs; returns its id."""
-        self.adj.append([])
-        return len(self.adj) - 1
-
-    def add_arc(self, tail: int, head: int, cap: int) -> int:
-        """Add tail->head with the given capacity; returns the forward arc id."""
-        arc = len(self.to)
-        self.to.extend((head, tail))
-        self.frm.extend((tail, head))
-        self.cap.extend((cap, 0))
-        self.base_cap.extend((cap, 0))
-        self.adj[tail].append(arc)
-        self.adj[head].append(arc + 1)
-        return arc
+    def __init__(
+        self, to: List[int], frm: List[int], adj: List[List[int]], base_cap: List[int]
+    ):
+        self.to = to
+        self.frm = frm
+        self.adj = adj
+        self.base_cap = base_cap
+        self.cap = list(base_cap)
 
     def flow_on(self, arc: int) -> int:
         return self.base_cap[arc] - self.cap[arc]
@@ -63,18 +53,18 @@ class FlowNet:
         adj, cap, to = self.adj, self.cap, self.to
         parent = [_UNSEEN] * len(adj)
         parent[s] = _ROOT
-        queue = deque([s])
-        while queue:
-            for arc in adj[queue.popleft()]:
-                if cap[arc] <= 0:
-                    continue
-                nxt = to[arc]
-                if parent[nxt] != _UNSEEN:
-                    continue
-                parent[nxt] = arc
-                if nxt == t:
-                    return parent
-                queue.append(nxt)
+        # A plain list is the FIFO queue: iterating it while appending visits
+        # nodes in the order they were queued.
+        queue = [s]
+        for node in queue:
+            for arc in adj[node]:
+                if cap[arc] > 0:
+                    nxt = to[arc]
+                    if parent[nxt] == _UNSEEN:
+                        parent[nxt] = arc
+                        if nxt == t:
+                            return parent
+                        queue.append(nxt)
         return None
 
     def path_arcs(self, parent: List[int], s: int, t: int) -> List[int]:
@@ -109,15 +99,14 @@ class FlowNet:
         adj, cap, to = self.adj, self.cap, self.to
         seen = [False] * len(adj)
         seen[s] = True
-        queue = deque([s])
-        while queue:
-            for arc in adj[queue.popleft()]:
-                if cap[arc] <= 0:
-                    continue
-                nxt = to[arc]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    queue.append(nxt)
+        queue = [s]
+        for node in queue:
+            for arc in adj[node]:
+                if cap[arc] > 0:
+                    nxt = to[arc]
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        queue.append(nxt)
         return seen
 
     def residual_path(self, s: int, t: int) -> Optional[List[int]]:

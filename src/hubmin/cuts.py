@@ -8,7 +8,9 @@ interior vertex to cut, so it counts 1 toward the cut value (as if it were
 subdivided); ``CutResult.separator`` holds interior vertices only, hence
 ``value == len(separator) + number of direct pair edges``.
 
-``_build_pair_net`` compiles one pair into an integer-indexed ``FlowNet``.
+``_compile_network`` splits every vertex of a network once.  A source only
+sends and a sink only receives, so that one topology serves every pair:
+each pair's net (``_SplitNetwork.pair_net``) owns only its capacities.
 ``_DeletionQueries`` keeps one such net per pair, each carrying a max flow,
 and answers "is the network still in class without edge e?" by rerouting
 that flow around e instead of rebuilding the nets.
@@ -16,7 +18,7 @@ that flow around e instead of rebuilding the nets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ._flownet import INF, FlowNet
@@ -33,60 +35,116 @@ class CutResult:
 
 @dataclass
 class _PairNet:
-    """Vertex-split flow network for one pair, with arc bookkeeping.
+    """One pair's vertex-split flow network, with arc bookkeeping.
 
     ``s`` and ``t`` are the node ids of the pair's source and sink.  Every
     other vertex ``v`` is split into an in-node and an out-node joined by the
-    unit arc ``vertex_arc[v]``.  ``edge_arcs`` maps each edge arc to its step
-    ``(edge_id, forward)``, and ``arc_of_step`` is the inverse map.
+    unit arc ``vertex_arc[v]``; the map may also hold the pair's own
+    terminals, whose arcs then have capacity 0.  ``edge_arcs`` maps each edge arc to its step
+    ``(edge_id, forward)``, ``arc_of_step`` is the inverse map, and
+    ``arcs_of_edge`` lists each edge's arcs, forward first.  Nets of one
+    network share these maps and their arc lists; only the capacities are
+    the pair's own.
     """
 
     net: FlowNet
     s: int
     t: int
-    vertex_arc: Dict[int, int] = field(default_factory=dict)
-    edge_arcs: Dict[int, Tuple[int, bool]] = field(default_factory=dict)
-    arc_of_step: Dict[Tuple[int, bool], int] = field(default_factory=dict)
+    vertex_arc: Dict[int, int]
+    edge_arcs: Dict[int, Tuple[int, bool]]
+    arc_of_step: Dict[Tuple[int, bool], int]
+    arcs_of_edge: Dict[int, List[int]]
 
-    def arcs_of_edge(self) -> Dict[int, List[int]]:
-        """Edge id -> its arcs: the forward one, then the backward one if any."""
-        by_edge: Dict[int, List[int]] = {}
-        for arc, (eid, _) in self.edge_arcs.items():
-            by_edge.setdefault(eid, []).append(arc)
-        return by_edge
+
+@dataclass
+class _SplitNetwork:
+    """Every vertex of ``g`` split into an in/out half (see ``_compile_network``).
+
+    ``to``/``frm``/``adj`` are the arc lists every pair's ``FlowNet`` shares;
+    the maps are those of ``_PairNet``.  ``directed`` maps (tail, head) to
+    the forward arcs of the directed edges between them.
+    """
+
+    g: Network
+    to: List[int]
+    frm: List[int]
+    adj: List[List[int]]
+    vertex_arc: Dict[int, int]
+    edge_arcs: Dict[int, Tuple[int, bool]]
+    arc_of_step: Dict[Tuple[int, bool], int]
+    arcs_of_edge: Dict[int, List[int]]
+    directed: Dict[Tuple[int, int], List[int]]
+
+    def pair_net(self, pair_index: int, edge_cap: int = INF) -> _PairNet:
+        """The net of one pair: s = out(source), t = in(sink).
+
+        ``edge_cap`` is the capacity of edge arcs: effectively unbounded for
+        cut computation, 1 for rerouting analysis.  Direct source->sink
+        edges of the pair always get capacity 1 (see module docstring).  The
+        pair's own terminals are not cut: their vertex arcs get capacity 0.
+        No other pair can reach this pair's direct edges or terminal halves.
+        """
+        pair = self.g.pairs[pair_index]
+        base_cap = [1, 0] * len(self.vertex_arc) + [edge_cap, 0] * len(self.edge_arcs)
+        source_arc, sink_arc = self.vertex_arc[pair.source], self.vertex_arc[pair.sink]
+        base_cap[source_arc] = base_cap[sink_arc] = 0
+        for arc in self.directed.get((pair.source, pair.sink), ()):
+            base_cap[arc] = 1
+        return _PairNet(
+            net=FlowNet(self.to, self.frm, self.adj, base_cap),
+            s=source_arc + 1,
+            t=sink_arc,
+            vertex_arc=self.vertex_arc,
+            edge_arcs=self.edge_arcs,
+            arc_of_step=self.arc_of_step,
+            arcs_of_edge=self.arcs_of_edge,
+        )
+
+
+def _compile_network(g: Network) -> _SplitNetwork:
+    """Split every vertex of ``g`` once, for the nets of all its pairs.
+
+    The vertex at sorted position i has in-node 2i and out-node 2i + 1,
+    joined by arc 2i.  Edge arcs follow in edge-id order, each running from
+    its tail's out-node to its head's in-node: forward, then backward for an
+    undirected edge.  This is the arc order of a net compiled for a single
+    pair, so every node's adjacency keeps its relative order and searches
+    visit nodes in the same order.
+    """
+    order = sorted(g.vertices)
+    # A vertex's arc id equals its in-node id.
+    in_node = {v: 2 * i for i, v in enumerate(order)}
+    n = 2 * len(order)
+    to = [a ^ 1 for a in range(n)]
+    frm = list(range(n))
+    adj = [[a] for a in range(n)]
+    edge_arcs: Dict[int, Tuple[int, bool]] = {}
+    arc_of_step: Dict[Tuple[int, bool], int] = {}
+    arcs_of_edge: Dict[int, List[int]] = {}
+    directed: Dict[Tuple[int, int], List[int]] = {}
+    for e in sorted(g.edges, key=lambda e: e.id):
+        arcs = arcs_of_edge[e.id] = []
+        for forward in (True,) if e.directed else (True, False):
+            tail, head = e.ends(forward)
+            out_tail, in_head = in_node[tail] + 1, in_node[head]
+            arc = len(to)
+            to += (in_head, out_tail)
+            frm += (out_tail, in_head)
+            adj[out_tail].append(arc)
+            adj[in_head].append(arc + 1)
+            edge_arcs[arc] = (e.id, forward)
+            arc_of_step[(e.id, forward)] = arc
+            arcs.append(arc)
+        if e.directed:
+            directed.setdefault((e.u, e.v), []).append(arc)
+    return _SplitNetwork(
+        g, to, frm, adj, in_node, edge_arcs, arc_of_step, arcs_of_edge, directed
+    )
 
 
 def _build_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> _PairNet:
-    """Split every non-terminal-of-the-pair vertex into unit in/out halves.
-
-    ``edge_cap`` is the capacity of edge arcs: effectively unbounded for cut
-    computation, 1 for rerouting analysis.  Direct source->sink edges of the
-    pair always get capacity 1 (see module docstring).
-    """
-    pair = g.pairs[pair_index]
-    net = FlowNet()
-    built = _PairNet(net=net, s=net.add_node(), t=net.add_node())
-    vin = {pair.source: built.s, pair.sink: built.t}
-    vout = dict(vin)
-    for v in sorted(g.vertices):
-        if v not in vin:
-            vin[v], vout[v] = net.add_node(), net.add_node()
-            built.vertex_arc[v] = net.add_arc(vin[v], vout[v], 1)
-
-    def add_edge_arc(e, forward: bool, cap: int):
-        tail, head = e.ends(forward)
-        arc = net.add_arc(vout[tail], vin[head], cap)
-        built.edge_arcs[arc] = (e.id, forward)
-        built.arc_of_step[(e.id, forward)] = arc
-
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if e.directed:
-            cap = 1 if (e.u == pair.source and e.v == pair.sink) else edge_cap
-            add_edge_arc(e, True, cap)
-        else:
-            add_edge_arc(e, True, edge_cap)
-            add_edge_arc(e, False, edge_cap)
-    return built
+    """Compile ``g`` for a single pair (see ``_SplitNetwork.pair_net``)."""
+    return _compile_network(g).pair_net(pair_index, edge_cap)
 
 
 def min_vertex_cut(g: Network, pair_index: int) -> CutResult:
@@ -95,6 +153,8 @@ def min_vertex_cut(g: Network, pair_index: int) -> CutResult:
     net = built.net
     value = net.max_flow(built.s, built.t)
     reachable = net.residual_reachable(built.s)
+    # The pair's own terminals drop out: nothing reaches in(source), and t
+    # is unreachable once the flow is maximum.
     separator = frozenset(
         v
         for v, arc in built.vertex_arc.items()
@@ -120,7 +180,7 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     remaining: Dict[int, int] = {}
     for arc in range(0, len(net.to), 2):
         remaining[arc] = net.flow_on(arc)
-    for arcs in built.arcs_of_edge().values():
+    for arcs in built.arcs_of_edge.values():
         if len(arcs) == 2:
             cancel = min(remaining[arcs[0]], remaining[arcs[1]])
             remaining[arcs[0]] -= cancel
@@ -154,8 +214,9 @@ def in_class(g: Network) -> bool:
 class _DeletionQueries:
     """Answers "does ``g`` stay in class without edge e?" from warm max flows.
 
-    Each pair is compiled once and carries one max flow of value ``demand``.
-    An edge arc carries at most one unit.  For each pair, a query on edge e:
+    The network is compiled once (``split``), and each pair's net carries
+    one max flow of value ``demand``.  An edge arc carries at most one unit.
+    For each pair, a query on edge e:
 
     * does nothing when no arc of e carries flow: the flow already avoids e;
     * cancels the unit cycle through both endpoints when both directions of
@@ -172,13 +233,13 @@ class _DeletionQueries:
     """
 
     def __init__(self, g: Network):
-        self._g = g
+        self.split = _compile_network(g)
         self._nets: List[Tuple[_PairNet, Dict[int, List[int]]]] = []
         for i, pair in enumerate(g.pairs):
-            built = _build_pair_net(g, i)
+            built = self.split.pair_net(i)
             if built.net.max_flow(built.s, built.t) != pair.demand:
                 raise InvariantError("not-in-class", f"pair {i} cut differs from its demand")
-            self._nets.append((built, built.arcs_of_edge()))
+            self._nets.append((built, built.arcs_of_edge))
 
     def stays_in_class(self, eid: int, delete: bool = False) -> bool:
         """Whether ``g`` minus ``eid`` (and every edge deleted before) is in
@@ -204,7 +265,7 @@ class _DeletionQueries:
         if not carrying:
             return True
         if len(carrying) == 2:
-            edge = self._g.edge_by_id[built.edge_arcs[arcs[0]][0]]
+            edge = self.split.g.edge_by_id[built.edge_arcs[arcs[0]][0]]
             for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):
                 net.push(arc ^ 1, 1)
             return True

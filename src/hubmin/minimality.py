@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ._flownet import strongly_connected_components
-from .cuts import _build_pair_net, _DeletionQueries
+from .cuts import _DeletionQueries, _SplitNetwork, _compile_network
 from .cuts import in_class  # noqa: F401  (still importable here; perfbench's tests look it up)
 from .graph_core import (
     InvariantError,
@@ -160,9 +160,17 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
     through at least one cancellation arc; a cancellation arc lies on a cycle
     iff its endpoints share a strongly connected component.
     """
+    return _is_reroutable(_compile_network(g), systems, pair_index)
+
+
+def _is_reroutable(
+    split: _SplitNetwork, systems: Sequence[PathSystem], pair_index: int
+) -> bool:
+    """``is_reroutable`` on a compiled network, in a net of its own."""
+    g = split.g
     system = systems[pair_index]
     pair = g.pairs[pair_index]
-    built = _build_pair_net(g, pair_index, edge_cap=1)
+    built = split.pair_net(pair_index, edge_cap=1)
     net = built.net
 
     used_vertices: Set[int] = set()
@@ -200,10 +208,12 @@ def _queries_in_class(g: Network) -> _DeletionQueries:
 
 def is_minimal(g: Network) -> bool:
     """True iff no single edge can be deleted without leaving the class."""
-    queries = _queries_in_class(g)
-    return not any(
-        queries.stays_in_class(e.id) for e in sorted(g.edges, key=lambda e: e.id)
-    )
+    return _no_deletable_edge(_queries_in_class(g))
+
+
+def _no_deletable_edge(queries: _DeletionQueries) -> bool:
+    """Whether every edge of the queried network is needed, in edge-id order."""
+    return not any(queries.stays_in_class(eid) for eid in sorted(queries.split.g.edge_by_id))
 
 
 def minimalize(g: Network, seed: Optional[int] = None) -> Network:
@@ -262,9 +272,13 @@ def theorem1_agreement(g: Network, systems: Sequence[PathSystem]) -> Theorem1Rep
             "two-pairs-required",
             f"the three-way equivalence holds only for two pairs, got {len(g.pairs)}",
         )
-    minimal = is_minimal(g)
+    # is_minimal and both is_reroutable checks share one compile of g; each
+    # takes nets with capacities of its own from it.
+    queries = _queries_in_class(g)
+    minimal = _no_deletable_edge(queries)
     non_reroutable = not (
-        is_reroutable(g, systems, 0) or is_reroutable(g, systems, 1)
+        _is_reroutable(queries.split, systems, 0)
+        or _is_reroutable(queries.split, systems, 1)
     )
     no_cycle = (
         find_consistent_cycle(g, systems, 0) is None

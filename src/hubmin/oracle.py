@@ -3,8 +3,8 @@
 Exhaustive enumeration of path systems and of edge-deletion subgraphs.
 Deliberately independent of the structural machinery (no representations,
 no alternating paths) so it can cross-check those modules; guarded against
-inputs too large to enumerate.  The minimum-hub search shares only the pair
-net compiler with ``minimalize``: it runs a fresh max flow for every
+inputs too large to enumerate.  The minimum-hub search shares only the
+network compiler with ``minimalize``: it runs a fresh max flow for every
 deletion set instead of rerouting warm flows.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, List, Set, Tuple
 
-from .cuts import _build_pair_net, min_vertex_cut
+from .cuts import _compile_network, min_vertex_cut
 from .extremal import signature_bound
 from .graph_core import (
     InvariantError,
@@ -104,7 +104,7 @@ def enumerate_path_systems(g: Network, pair_index: int) -> List[PathSystem]:
 
 
 class _CompiledPairs:
-    """Every pair's vertex-split net, compiled once for one network.
+    """Every pair's vertex-split net, on one compile of the network.
 
     ``profile`` decides a deletion set with a fresh max flow per pair on
     the compiled nets, with the deleted edges' arcs at zero capacity.  The
@@ -113,11 +113,12 @@ class _CompiledPairs:
     """
 
     def __init__(self, g: Network):
+        split = _compile_network(g)
         self._pairs = []
         for i, pair in enumerate(g.pairs):
-            built = _build_pair_net(g, i)
+            built = split.pair_net(i)
             self._pairs.append(
-                (built.net, built.s, built.t, pair.demand, built.arcs_of_edge())
+                (built.net, built.s, built.t, pair.demand, built.arcs_of_edge)
             )
 
     def profile(self, deleted: Iterable[int]) -> Tuple[bool, bool]:
@@ -150,12 +151,13 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
     """
     start = time.perf_counter()
     nets = _CompiledPairs(g)
-    feasible, _ = nets.profile(())
-    if not feasible:
+    root = nets.profile(())
+    if not root[0]:
         raise InvariantError(
             "no-in-class-subgraph", "a cut is already below its demand"
         )
-    free = [e for e in sorted(g.edge_by_id) if nets.profile((e,))[0]]
+    singles = {e: nets.profile((e,)) for e in sorted(g.edge_by_id)}
+    free = [e for e, (feasible, _) in singles.items() if feasible]
     if len(free) > max_free:
         raise InvariantError(
             "size-guard-exceeded",
@@ -164,16 +166,20 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
 
     in_class_states: Set[FrozenSet[int]] = set()
 
-    def search(deleted: FrozenSet[int], from_index: int) -> None:
-        sub_feasible, exact = nets.profile(deleted)
+    def search(
+        deleted: FrozenSet[int], from_index: int, profile: Tuple[bool, bool]
+    ) -> None:
+        sub_feasible, exact = profile
         if not sub_feasible:
             return
         if exact:
             in_class_states.add(deleted)
         for i in range(from_index, len(free)):
-            search(deleted | {free[i]}, i + 1)
+            child = deleted | {free[i]}
+            # The root and its children were decided by the checks above.
+            search(child, i + 1, nets.profile(child) if deleted else singles[free[i]])
 
-    search(frozenset(), 0)
+    search(frozenset(), 0, root)
     if not in_class_states:
         raise InvariantError(
             "no-in-class-subgraph", "no deletion set reaches exact cuts"

@@ -48,7 +48,6 @@ class Representation:
     graph: Network
     systems: Tuple[PathSystem, PathSystem]
     provenance: Dict[str, Dict[int, int]]
-    naturally_oriented: bool
 
     @cached_property
     def _orientation(self) -> Dict[int, bool]:
@@ -386,7 +385,6 @@ def to_representation(
         graph=g3,
         systems=(systems3[0], systems3[1]),
         provenance=provenance,
-        naturally_oriented=True,
     )
     for v in g3.vertices:
         if not g3.is_terminal(v) and g3.degree(v) != 3:

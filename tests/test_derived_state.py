@@ -116,7 +116,6 @@ def test_failed_decomposition_raises_on_every_call(example_instance):
         graph=bigger,
         systems=tuple(make_path_system(bigger, s.pair_index, s.paths) for s in rep.systems),
         provenance=rep.provenance,
-        naturally_oriented=True,
     )
     for _ in range(2):
         with pytest.raises(InvariantError) as err:

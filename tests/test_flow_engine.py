@@ -2,7 +2,8 @@
 
 Warm-start deletion queries are checked against rebuilding the network and
 calling ``in_class``; ``minimalize`` against the plain restart loop it
-replaces; ``min_vertex_cut`` and the paths of ``vertex_disjoint_paths``
+replaces; the shared split network against a net compiled for one pair at
+a time; ``min_vertex_cut`` and the paths of ``vertex_disjoint_paths``
 against networkx max-flow on vertex-split graphs far beyond the
 brute-force oracle's size guards.
 """
@@ -29,6 +30,8 @@ from hubmin import (
     vertex_disjoint_paths,
 )
 from hubmin import cuts
+from hubmin._flownet import INF, FlowNet
+from hubmin.minimality import deletable_private_edges, is_reroutable, theorem1_agreement
 
 
 def _with_direct_edge(g: Network, pair_index: int) -> Network:
@@ -189,6 +192,95 @@ def test_minimalize_queries_each_edge_at_most_once(monkeypatch, seed):
         calls.clear()
         assert is_minimal(m)
         assert len(calls) == len(m.edges)
+
+
+# ---------------------------------------------------------------------------
+# The shared split network against a net compiled for a single pair.
+# ---------------------------------------------------------------------------
+
+
+def _reference_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> cuts._PairNet:
+    """One pair's net compiled on its own: the pair's source and sink are the
+    unsplit nodes s = 0 and t = 1, every other vertex is split into unit
+    in/out halves, and direct source->sink edges of the pair get capacity 1."""
+    pair = g.pairs[pair_index]
+    to, frm, cap, adj = [], [], [], []
+
+    def add_node():
+        adj.append([])
+        return len(adj) - 1
+
+    def add_arc(tail, head, c):
+        arc = len(to)
+        to.extend((head, tail))
+        frm.extend((tail, head))
+        cap.extend((c, 0))
+        adj[tail].append(arc)
+        adj[head].append(arc + 1)
+        return arc
+
+    s, t = add_node(), add_node()
+    vin = {pair.source: s, pair.sink: t}
+    vout = dict(vin)
+    vertex_arc, edge_arcs, arc_of_step, arcs_of_edge = {}, {}, {}, {}
+    for v in sorted(g.vertices):
+        if v not in vin:
+            vin[v], vout[v] = add_node(), add_node()
+            vertex_arc[v] = add_arc(vin[v], vout[v], 1)
+
+    def add_edge_arc(e, forward, c):
+        tail, head = e.ends(forward)
+        arc = add_arc(vout[tail], vin[head], c)
+        edge_arcs[arc] = (e.id, forward)
+        arc_of_step[(e.id, forward)] = arc
+        arcs_of_edge.setdefault(e.id, []).append(arc)
+
+    for e in sorted(g.edges, key=lambda e: e.id):
+        if e.directed:
+            add_edge_arc(e, True, 1 if (e.u, e.v) == (pair.source, pair.sink) else edge_cap)
+        else:
+            add_edge_arc(e, True, edge_cap)
+            add_edge_arc(e, False, edge_cap)
+    return cuts._PairNet(
+        FlowNet(to, frm, adj, cap), s, t, vertex_arc, edge_arcs, arc_of_step, arcs_of_edge
+    )
+
+
+def _flow_answers(g: Network):
+    """Everything the flow layer answers about ``g``."""
+    out = []
+    for i, pair in enumerate(g.pairs):
+        cut = min_vertex_cut(g, i)
+        out.append((cut.value, sorted(cut.separator)))
+        for k in range(1, pair.demand + 2):
+            system = vertex_disjoint_paths(g, i, k)
+            out.append(None if system is None else [p.steps for p in system.paths])
+    if not in_class(g):
+        return out
+    systems = [vertex_disjoint_paths(g, i, p.demand) for i, p in enumerate(g.pairs)]
+    out.append([is_reroutable(g, systems, i) for i in range(len(g.pairs))])
+    queries = cuts._DeletionQueries(g)
+    out.append([queries.stays_in_class(eid) for eid in sorted(g.edge_by_id)])
+    out.append([serialize_network(minimalize(g, seed)) for seed in (None, 5)])
+    if len(g.pairs) == 2:
+        out.append(theorem1_agreement(g, systems))
+        out.append([deletable_private_edges(g, systems, i) for i in (0, 1)])
+    return out
+
+
+def test_split_network_answers_like_per_pair_nets(monkeypatch):
+    graphs = CORPUS + [_cycle_instance(), ones_graph(3, 3, 2), ones_graph(2, 4, 1)]
+    graphs += [grid_graph(c1, c2) for c1 in range(1, 5) for c2 in range(1, 5)]
+    graphs += [delete_edges(grid_graph(4, 4), sorted(grid_graph(4, 4).edge_by_id)[::5])]
+    shared = [_flow_answers(g) for g in graphs]
+    monkeypatch.setattr(
+        cuts._SplitNetwork,
+        "pair_net",
+        lambda self, i, edge_cap=INF: _reference_pair_net(self.g, i, edge_cap),
+    )
+    for g, want in zip(graphs, shared):
+        assert _flow_answers(g) == want, serialize_network(g)
+    assert any(not in_class(g) for g in graphs)
 
 
 # ---------------------------------------------------------------------------

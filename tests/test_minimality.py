@@ -24,7 +24,7 @@ from hubmin import (
     theorem1_agreement,
     vertex_disjoint_paths,
 )
-from hubmin import cuts
+from hubmin import cuts, minimality
 
 from conftest import two_pair_corpus
 
@@ -75,24 +75,61 @@ def test_minimalize_rejects_out_of_class_input():
     assert err.value.code == "not-in-class"
 
 
+def _count_compiles(monkeypatch):
+    """Record every network compile and every pair net taken from one."""
+    compiles, pair_nets = [], []
+    compile_network = cuts._compile_network
+    pair_net = cuts._SplitNetwork.pair_net
+
+    def counting_compile(g):
+        compiles.append(g)
+        return compile_network(g)
+
+    def counting_pair_net(self, i, *args, **kwargs):
+        pair_nets.append(i)
+        return pair_net(self, i, *args, **kwargs)
+
+    monkeypatch.setattr(cuts, "_compile_network", counting_compile)
+    monkeypatch.setattr(minimality, "_compile_network", counting_compile)
+    monkeypatch.setattr(cuts._SplitNetwork, "pair_net", counting_pair_net)
+    return compiles, pair_nets
+
+
 def test_membership_check_reuses_the_deletion_nets(monkeypatch):
-    # One flow net per pair: the deletion queries' own max flows decide
-    # membership, and an out-of-class network still reads "not-in-class".
-    real = cuts._build_pair_net
-    built = []
-    monkeypatch.setattr(
-        cuts, "_build_pair_net", lambda g, i, *a, **k: built.append(i) or real(g, i, *a, **k)
-    )
+    # One compile and one flow net per pair: the deletion queries' own max
+    # flows decide membership, and an out-of-class network still reads
+    # "not-in-class".
+    compiles, built = _count_compiles(monkeypatch)
     g, _ = random_network(5, (2, 2), extra=3)
     for run in (is_minimal, minimalize):
+        compiles.clear()
         built.clear()
         run(g)
+        assert compiles == [g]
         assert built == [0, 1]
+    compiles.clear()
     built.clear()
     with pytest.raises(InvariantError) as err:
         is_minimal(delete_edges(grid_graph(2, 2), [0]))
     assert str(err.value) == "not-in-class"
+    assert len(compiles) == 1
     assert built == [0]
+
+
+def test_agreement_compiles_the_network_once(monkeypatch):
+    # is_minimal and both is_reroutable checks share one compile; each gets
+    # nets of its own, so the answers are those of the separate calls.
+    compiles, built = _count_compiles(monkeypatch)
+    for g, systems in two_pair_corpus(seed=57, count=12, extra=2):
+        compiles.clear()
+        built.clear()
+        report = theorem1_agreement(g, systems)
+        assert compiles == [g]
+        assert built == [0, 1, 0, 1] or (built == [0, 1, 0] and not report.non_reroutable)
+        assert report.minimal == is_minimal(g)
+        assert report.non_reroutable == (
+            not (is_reroutable(g, systems, 0) or is_reroutable(g, systems, 1))
+        )
 
 
 # ---------------------------------------------------------------------------

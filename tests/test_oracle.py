@@ -273,20 +273,21 @@ def test_oracle_matches_the_plain_search():
 
 
 def test_oracle_compiles_each_pair_once(monkeypatch):
-    counts = {"nets": 0, "networks": 0}
-    build = hubmin.cuts._build_pair_net
+    counts = {"networks": 0}
+    compiled = []
+    compile_network = hubmin.cuts._compile_network
     init = Network.__post_init__
 
-    def counting_build(*args, **kwargs):
-        counts["nets"] += 1
-        return build(*args, **kwargs)
+    def counting_compile(g):
+        compiled.append(g)
+        return compile_network(g)
 
     def counting_init(self):
         counts["networks"] += 1
         init(self)
 
-    monkeypatch.setattr(hubmin.cuts, "_build_pair_net", counting_build)
-    monkeypatch.setattr(hubmin.oracle, "_build_pair_net", counting_build)
+    monkeypatch.setattr(hubmin.cuts, "_compile_network", counting_compile)
+    monkeypatch.setattr(hubmin.oracle, "_compile_network", counting_compile)
     monkeypatch.setattr(Network, "__post_init__", counting_init)
     rng = random.Random(77)
     free_counts = set()
@@ -296,11 +297,43 @@ def test_oracle_compiles_each_pair_once(monkeypatch):
         free_counts.add(
             sum(_reference_profile(delete_edges(g, [e]))[0] for e in g.edge_by_id)
         )
-        counts.update(nets=0, networks=0)
+        counts.update(networks=0)
+        compiled.clear()
         min_hub_subgraph(g)
-        assert len(g.pairs) <= counts["nets"] <= 2 * len(g.pairs), k
+        # The input network once, plus one per pair for the final
+        # min_vertex_cut check of the returned subgraph.
+        assert sum(h is g for h in compiled) == 1, k
+        assert len(compiled) == 1 + len(g.pairs), k
         assert 1 <= counts["networks"] <= 2, k
     assert min(free_counts) <= 1 and max(free_counts) >= 6
+
+
+def test_oracle_decides_each_deletion_set_once(monkeypatch):
+    profile = hubmin.oracle._CompiledPairs.profile
+    seen = []
+
+    def recording(self, deleted):
+        seen.append(frozenset(deleted))
+        return profile(self, deleted)
+
+    monkeypatch.setattr(hubmin.oracle._CompiledPairs, "profile", recording)
+    rng = random.Random(78)
+    answered = 0
+    for k in range(10):
+        demands = [(2, 2), (2, 2, 2), (1, 3)][k % 3]
+        g, _ = random_network(rng, list(demands), reuse=0.5, extra=k % 6)
+        seen.clear()
+        try:
+            min_hub_subgraph(g)
+            answered += 1
+        except InvariantError as err:
+            assert err.code == "size-guard-exceeded", k
+        assert len(set(seen)) == len(seen), k
+        # The input check and every single deletion come first.
+        assert seen[: 1 + len(g.edges)] == [frozenset()] + [
+            frozenset({e}) for e in sorted(g.edge_by_id)
+        ]
+    assert answered >= 5
 
 
 def test_oracle_checks_the_returned_cuts(monkeypatch):

@@ -283,9 +283,7 @@ def test_match_directions_swaps_in_ascending_edge_order():
 
 def test_natural_direction_prefers_the_first_system():
     g, (phi, psi) = _conflict_case()
-    rep = Representation(
-        graph=g, systems=(phi, psi), provenance={}, naturally_oriented=False
-    )
+    rep = Representation(graph=g, systems=(phi, psi), provenance={})
     assert rep.natural_direction(1) is True  # psi walks edge 1 backward
     for e in g.edges:
         want = phi.orientation.get(e.id, psi.orientation.get(e.id))
@@ -296,14 +294,10 @@ def test_natural_direction_prefers_the_first_system():
 
 def test_directions_agree_rejects_opposed_systems():
     g, (phi, psi) = _conflict_case()
-    rep = Representation(
-        graph=g, systems=(phi, psi), provenance={}, naturally_oriented=False
-    )
+    rep = Representation(graph=g, systems=(phi, psi), provenance={})
     assert not directions_agree(rep)
     g3, systems3, _ = match_directions(g, [phi, psi])
-    matched = Representation(
-        graph=g3, systems=tuple(systems3), provenance={}, naturally_oriented=True
-    )
+    matched = Representation(graph=g3, systems=tuple(systems3), provenance={})
     assert directions_agree(matched)
 
 
@@ -331,7 +325,7 @@ def test_to_representation_is_identity_on_canonical_input(example_instance):
     g, systems = example_instance
     rep = to_representation(g, systems)
     assert rep.graph == g
-    assert rep.naturally_oriented
+    assert directions_agree(rep)
     assert rep.provenance == {"vertices": {}, "edges": {}}
     assert [s.paths for s in rep.systems] == [s.paths for s in systems]
 
@@ -459,10 +453,7 @@ def test_decomposition_rejects_unused_edges(example_instance):
     psi = make_path_system(bigger, 1, rep.systems[1].paths)
     from hubmin import Representation
 
-    fake = Representation(
-        graph=bigger, systems=(phi, psi), provenance=rep.provenance,
-        naturally_oriented=True,
-    )
+    fake = Representation(graph=bigger, systems=(phi, psi), provenance=rep.provenance)
     with pytest.raises(InvariantError) as err:
         decompose_private(fake)
     assert err.value.code == "decomposition-violation"
