@@ -8,7 +8,7 @@ the adjacency lists, so results are deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 INF = 10**9
 
@@ -117,52 +117,64 @@ class FlowNet:
         return self.path_arcs(parent, s, t)
 
 
-def strongly_connected_components(adj: Sequence[Sequence[int]]) -> List[int]:
-    """Iterative Tarjan over nodes ``0 .. len(adj) - 1``; returns each node's
-    component id (ids are arbitrary)."""
+def strongly_connected_components(net: FlowNet) -> List[int]:
+    """Component id of every node in the unit residual view of ``net``'s flow.
+
+    The view keeps a reverse arc (odd id) with remaining capacity and a
+    forward arc (even id) that carries no flow, ``cap == base_cap > 0``.
+    When every forward arc carries at most one unit, this is the residual
+    graph of the same flow with all forward capacities cut to 1.  Iterative
+    Tarjan, scanning ``adj`` in order with the arc filter inline; component
+    ids are arbitrary.
+    """
+    adj, to, cap, base_cap = net.adj, net.to, net.cap, net.base_cap
     n = len(adj)
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
+    # comp[node] < 0 while a visited node is still on the Tarjan stack.
     comp = [-1] * n
+    next_pos = [0] * n
+    stack: List[int] = []
     counter = 0
     comp_count = 0
 
     for root in range(n):
         if index[root] >= 0:
             continue
-        work = [(root, iter(adj[root]))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
+        work = [root]
         while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
+            node = work[-1]
+            arcs = adj[node]
+            pos = next_pos[node]
+            while pos < len(arcs):
+                arc = arcs[pos]
+                pos += 1
+                c = cap[arc]
+                if c <= 0 or (not arc & 1 and c != base_cap[arc]):
+                    continue
+                nxt = to[arc]
                 if index[nxt] < 0:
+                    next_pos[node] = pos
                     index[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
+                    work.append(nxt)
                     break
-                if on_stack[nxt]:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp[member] = comp_count
-                    if member == node:
-                        break
-                comp_count += 1
+                if comp[nxt] < 0 and index[nxt] < lowlink[node]:
+                    lowlink[node] = index[nxt]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if work and low < lowlink[work[-1]]:
+                    lowlink[work[-1]] = low
+                if low == index[node]:
+                    while True:
+                        member = stack.pop()
+                        comp[member] = comp_count
+                        if member == node:
+                            break
+                    comp_count += 1
     return comp

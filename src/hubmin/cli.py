@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import acceptance
-from .cuts import in_class, min_vertex_cut, vertex_disjoint_paths
+from .cuts import _cuts_and_systems
 from .extremal import (
     grid_instance,
     ones_instance,
@@ -60,12 +60,15 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _systems_or_computed(g: Network, systems: Optional[List[PathSystem]]):
+def _systems_or_computed(g: Network, systems: Optional[List[PathSystem]], flows=None):
+    """The given systems, or every pair's full system; ``flows`` may hold
+    ``_cuts_and_systems(g)`` already computed."""
     if systems is not None:
         return systems
+    if flows is None:
+        flows = _cuts_and_systems(g)
     out = []
-    for i, pair in enumerate(g.pairs):
-        system = vertex_disjoint_paths(g, i, pair.demand)
+    for i, (pair, (_, system)) in enumerate(zip(g.pairs, flows)):
         if system is None:
             raise InvariantError(
                 "not-in-class", f"pair {i} does not reach demand {pair.demand}"
@@ -97,20 +100,20 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check(args) -> int:
     g, systems = _read_instance(args.input)
+    flows = _cuts_and_systems(g)
     lines = []
     member = True
-    for i, pair in enumerate(g.pairs):
-        cut = min_vertex_cut(g, i)
-        mark = "==" if cut.value == pair.demand else "!="
-        if cut.value != pair.demand:
+    for i, (pair, (value, _)) in enumerate(zip(g.pairs, flows)):
+        mark = "==" if value == pair.demand else "!="
+        if value != pair.demand:
             member = False
-        lines.append(f"pair {i}: cut {cut.value} {mark} demand {pair.demand}")
+        lines.append(f"pair {i}: cut {value} {mark} demand {pair.demand}")
     lines.append(f"in class: {member}")
     lines.append(f"hubs: {int(hub_count(g))}")
     if member:
         if len(g.pairs) == 2:
             # The agreement report's deletion-minimality verdict is is_minimal's.
-            report = theorem1_agreement(g, _systems_or_computed(g, systems))
+            report = theorem1_agreement(g, _systems_or_computed(g, systems, flows))
             lines.append(f"minimal: {report.minimal}")
             lines.append(
                 "two-pair characterizations: "

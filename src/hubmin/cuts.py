@@ -12,8 +12,9 @@ subdivided); ``CutResult.separator`` holds interior vertices only, hence
 sends and a sink only receives, so that one topology serves every pair:
 each pair's net (``_SplitNetwork.pair_net``) owns only its capacities.
 ``_DeletionQueries`` keeps one such net per pair, each carrying a max flow,
-and answers "is the network still in class without edge e?" by rerouting
-that flow around e instead of rebuilding the nets.
+and answers "is the network still in class without edge e?" from the
+strongly connected components of each flow's residual graph, or by
+rerouting that flow around e, instead of rebuilding the nets.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ._flownet import INF, FlowNet
+from ._flownet import INF, FlowNet, strongly_connected_components
 from .graph_core import InvariantError, Network, Path, PathSystem, make_path_system
 
 
@@ -171,10 +172,14 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     if k < 1:
         raise ValueError("k must be >= 1")
     built = _build_pair_net(g, pair_index)
-    net, edge_arcs = built.net, built.edge_arcs
-    if net.max_flow(built.s, built.t, limit=k) < k:
+    if built.net.max_flow(built.s, built.t, limit=k) < k:
         return None
+    return _decompose(g, pair_index, built, k)
 
+
+def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSystem:
+    """The k paths of the flow of value k that ``built`` carries."""
+    net, edge_arcs = built.net, built.edge_arcs
     # Net out opposing flow on the two directions of each undirected edge so
     # the walk below never doubles back across one edge.
     remaining: Dict[int, int] = {}
@@ -204,11 +209,36 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     return make_path_system(g, pair_index, paths)
 
 
+def _cuts_and_systems(g: Network) -> List[Tuple[int, Optional[PathSystem]]]:
+    """Every pair's cut value and full system, from one compile of ``g``.
+
+    The system is ``vertex_disjoint_paths(g, i, demand)``, or None when the
+    cut is below the demand: the flow stops at the demand for the paths and
+    then runs on to the cut value, along the augmentations of one maximum
+    flow.  Raises nothing of its own; callers word their own errors.
+    """
+    split = _compile_network(g)
+    out = []
+    for i, pair in enumerate(g.pairs):
+        built = split.pair_net(i)
+        net = built.net
+        value = net.max_flow(built.s, built.t, limit=pair.demand)
+        system = None
+        if value == pair.demand:
+            system = _decompose(g, i, built, value)
+            value += net.max_flow(built.s, built.t)
+        out.append((value, system))
+    return out
+
+
 def in_class(g: Network) -> bool:
     """True iff every pair's minimum vertex cut equals its demand exactly."""
-    return all(
-        min_vertex_cut(g, i).value == pair.demand for i, pair in enumerate(g.pairs)
-    )
+    split = _compile_network(g)
+    for i, pair in enumerate(g.pairs):
+        built = split.pair_net(i)
+        if built.net.max_flow(built.s, built.t, limit=pair.demand + 1) != pair.demand:
+            return False
+    return True
 
 
 class _DeletionQueries:
@@ -226,6 +256,25 @@ class _DeletionQueries:
       exists exactly when a flow of value ``demand`` avoids e: for any such
       flow f', f' - f is a circulation that runs through the reverse of a.
 
+    Before that search, a pair's strongly connected components decide many
+    queries on their own.  The labels are those of the *unit residual view*
+    of the pair's flow f (``strongly_connected_components``): reverse arcs
+    with remaining capacity, and forward arcs that carry no flow.  Every
+    edge arc carries at most one unit in any feasible flow, so the view has
+    the same flows of value ``demand`` as the net with unbounded edges.  If
+    a flow f' of value ``demand`` avoids e, f' - f is a circulation on the
+    view's arcs with -1 on a; one of its cycles runs through the reverse of
+    a, so a's tail and head share a component.  Hence different labels
+    answer no, exactly, with no search.  On equal labels the search decides,
+    and finds the rerouted flow that a deletion keeps.
+
+    Labels are built lazily per pair, by the first query without ``delete``
+    that needs them, and dropped when flows change for good: every pair's
+    after a committed deletion, one pair's when it cancels an opposed unit.
+    So labels always describe the flow they are tested on.  A query with
+    ``delete=True`` uses labels but never builds them, so ``minimalize``,
+    which only deletes, searches as before.
+
     Deleting edges never raises a cut, so the network stays in class after
     a deletion exactly when every pair still reaches its demand.  A query
     with ``delete=True`` that answers yes keeps the rerouted flows and
@@ -240,30 +289,55 @@ class _DeletionQueries:
             if built.net.max_flow(built.s, built.t) != pair.demand:
                 raise InvariantError("not-in-class", f"pair {i} cut differs from its demand")
             self._nets.append((built, built.arcs_of_edge))
+        self._labels: List[Optional[List[int]]] = [None] * len(self._nets)
 
     def stays_in_class(self, eid: int, delete: bool = False) -> bool:
         """Whether ``g`` minus ``eid`` (and every edge deleted before) is in
         class; with ``delete``, a yes also deletes ``eid``."""
         undo: List[Tuple[List[int], int, int]] = []
-        ok = all(self._reroute(built, arcs[eid], undo) for built, arcs in self._nets)
+        ok = all(
+            self._pair_stays(i, arcs[eid], delete, undo)
+            for i, (_, arcs) in enumerate(self._nets)
+        )
         if ok and delete:
             # No flow is left on e's arcs; zero capacity removes them.
             for built, arcs in self._nets:
                 for arc in arcs[eid]:
                     built.net.cap[arc] = built.net.base_cap[arc] = 0
+            self._labels = [None] * len(self._nets)
         else:
             for cap, arc, old in reversed(undo):
                 cap[arc] = old
         return ok
 
+    def _pair_stays(self, i: int, arcs: List[int], delete: bool, undo: list) -> bool:
+        """Pair i's answer for the edge with these arcs: the labels' no where
+        they give one, otherwise ``_reroute``'s."""
+        built = self._nets[i][0]
+        net = built.net
+        cap, base_cap = net.cap, net.base_cap
+        carrying = [arc for arc in arcs if cap[arc] < base_cap[arc]]
+        if not carrying:
+            return True
+        if len(carrying) == 2:
+            # _reroute cancels the opposed units for good.
+            self._labels[i] = None
+        else:
+            labels = self._labels[i]
+            if labels is None and not delete:
+                labels = self._labels[i] = strongly_connected_components(net)
+            a = carrying[0]
+            if labels is not None and labels[net.frm[a]] != labels[net.to[a]]:
+                return False
+        return self._reroute(built, arcs, undo)
+
     def _reroute(self, built: _PairNet, arcs: List[int], undo: list) -> bool:
-        """Move one pair's flow off the edge with these arcs; False if the
-        demand cannot avoid the edge.  Saves every capacity it changes."""
+        """Move one pair's flow off the edge with these arcs, which carries
+        some of it; False if the demand cannot avoid the edge.  Saves every
+        capacity it changes."""
         net = built.net
         cap = net.cap
         carrying = [arc for arc in arcs if net.flow_on(arc) > 0]
-        if not carrying:
-            return True
         if len(carrying) == 2:
             edge = self.split.g.edge_by_id[built.edge_arcs[arcs[0]][0]]
             for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):

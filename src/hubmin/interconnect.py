@@ -46,7 +46,6 @@ class InterconnectRun:
     paths: Tuple[Path, ...]
     occupied: frozenset
     chokes: Dict[AlternatingPath, Optional[int]]
-    current: Optional[Path]
     iteration: int
     trace: Tuple[dict, ...]
     alternating: Tuple[AlternatingPath, ...]
@@ -437,7 +436,6 @@ def run_interconnect(rep: Representation, seed: Optional[int] = None) -> Interco
         paths=tuple(Path(steps=tuple(p)) for p in st.paths),
         occupied=frozenset(st.occupied),
         chokes=chokes,
-        current=None,
         iteration=iteration,
         trace=tuple(st.trace),
         alternating=tuple(st.alt),

@@ -189,8 +189,8 @@ def _is_reroutable(
     if net.residual_path(built.s, built.t) is not None:
         return True
 
-    residual_adj = [[net.to[a] for a in arc_ids if net.cap[a] > 0] for arc_ids in net.adj]
-    comp = strongly_connected_components(residual_adj)
+    # On this unit-capacity net the unit residual view is the residual graph.
+    comp = strongly_connected_components(net)
     for arc in range(1, len(net.to), 2):  # odd ids are the reverse directions
         if net.cap[arc] > 0:  # forward arc carries flow: cancellation possible
             if comp[net.frm[arc]] == comp[net.to[arc]]:

@@ -89,6 +89,25 @@ def test_check_builds_deletion_queries_once(tmp_path, capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_check_compiles_the_network_at_most_twice(tmp_path, capsys, monkeypatch):
+    # One compile gives the cut lines and the systems, one the T1 check.
+    compiles = []
+    compile_network = hubmin.cuts._compile_network
+
+    def counting(g):
+        compiles.append(g)
+        return compile_network(g)
+
+    monkeypatch.setattr(hubmin.cuts, "_compile_network", counting)
+    monkeypatch.setattr(minimality, "_compile_network", counting)
+    path = tmp_path / "grid.json"
+    path.write_text(serialize_network(grid_graph(3, 3)))
+    assert main(["check", "-i", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "minimal: True" in out and "agree=True" in out
+    assert len(compiles) <= 2
+
+
 def test_minimalize_reports_out_of_class_input(tmp_path, capsys):
     g = grid_graph(2, 2)
     obj = json.loads(serialize_network(g))

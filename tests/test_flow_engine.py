@@ -1,11 +1,12 @@
 """The compiled flow engine against independent references.
 
-Warm-start deletion queries are checked against rebuilding the network and
+Warm-start deletion queries, with and without the residual SCC labels that
+decide read-only ones, are checked against rebuilding the network and
 calling ``in_class``; ``minimalize`` against the plain restart loop it
 replaces; the shared split network against a net compiled for one pair at
-a time; ``min_vertex_cut`` and the paths of ``vertex_disjoint_paths``
-against networkx max-flow on vertex-split graphs far beyond the
-brute-force oracle's size guards.
+a time; the labels against networkx's components; ``min_vertex_cut`` and
+the paths of ``vertex_disjoint_paths`` against networkx max-flow on
+vertex-split graphs far beyond the brute-force oracle's size guards.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from hubmin import (
     vertex_disjoint_paths,
 )
 from hubmin import cuts
-from hubmin._flownet import INF, FlowNet
+from hubmin._flownet import INF, FlowNet, strongly_connected_components
 from hubmin.minimality import deletable_private_edges, is_reroutable, theorem1_agreement
 
 
@@ -74,6 +75,38 @@ def _cycle_instance() -> Network:
     return g
 
 
+def _detour_instance() -> Network:
+    # The flow takes the directed edge 0 -> 2; it can detour through 3.
+    edges = (Edge(0, 0, 2, True), Edge(1, 0, 3, True), Edge(2, 3, 2, False), Edge(3, 2, 1, True))
+    return Network(vertices=(0, 1, 2, 3), edges=edges, pairs=(Pair(0, 1, 1),))
+
+
+def _label_corpus():
+    """In-class networks for the label checks: the seeded corpus (two and
+    three pairs, parallel and direct source->sink edges), its minimalized
+    networks, where most answers are no, the opposed-flow instance, the
+    lattices up to 8x8 and ``ones_graph``s."""
+    graphs = CORPUS + [minimalize(g) for g in CORPUS] + [_cycle_instance()]
+    graphs += [grid_graph(c1, c2) for c1 in range(1, 9) for c2 in range(c1, 9)]
+    graphs += [ones_graph(2, 2, 1), ones_graph(3, 3, 2), ones_graph(2, 4, 3), ones_graph(4, 4, 3)]
+    return graphs
+
+
+LABEL_CORPUS = _label_corpus()
+
+
+def _count_labellings(monkeypatch):
+    """Record every labelling the deletion queries build."""
+    labelled = []
+
+    def counting(net):
+        labelled.append(net)
+        return strongly_connected_components(net)
+
+    monkeypatch.setattr(cuts, "strongly_connected_components", counting)
+    return labelled
+
+
 def _reference_minimalize(g: Network, seed=None) -> Network:
     """The plain restart loop: query every surviving edge by rebuilding."""
     rng = random.Random(seed) if seed is not None else None
@@ -107,12 +140,16 @@ def test_corpus_covers_the_edge_cases():
     assert sum(not is_minimal(g) for g in CORPUS) >= len(CORPUS) // 2
 
 
-def test_single_deletion_query_matches_rebuild():
-    for index, g in enumerate(CORPUS):
+def test_single_deletion_query_matches_rebuild(monkeypatch):
+    labelled = _count_labellings(monkeypatch)
+    for index, g in enumerate(LABEL_CORPUS):
         queries = cuts._DeletionQueries(g)
         for e in g.edges:
             expected = in_class(delete_edges(g, [e.id]))
             assert queries.stays_in_class(e.id) == expected, (index, e.id)
+        _assert_flows_valid(queries, g)
+    # Read-only queries on the minimal networks are decided by labels.
+    assert labelled
 
 
 def _assert_flows_valid(queries, g: Network) -> None:
@@ -192,6 +229,118 @@ def test_minimalize_queries_each_edge_at_most_once(monkeypatch, seed):
         calls.clear()
         assert is_minimal(m)
         assert len(calls) == len(m.edges)
+
+
+# ---------------------------------------------------------------------------
+# Read-only deletion queries decided by residual SCC labels.
+# ---------------------------------------------------------------------------
+
+
+def test_mixed_queries_match_rebuild(monkeypatch):
+    labelled = _count_labellings(monkeypatch)
+    cases = CORPUS + [_cycle_instance(), grid_graph(3, 4), ones_graph(3, 3, 2)]
+    for index, g in enumerate(cases):
+        rng = random.Random(index)
+        eids = sorted(g.edge_by_id)
+        queries = cuts._DeletionQueries(g)
+        deleted = []
+        for _ in range(3 * len(eids)):
+            eid = rng.choice(eids)
+            delete = rng.random() < 0.25
+            expected = eid in deleted or in_class(delete_edges(g, deleted + [eid]))
+            assert queries.stays_in_class(eid, delete) == expected, (index, eid, delete)
+            if delete and expected and eid not in deleted:
+                deleted.append(eid)
+        _assert_flows_valid(queries, g)
+
+    # Deletions in minimalize's order, each after a read-only sweep, so a
+    # deletion meets labels: on the opposed-flow instance one sweep cancels
+    # an opposed unit of a labelled pair, and the detour's first deletion
+    # has equal labels on a directed edge.  Every sweep after a deletion
+    # labels afresh.
+    for g in (_cycle_instance(), _detour_instance()):
+        eids = sorted(g.edge_by_id)
+        queries = cuts._DeletionQueries(g)
+        deleted = []
+        unlabelled = True  # no sweep yet, or a deletion since the last one
+        for eid in eids:
+            before = len(labelled)
+            for x in eids:
+                expected = x in deleted or in_class(delete_edges(g, deleted + [x]))
+                assert queries.stays_in_class(x) == expected, (deleted, x)
+            assert len(labelled) > before or not unlabelled, deleted
+            unlabelled = queries.stays_in_class(eid, delete=True)
+            if unlabelled:
+                deleted.append(eid)
+                _assert_flows_valid(queries, g)
+        assert deleted
+
+
+def test_is_minimal_on_a_lattice_runs_no_search_beyond_its_max_flows(monkeypatch):
+    g = grid_graph(7, 7)
+    labelled = _count_labellings(monkeypatch)
+    searches = []
+    bfs_parent = FlowNet._bfs_parent
+
+    def counting(self, s, t):
+        searches.append((s, t))
+        return bfs_parent(self, s, t)
+
+    monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
+    assert is_minimal(g)
+    # Each max flow makes one search per unit and one that fails.
+    assert len(searches) == sum(p.demand for p in g.pairs) + len(g.pairs)
+    assert 1 <= len(labelled) <= len(g.pairs)
+    assert len({id(net) for net in labelled}) == len(labelled)
+
+
+def test_minimalize_builds_no_labels(monkeypatch):
+    labelled = _count_labellings(monkeypatch)
+    for g in CORPUS[:12] + [_cycle_instance()]:
+        minimalize(g, 1)
+    assert not labelled
+
+
+def test_labels_match_networkx_components():
+    nx = pytest.importorskip("networkx")
+    graphs = [grid_graph(3, 4), ones_graph(3, 3, 2), _cycle_instance()] + CORPUS[:12]
+    for g in graphs:
+        split = cuts._compile_network(g)
+        for i, pair in enumerate(g.pairs):
+            for edge_cap in (INF, 1):
+                built = split.pair_net(i, edge_cap)
+                net = built.net
+                net.max_flow(built.s, built.t, limit=pair.demand)
+                view = nx.DiGraph()
+                view.add_nodes_from(range(len(net.adj)))
+                for arc, c in enumerate(net.cap):
+                    if c > 0 and (arc % 2 or c == net.base_cap[arc]):
+                        view.add_edge(net.frm[arc], net.to[arc])
+                labels = strongly_connected_components(net)
+                want = {frozenset(c) for c in nx.strongly_connected_components(view)}
+                got = {}
+                for node, label in enumerate(labels):
+                    got.setdefault(label, set()).add(node)
+                assert {frozenset(c) for c in got.values()} == want
+
+
+def test_cuts_and_systems_match_the_single_pair_calls():
+    graphs = CORPUS + [_cycle_instance(), ones_graph(3, 3, 2)]
+    graphs += [delete_edges(grid_graph(4, 4), sorted(grid_graph(4, 4).edge_by_id)[::5])]
+    for g in graphs:
+        for i, (value, system) in enumerate(cuts._cuts_and_systems(g)):
+            assert value == min_vertex_cut(g, i).value
+            assert system == vertex_disjoint_paths(g, i, g.pairs[i].demand)
+
+
+def test_in_class_compiles_once(monkeypatch):
+    compiles = []
+    compile_network = cuts._compile_network
+    monkeypatch.setattr(cuts, "_compile_network", lambda g: compiles.append(g) or compile_network(g))
+    for g in (ones_graph(3, 3, 2), delete_edges(grid_graph(3, 3), [0])):
+        compiles.clear()
+        in_class(g)
+        assert compiles == [g]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ def test_example_run_is_frozen(example_instance):
         ((8, True),),
     ]
     assert run.forward_stops == (3, 2)
-    assert run.current is None
     report = verify_run(rep, run)
     assert report.ok and report.passed == ALL_CHECKS
 
