@@ -80,17 +80,27 @@ class FlowNet:
 
     def max_flow(self, s: int, t: int, limit: int = INF) -> int:
         """Edmonds-Karp augmentation until no path remains or ``limit`` reached."""
-        cap = self.cap
+        cap, frm = self.cap, self.frm
         total = 0
         while total < limit:
             parent = self._bfs_parent(s, t)
             if parent is None:
                 break
-            arcs = self.path_arcs(parent, s, t)
-            bottleneck = min(limit - total, min(cap[arc] for arc in arcs))
-            for arc in arcs:
+            # Walk the parent chain twice: once for the bottleneck, once to
+            # push it.
+            bottleneck = limit - total
+            node = t
+            while node != s:
+                arc = parent[node]
+                if cap[arc] < bottleneck:
+                    bottleneck = cap[arc]
+                node = frm[arc]
+            node = t
+            while node != s:
+                arc = parent[node]
                 cap[arc] -= bottleneck
                 cap[arc ^ 1] += bottleneck
+                node = frm[arc]
             total += bottleneck
         return total
 

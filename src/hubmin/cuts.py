@@ -256,17 +256,29 @@ class _DeletionQueries:
       exists exactly when a flow of value ``demand`` avoids e: for any such
       flow f', f' - f is a circulation that runs through the reverse of a.
 
-    Before that search, a pair's strongly connected components decide many
-    queries on their own.  The labels are those of the *unit residual view*
-    of the pair's flow f (``strongly_connected_components``): reverse arcs
-    with remaining capacity, and forward arcs that carry no flow.  Every
-    edge arc carries at most one unit in any feasible flow, so the view has
-    the same flows of value ``demand`` as the net with unbounded edges.  If
-    a flow f' of value ``demand`` avoids e, f' - f is a circulation on the
+    Before that search, a pair's strongly connected components decide every
+    read-only query on their own, and a deletion's no when they are
+    present.  The labels are those of the *unit residual view* of the
+    pair's flow f (``strongly_connected_components``): reverse arcs with
+    remaining capacity, and forward arcs that carry no flow.  Every edge
+    arc carries at most one unit in any feasible flow, so the view has the
+    same flows of value ``demand`` as the net with unbounded edges.  If a
+    flow f' of value ``demand`` avoids e, f' - f is a circulation on the
     view's arcs with -1 on a; one of its cycles runs through the reverse of
     a, so a's tail and head share a component.  Hence different labels
-    answer no, exactly, with no search.  On equal labels the search decides,
-    and finds the rerouted flow that a deletion keeps.
+    answer no, exactly, with no search.
+
+    Equal labels answer yes.  They give a simple path P in the view from
+    a's tail to its head.  P avoids a, which carries flow, and a's reverse,
+    which ends where P starts.  If e is undirected, with a = out(u) ->
+    in(v), P may pass through e's other arc b = out(v) -> in(u), which
+    carries nothing.  P then goes on from in(u).  But e touches no
+    terminal, so u's vertex arc carries a's unit, and its reverse leads
+    from out(u) to in(u) directly.  Replacing P's part up to in(u) with
+    that arc gives a path that avoids e.  Pushing a unit along it and
+    taking the unit off a yields a flow of value ``demand`` that avoids e.
+    A read-only query stops there.  A query with ``delete=True`` still runs
+    the search, because the deletion keeps the rerouted flow.
 
     Labels are built lazily per pair, by the first query without ``delete``
     that needs them, and dropped when flows change for good: every pair's
@@ -311,8 +323,8 @@ class _DeletionQueries:
         return ok
 
     def _pair_stays(self, i: int, arcs: List[int], delete: bool, undo: list) -> bool:
-        """Pair i's answer for the edge with these arcs: the labels' no where
-        they give one, otherwise ``_reroute``'s."""
+        """Pair i's answer for the edge with these arcs: the labels' where
+        present (only their no when deleting), otherwise ``_reroute``'s."""
         built = self._nets[i][0]
         net = built.net
         cap, base_cap = net.cap, net.base_cap
@@ -326,9 +338,12 @@ class _DeletionQueries:
             labels = self._labels[i]
             if labels is None and not delete:
                 labels = self._labels[i] = strongly_connected_components(net)
-            a = carrying[0]
-            if labels is not None and labels[net.frm[a]] != labels[net.to[a]]:
-                return False
+            if labels is not None:
+                a = carrying[0]
+                if labels[net.frm[a]] != labels[net.to[a]]:
+                    return False
+                if not delete:
+                    return True
         return self._reroute(built, arcs, undo)
 
     def _reroute(self, built: _PairNet, arcs: List[int], undo: list) -> bool:

@@ -279,21 +279,23 @@ def classify_edges(g: Network, systems: Sequence[PathSystem]) -> Dict[int, str]:
 # ---------------------------------------------------------------------------
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ParseError(where, f"missing key '{key}'")
-    return obj[key]
+_MISSING = object()
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(where, f"expected integer, got {value!r}")
-    return value
+def _field_error(where: str, key: str, value, kind: type) -> ParseError:
+    """The error for field ``key`` of the object at ``where``: absent (``value``
+    is ``_MISSING``), or not of type ``kind``."""
+    if value is _MISSING:
+        return ParseError(where, f"missing key '{key}'")
+    noun = "boolean" if kind is bool else "integer"
+    return ParseError(f"{where}.{key}", f"expected {noun}, got {value!r}")
 
 
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError(where, f"expected boolean, got {value!r}")
+def _top_list(obj: dict, key: str) -> list:
+    """The list under a top-level key."""
+    value = obj.get(key, _MISSING)
+    if type(value) is not list:
+        raise ParseError(key, f"missing key '{key}'" if value is _MISSING else "must be a list")
     return value
 
 
@@ -305,95 +307,102 @@ def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
     pair, each with exactly ``demand`` paths; a system that breaks this
     raises ``ParseError`` at ``systems[i]`` (or at ``systems`` for a
     missing one).
+
+    Fields are checked in one pass, in document order: vertices, then each
+    edge's ``id``, ``u``, ``v``, ``directed``, each pair's ``source``,
+    ``sink``, ``demand``, then the systems.  ``json.loads`` makes no
+    subclass of ``dict``, ``list`` or ``int`` other than ``bool``, so exact
+    type tests suffice, and a bool is never an integer here.  The error
+    location is formatted only when raising.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("json", str(exc)) from exc
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise ParseError("json", "top level must be an object")
 
-    raw_vertices = _require(obj, "vertices", "vertices")
-    if not isinstance(raw_vertices, list):
-        raise ParseError("vertices", "must be a list")
-    vertices = tuple(_as_int(v, f"vertices[{i}]") for i, v in enumerate(raw_vertices))
+    raw_vertices = _top_list(obj, "vertices")
+    for i, v in enumerate(raw_vertices):
+        if type(v) is not int:
+            raise ParseError(f"vertices[{i}]", f"expected integer, got {v!r}")
 
-    raw_edges = _require(obj, "edges", "edges")
-    if not isinstance(raw_edges, list):
-        raise ParseError("edges", "must be a list")
     edges = []
-    for i, item in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "must be an object")
-        edges.append(
-            Edge(
-                id=_as_int(_require(item, "id", where), f"{where}.id"),
-                u=_as_int(_require(item, "u", where), f"{where}.u"),
-                v=_as_int(_require(item, "v", where), f"{where}.v"),
-                directed=_as_bool(_require(item, "directed", where), f"{where}.directed"),
-            )
-        )
+    for i, item in enumerate(_top_list(obj, "edges")):
+        if type(item) is not dict:
+            raise ParseError(f"edges[{i}]", "must be an object")
+        eid = item.get("id", _MISSING)
+        if type(eid) is not int:
+            raise _field_error(f"edges[{i}]", "id", eid, int)
+        u = item.get("u", _MISSING)
+        if type(u) is not int:
+            raise _field_error(f"edges[{i}]", "u", u, int)
+        v = item.get("v", _MISSING)
+        if type(v) is not int:
+            raise _field_error(f"edges[{i}]", "v", v, int)
+        directed = item.get("directed", _MISSING)
+        if type(directed) is not bool:
+            raise _field_error(f"edges[{i}]", "directed", directed, bool)
+        edges.append(Edge(eid, u, v, directed))
 
-    raw_pairs = _require(obj, "pairs", "pairs")
-    if not isinstance(raw_pairs, list):
-        raise ParseError("pairs", "must be a list")
     pairs = []
-    for i, item in enumerate(raw_pairs):
-        where = f"pairs[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "must be an object")
-        pairs.append(
-            Pair(
-                source=_as_int(_require(item, "source", where), f"{where}.source"),
-                sink=_as_int(_require(item, "sink", where), f"{where}.sink"),
-                demand=_as_int(_require(item, "demand", where), f"{where}.demand"),
-            )
-        )
+    for i, item in enumerate(_top_list(obj, "pairs")):
+        if type(item) is not dict:
+            raise ParseError(f"pairs[{i}]", "must be an object")
+        source = item.get("source", _MISSING)
+        if type(source) is not int:
+            raise _field_error(f"pairs[{i}]", "source", source, int)
+        sink = item.get("sink", _MISSING)
+        if type(sink) is not int:
+            raise _field_error(f"pairs[{i}]", "sink", sink, int)
+        demand = item.get("demand", _MISSING)
+        if type(demand) is not int:
+            raise _field_error(f"pairs[{i}]", "demand", demand, int)
+        pairs.append(Pair(source, sink, demand))
 
     try:
-        g = Network(vertices=vertices, edges=tuple(edges), pairs=tuple(pairs))
+        g = Network(vertices=tuple(raw_vertices), edges=tuple(edges), pairs=tuple(pairs))
     except InvariantError as exc:
         raise ParseError("network", str(exc)) from exc
 
-    systems: Optional[List[PathSystem]] = None
-    if "systems" in obj and obj["systems"] is not None:
-        raw_systems = obj["systems"]
-        if not isinstance(raw_systems, list):
-            raise ParseError("systems", "must be a list")
-        systems = []
-        for si, raw_paths in enumerate(raw_systems):
-            where = f"systems[{si}]"
-            if not isinstance(raw_paths, list):
-                raise ParseError(where, "must be a list of paths")
-            paths = []
-            for pi, raw_steps in enumerate(raw_paths):
-                pwhere = f"{where}[{pi}]"
-                if not isinstance(raw_steps, list):
-                    raise ParseError(pwhere, "must be a list of steps")
-                steps = []
-                for ti, step in enumerate(raw_steps):
-                    swhere = f"{pwhere}[{ti}]"
-                    if not isinstance(step, dict):
-                        raise ParseError(swhere, "must be an object")
-                    steps.append(
-                        (
-                            _as_int(_require(step, "edge", swhere), f"{swhere}.edge"),
-                            _as_bool(_require(step, "forward", swhere), f"{swhere}.forward"),
-                        )
-                    )
-                paths.append(Path(steps=tuple(steps)))
-            if si >= len(g.pairs):
-                raise ParseError(where, "more systems than pairs")
-            demand = g.pairs[si].demand
-            if len(paths) != demand:
-                raise ParseError(where, f"{len(paths)} paths, but pair {si} has demand {demand}")
-            try:
-                systems.append(make_path_system(g, si, paths))
-            except InvariantError as exc:
-                raise ParseError(where, str(exc)) from exc
-        if len(systems) != len(g.pairs):
-            raise ParseError("systems", f"{len(systems)} systems for {len(g.pairs)} pairs")
+    raw_systems = obj.get("systems")
+    if raw_systems is None:
+        return g, None
+    if type(raw_systems) is not list:
+        raise ParseError("systems", "must be a list")
+    systems: List[PathSystem] = []
+    for si, raw_paths in enumerate(raw_systems):
+        if type(raw_paths) is not list:
+            raise ParseError(f"systems[{si}]", "must be a list of paths")
+        paths = []
+        for pi, raw_steps in enumerate(raw_paths):
+            if type(raw_steps) is not list:
+                raise ParseError(f"systems[{si}][{pi}]", "must be a list of steps")
+            steps = []
+            for ti, step in enumerate(raw_steps):
+                if type(step) is not dict:
+                    raise ParseError(f"systems[{si}][{pi}][{ti}]", "must be an object")
+                eid = step.get("edge", _MISSING)
+                if type(eid) is not int:
+                    raise _field_error(f"systems[{si}][{pi}][{ti}]", "edge", eid, int)
+                forward = step.get("forward", _MISSING)
+                if type(forward) is not bool:
+                    raise _field_error(f"systems[{si}][{pi}][{ti}]", "forward", forward, bool)
+                steps.append((eid, forward))
+            paths.append(Path(steps=tuple(steps)))
+        if si >= len(g.pairs):
+            raise ParseError(f"systems[{si}]", "more systems than pairs")
+        demand = g.pairs[si].demand
+        if len(paths) != demand:
+            raise ParseError(
+                f"systems[{si}]", f"{len(paths)} paths, but pair {si} has demand {demand}"
+            )
+        try:
+            systems.append(make_path_system(g, si, paths))
+        except InvariantError as exc:
+            raise ParseError(f"systems[{si}]", str(exc)) from exc
+    if len(systems) != len(g.pairs):
+        raise ParseError("systems", f"{len(systems)} systems for {len(g.pairs)} pairs")
     return g, systems
 
 
@@ -402,27 +411,59 @@ def parse_network(text: str) -> Network:
     return parse_instance(text)[0]
 
 
+def _json_list(items: List[str], pad: str) -> str:
+    """A JSON list of already-written items whose opening bracket sits at
+    indent ``pad``, laid out as ``json.dumps(..., indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def serialize_network(g: Network, systems: Optional[Sequence[PathSystem]] = None) -> str:
-    """Canonical JSON text: sorted vertices, edges by ascending id, sorted keys."""
-    obj = {
-        "vertices": sorted(g.vertices),
-        "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "directed": e.directed}
-            for e in sorted(g.edges, key=lambda e: e.id)
-        ],
-        "pairs": [
-            {"source": p.source, "sink": p.sink, "demand": p.demand} for p in g.pairs
-        ],
-    }
+    """Canonical JSON text: sorted vertices, edges by ascending id, sorted keys.
+
+    The text is written directly, not through ``json.dumps``, whose encoder
+    runs in pure Python once it indents.  It is character for character
+    what ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` writes for
+    the schema's object: keys in sorted order, two-space indents, ``[]``
+    for an empty list, ``true``/``false`` and decimal integers.
+    """
+    edges = [
+        f'{{\n      "directed": {"true" if e.directed else "false"},\n'
+        f'      "id": {e.id},\n      "u": {e.u},\n      "v": {e.v}\n    }}'
+        for e in sorted(g.edges, key=lambda e: e.id)
+    ]
+    pairs = [
+        f'{{\n      "demand": {p.demand},\n      "sink": {p.sink},\n'
+        f'      "source": {p.source}\n    }}'
+        for p in g.pairs
+    ]
+    parts = [
+        '{\n  "edges": ',
+        _json_list(edges, "  "),
+        ',\n  "pairs": ',
+        _json_list(pairs, "  "),
+    ]
     if systems is not None:
-        obj["systems"] = [
-            [
-                [{"edge": eid, "forward": fwd} for eid, fwd in path.steps]
-                for path in system.paths
-            ]
-            for system in systems
-        ]
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        written = []
+        for system in systems:
+            paths = []
+            for path in system.paths:
+                steps = [
+                    f'{{\n          "edge": {eid},\n'
+                    f'          "forward": {"true" if fwd else "false"}\n        }}'
+                    for eid, fwd in path.steps
+                ]
+                paths.append(_json_list(steps, "      "))
+            written.append(_json_list(paths, "    "))
+        parts += (',\n  "systems": ', _json_list(written, "  "))
+    parts += (
+        ',\n  "vertices": ',
+        _json_list([str(v) for v in sorted(g.vertices)], "  "),
+        "\n}\n",
+    )
+    return "".join(parts)
 
 
 def export_dot(g: Network, systems: Optional[Sequence[PathSystem]] = None) -> str:

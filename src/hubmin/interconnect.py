@@ -479,11 +479,12 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
     record("path-count", len(run.paths) == delta <= min(c1, c2))
 
     # The paths partition the hubs.
+    seqs = [path_vertices(g, p) for p in run.paths]
     hubs = [v for v in g.vertices if not g.is_terminal(v)]
     count: Dict[int, int] = {v: 0 for v in hubs}
     ok = True
-    for p in run.paths:
-        for v in path_vertices(g, p):
+    for seq in seqs:
+        for v in seq:
             if v not in count:
                 ok = False
             else:
@@ -491,11 +492,8 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
     record("hub-partition", ok and all(c == 1 for c in count.values()))
 
     # Tails at distinct S1S2 lowers; heads at distinct R2R1 uppers.
-    tails, heads = [], []
-    for p in run.paths:
-        seq = path_vertices(g, p)
-        tails.append(seq[0])
-        heads.append(seq[-1])
+    tails = [seq[0] for seq in seqs]
+    heads = [seq[-1] for seq in seqs]
     ok = all(
         vertex_role.get(t, (None, None))[1] == "lower"
         and alt[vertex_role[t][0]].kind == S1S2

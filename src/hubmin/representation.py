@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cuts import vertex_disjoint_paths
+from .cuts import _cuts_and_systems
 from .graph_core import (
     PHI,
     PSI,
@@ -356,14 +356,13 @@ def to_representation(
     """Run the three steps on a minimal two-pair network.
 
     When systems are not supplied, maximal vertex-disjoint path systems are
-    computed for both pairs.
+    computed for both pairs, from one compile of ``g``.
     """
     if len(g.pairs) != 2:
         raise InvariantError("two-pairs-required", f"got {len(g.pairs)} pairs")
     if systems is None:
         systems = []
-        for i, pair in enumerate(g.pairs):
-            system = vertex_disjoint_paths(g, i, pair.demand)
+        for i, (_, system) in enumerate(_cuts_and_systems(g)):
             if system is None:
                 raise InvariantError("not-in-class", f"pair {i} has no full system")
             systems.append(system)

@@ -294,6 +294,46 @@ def test_is_minimal_on_a_lattice_runs_no_search_beyond_its_max_flows(monkeypatch
     assert len({id(net) for net in labelled}) == len(labelled)
 
 
+def _reroutable_inputs():
+    """Seeded two-pair inputs before ``minimalize``, with their generated
+    systems: not minimal, and some system reroutable."""
+    rng = random.Random(31)
+    found = []
+    while len(found) < 12:
+        demands = [rng.randint(1, 4), rng.randint(1, 4)]
+        g, systems = random_network(
+            rng, demands, reuse=rng.uniform(0.3, 0.8), extra=rng.randint(0, 4)
+        )
+        if not is_minimal(g) and any(is_reroutable(g, systems, i) for i in range(2)):
+            found.append((g, systems))
+    return found
+
+
+def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
+    cases = _reroutable_inputs()
+    searches = []
+    bfs_parent = FlowNet._bfs_parent
+
+    def counting(self, s, t):
+        searches.append((s, t))
+        return bfs_parent(self, s, t)
+
+    monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
+    deletable = 0
+    for g, systems in cases:
+        # The max flows of one _DeletionQueries: one search per unit and
+        # one that fails, per pair.
+        max_flows = sum(p.demand for p in g.pairs) + len(g.pairs)
+        searches.clear()
+        assert not is_minimal(g)
+        assert len(searches) == max_flows
+        for i in range(2):
+            searches.clear()
+            deletable += len(deletable_private_edges(g, systems, i))
+            assert len(searches) == max_flows
+    assert deletable
+
+
 def test_minimalize_builds_no_labels(monkeypatch):
     labelled = _count_labellings(monkeypatch)
     for g in CORPUS[:12] + [_cycle_instance()]:

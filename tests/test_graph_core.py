@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -16,6 +17,7 @@ from hubmin import (
     Pair,
     ParseError,
     Path,
+    PathSystem,
     classify_edges,
     delete_edges,
     export_dot,
@@ -23,11 +25,14 @@ from hubmin import (
     grid_instance,
     hub_count,
     make_path_system,
+    ones_instance,
     parse_instance,
     parse_network,
     path_vertices,
     random_network,
+    reroutable_witness,
     serialize_network,
+    witness_222_instance,
 )
 
 
@@ -258,6 +263,223 @@ def test_serialize_orders_edges_by_id():
     )
     obj = json.loads(serialize_network(g))
     assert [e["id"] for e in obj["edges"]] == [3, 7]
+
+
+def _reference_text(g, systems=None):
+    """The canonical text as the ``json`` module writes it."""
+    obj = {
+        "vertices": sorted(g.vertices),
+        "edges": [
+            {"id": e.id, "u": e.u, "v": e.v, "directed": e.directed}
+            for e in sorted(g.edges, key=lambda e: e.id)
+        ],
+        "pairs": [{"source": p.source, "sink": p.sink, "demand": p.demand} for p in g.pairs],
+    }
+    if systems is not None:
+        obj["systems"] = [
+            [[{"edge": eid, "forward": fwd} for eid, fwd in path.steps] for path in system.paths]
+            for system in systems
+        ]
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# Zero, small, negative and wider than 64 bits.
+_INT = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=2**64, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=-(2**64)),
+)
+
+
+@st.composite
+def _networks(draw):
+    """Valid networks over arbitrary integer ids: possibly no vertices, no
+    edges or no pairs, and with directed edges at one pair's terminals."""
+    vertices = draw(st.lists(_INT, unique=True, max_size=7))
+    pairs = []
+    if len(vertices) >= 2 and draw(st.booleans()):
+        demand = draw(st.one_of(st.integers(1, 3), _INT.filter(lambda d: d > 0)))
+        pairs.append(Pair(vertices[0], vertices[1], demand))
+    terminals = {t for p in pairs for t in (p.source, p.sink)}
+    interior = [v for v in vertices if v not in terminals]
+    two_interior = st.lists(st.sampled_from(interior), min_size=2, max_size=2, unique=True)
+    edges = []
+    for eid in draw(st.lists(_INT, unique=True, max_size=8)):
+        kind = draw(st.sampled_from(["interior", "out", "in"] if pairs else ["interior"]))
+        if kind == "interior":
+            if len(interior) >= 2:
+                u, v = draw(two_interior)
+                edges.append(Edge(eid, u, v, False))
+        elif kind == "out":
+            head = draw(st.sampled_from(interior + [pairs[0].sink]))
+            edges.append(Edge(eid, pairs[0].source, head, True))
+        else:
+            tail = draw(st.sampled_from(interior + [pairs[0].source]))
+            edges.append(Edge(eid, tail, pairs[0].sink, True))
+    return Network(vertices=tuple(vertices), edges=tuple(edges), pairs=tuple(pairs))
+
+
+# Systems as the writer reads them (no validation): 1-3 paths each, and
+# paths of 0-3 steps.
+_SYSTEMS = st.one_of(
+    st.none(),
+    st.lists(
+        st.lists(
+            st.lists(st.tuples(_INT, st.booleans()), max_size=3).map(lambda s: Path(tuple(s))),
+            min_size=1,
+            max_size=3,
+        ),
+        max_size=3,
+    ).map(lambda raw: [PathSystem(i, tuple(paths), {}) for i, paths in enumerate(raw)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_networks(), systems=_SYSTEMS)
+def test_serialize_matches_the_json_module(g, systems):
+    assert serialize_network(g, systems) == _reference_text(g, systems)
+
+
+def test_serialize_matches_the_json_module_on_the_families(example_instance):
+    g, systems = example_instance
+    cases = [(g, systems), (g, None), (reroutable_witness(), None)]
+    specs = [grid_instance(c1, c2) for c1 in range(1, 5) for c2 in range(1, 5)]
+    specs += [ones_instance(2, 3, 2), ones_instance(3, 3, 1), witness_222_instance()]
+    cases += [(spec.network, list(spec.systems)) for spec in specs]
+    cases += [(spec.network, None) for spec in specs]
+    for seed in range(20):
+        demands = [1 + seed % 3, 1 + seed % 4, 2][: 2 + seed % 2]
+        g, systems = random_network(seed, demands, extra=seed % 5)
+        cases += [(g, systems), (g, None)]
+    for g, systems in cases:
+        assert serialize_network(g, systems) == _reference_text(g, systems)
+
+
+_DROP = object()
+_VALID = {
+    "vertices": [0, 1, 2],
+    "edges": [
+        {"id": 0, "u": 0, "v": 2, "directed": True},
+        {"id": 1, "u": 2, "v": 1, "directed": True},
+    ],
+    "pairs": [{"source": 0, "sink": 1, "demand": 1}],
+    "systems": [[[{"edge": 0, "forward": True}, {"edge": 1, "forward": True}]]],
+}
+_AT_EDGE, _AT_PAIR, _AT_STEP = ("edges", 0), ("pairs", 0), ("systems", 0, 0, 0)
+
+# Edits of ``_VALID`` (a path of keys, and the new value or _DROP) and the
+# full error text each one gives, as the parser has always worded it.
+_MALFORMED = [
+    ([(("vertices",), _DROP)], "vertices: missing key 'vertices'"),
+    ([(("vertices",), 3)], "vertices: must be a list"),
+    ([(("vertices", 1), True)], "vertices[1]: expected integer, got True"),
+    ([(("vertices", 2), "2")], "vertices[2]: expected integer, got '2'"),
+    ([(("vertices", 1), 1.0)], "vertices[1]: expected integer, got 1.0"),
+    ([(("edges",), _DROP)], "edges: missing key 'edges'"),
+    ([(("edges",), {"id": 0})], "edges: must be a list"),
+    ([(("edges", 1), [1, 2])], "edges[1]: must be an object"),
+    ([(_AT_EDGE + ("id",), _DROP)], "edges[0]: missing key 'id'"),
+    ([(_AT_EDGE + ("id",), True)], "edges[0].id: expected integer, got True"),
+    ([(_AT_EDGE + ("u",), _DROP)], "edges[0]: missing key 'u'"),
+    ([(_AT_EDGE + ("u",), 0.5)], "edges[0].u: expected integer, got 0.5"),
+    ([(_AT_EDGE + ("v",), _DROP)], "edges[0]: missing key 'v'"),
+    ([(_AT_EDGE + ("v",), None)], "edges[0].v: expected integer, got None"),
+    ([(_AT_EDGE + ("directed",), _DROP)], "edges[0]: missing key 'directed'"),
+    ([(_AT_EDGE + ("directed",), 1)], "edges[0].directed: expected boolean, got 1"),
+    ([(_AT_EDGE + ("directed",), "yes")], "edges[0].directed: expected boolean, got 'yes'"),
+    ([(("pairs",), _DROP)], "pairs: missing key 'pairs'"),
+    ([(("pairs",), None)], "pairs: must be a list"),
+    ([(("pairs", 0), [0, 1, 1])], "pairs[0]: must be an object"),
+    ([(_AT_PAIR + ("source",), _DROP)], "pairs[0]: missing key 'source'"),
+    ([(_AT_PAIR + ("source",), False)], "pairs[0].source: expected integer, got False"),
+    ([(_AT_PAIR + ("sink",), _DROP)], "pairs[0]: missing key 'sink'"),
+    ([(_AT_PAIR + ("sink",), "1")], "pairs[0].sink: expected integer, got '1'"),
+    ([(_AT_PAIR + ("demand",), _DROP)], "pairs[0]: missing key 'demand'"),
+    ([(_AT_PAIR + ("demand",), True)], "pairs[0].demand: expected integer, got True"),
+    ([(_AT_PAIR + ("demand",), 1.0)], "pairs[0].demand: expected integer, got 1.0"),
+    ([(("vertices", 2), 1)], "network: duplicate-vertex: vertex 1"),
+    ([(_AT_PAIR + ("sink",), 9)], "network: unknown-vertex: pair 0 terminal 9"),
+    ([(_AT_PAIR + ("demand",), 0)], "network: nonpositive-demand: pair 0"),
+    ([(("systems",), {"a": 1})], "systems: must be a list"),
+    ([(("systems", 0), 3)], "systems[0]: must be a list of paths"),
+    ([(("systems", 0, 0), 5)], "systems[0][0]: must be a list of steps"),
+    ([(("systems", 0, 0, 1), [7])], "systems[0][0][1]: must be an object"),
+    ([(_AT_STEP + ("edge",), _DROP)], "systems[0][0][0]: missing key 'edge'"),
+    ([(_AT_STEP + ("edge",), True)], "systems[0][0][0].edge: expected integer, got True"),
+    ([(_AT_STEP + ("forward",), _DROP)], "systems[0][0][0]: missing key 'forward'"),
+    ([(_AT_STEP + ("forward",), 0)], "systems[0][0][0].forward: expected boolean, got 0"),
+    ([(("systems",), _VALID["systems"] * 2)], "systems[1]: more systems than pairs"),
+    ([(("systems", 0), [])], "systems[0]: 0 paths, but pair 0 has demand 1"),
+    ([(("systems",), [])], "systems: 0 systems for 1 pairs"),
+    ([(_AT_STEP + ("edge",), 9999)], "systems[0]: unknown-edge: edge 9999"),
+    ([(_AT_STEP + ("forward",), False)], "systems[0]: directed-edge-reversed: edge 0"),
+    ([(_AT_PAIR + ("demand",), 2)], "systems[0]: 1 paths, but pair 0 has demand 2"),
+    # Precedence: a bad field is reported before a later missing one.
+    ([(("vertices", 0), None), (("edges",), _DROP)], "vertices[0]: expected integer, got None"),
+    ([(("edges",), 3), (("pairs",), _DROP)], "edges: must be a list"),
+    (
+        [(_AT_EDGE + ("id",), False), (_AT_EDGE + ("u",), _DROP)],
+        "edges[0].id: expected integer, got False",
+    ),
+    (
+        [(_AT_EDGE + ("u",), None), (_AT_EDGE + ("v",), _DROP)],
+        "edges[0].u: expected integer, got None",
+    ),
+    (
+        [(_AT_EDGE + ("v",), None), (_AT_EDGE + ("directed",), _DROP)],
+        "edges[0].v: expected integer, got None",
+    ),
+    (
+        [(_AT_PAIR + ("source",), None), (_AT_PAIR + ("sink",), _DROP)],
+        "pairs[0].source: expected integer, got None",
+    ),
+    (
+        [(_AT_PAIR + ("sink",), None), (_AT_PAIR + ("demand",), _DROP)],
+        "pairs[0].sink: expected integer, got None",
+    ),
+    (
+        [(_AT_STEP + ("edge",), None), (_AT_STEP + ("forward",), _DROP)],
+        "systems[0][0][0].edge: expected integer, got None",
+    ),
+    ([(_AT_PAIR + ("demand",), 0), (("systems",), 3)], "network: nonpositive-demand: pair 0"),
+]
+
+
+def _edited(edits) -> str:
+    obj = copy.deepcopy(_VALID)
+    for path, value in edits:
+        box = obj
+        for key in path[:-1]:
+            box = box[key]
+        if value is _DROP:
+            del box[path[-1]]
+        else:
+            box[path[-1]] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("edits, message", _MALFORMED)
+def test_malformed_instances_keep_their_error_text(edits, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(_edited(edits))
+    assert str(err.value) == message
+
+
+def test_malformed_json_keeps_its_error_text():
+    cases = {
+        "{nope": "json: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+        "": "json: Expecting value: line 1 column 1 (char 0)",
+        "[1, 2]": "json: top level must be an object",
+        '"text"': "json: top level must be an object",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == message
+    g, systems = parse_instance(_edited([]))
+    assert len(g.edges) == 2 and len(systems) == 1
+    assert parse_instance(_edited([(("systems",), None)]))[1] is None
 
 
 def _expect_parse_error(where, text):

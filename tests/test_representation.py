@@ -29,6 +29,7 @@ from hubmin import (
     vertex_disjoint_paths,
 )
 
+from hubmin import cuts
 from hubmin.acceptance import directions_agree
 
 from conftest import two_pair_corpus
@@ -346,6 +347,25 @@ def test_to_representation_rejects_deficient_graph():
     with pytest.raises(InvariantError) as err:
         to_representation(delete_edges(grid_graph(2, 2), [0]))
     assert err.value.code == "not-in-class"
+
+
+def test_to_representation_names_the_first_pair_without_a_system():
+    for doomed, pair in (([0], 0), ([10], 1), ([10, 0], 0)):
+        with pytest.raises(InvariantError) as err:
+            to_representation(delete_edges(grid_graph(2, 2), doomed))
+        assert str(err.value) == f"not-in-class: pair {pair} has no full system"
+
+
+def test_to_representation_compiles_once_without_systems(monkeypatch):
+    compiles = []
+    compile_network = cuts._compile_network
+    monkeypatch.setattr(cuts, "_compile_network", lambda g: compiles.append(g) or compile_network(g))
+    g = grid_graph(3, 3)
+    rep = to_representation(g)
+    assert compiles == [g]
+    assert [s.paths for s in rep.systems] == [
+        vertex_disjoint_paths(g, i, p.demand).paths for i, p in enumerate(g.pairs)
+    ]
 
 
 def test_representation_properties_on_corpus():
