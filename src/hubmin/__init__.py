@@ -23,7 +23,6 @@ from .extremal import (
 )
 from .graph_core import (
     Edge,
-    HubCount,
     InvariantError,
     Network,
     Pair,
@@ -71,7 +70,6 @@ __all__ = [
     "CutResult",
     "Edge",
     "GridSpec",
-    "HubCount",
     "InterconnectRun",
     "InvariantError",
     "Network",

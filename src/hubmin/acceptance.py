@@ -136,7 +136,7 @@ def claim_t5(seed: int) -> Tuple[bool, str]:
         alt = decompose_private(rep)
         delta = sum(1 for a in alt if a.kind == S1S2)
         c1, c2 = rep.graph.pairs[0].demand, rep.graph.pairs[1].demand
-        hubs = int(hub_count(rep.graph))
+        hubs = hub_count(rep.graph)
         if not hubs <= 2 * delta * (c1 + c2 - delta) <= 2 * c1 * c2:
             return False, f"hubs {hubs}, delta {delta}, demands ({c1},{c2})"
         checked += 1
@@ -147,7 +147,7 @@ def claim_t6(_: int) -> Tuple[bool, str]:
     for c1 in range(1, 5):
         for c2 in range(1, 5):
             g = grid_graph(c1, c2)
-            if int(hub_count(g)) != 2 * c1 * c2:
+            if hub_count(g) != 2 * c1 * c2:
                 return False, f"grid({c1},{c2}) hub count"
             if not (in_class(g) and is_minimal(g)):
                 return False, f"grid({c1},{c2}) membership"
@@ -159,14 +159,14 @@ def claim_t7(_: int) -> Tuple[bool, str]:
         for c2 in range(1, 4):
             for n in range(3):
                 g = ones_graph(c1, c2, n)
-                if int(hub_count(g)) != 2 * (c1 * c2 + n):
+                if hub_count(g) != 2 * (c1 * c2 + n):
                     return False, f"ones({c1},{c2},{n}) hub count"
                 if not (in_class(g) and is_minimal(g)):
                     return False, f"ones({c1},{c2},{n}) membership"
     if ones_graph(2, 3, 0) != grid_graph(2, 3):
         return False, "ones(_, _, 0) differs from grid"
     w = witness_222()
-    if int(hub_count(w)) != 12 or not (in_class(w) and is_minimal(w)):
+    if hub_count(w) != 12 or not (in_class(w) and is_minimal(w)):
         return False, "merged witness"
     if min_hub_subgraph(w).min_hubs != 12:
         return False, "witness not tight"
@@ -178,8 +178,8 @@ def claim_t8(seed: int) -> Tuple[bool, str]:
     for i in range(20):
         g, _ = random_network(rng, [rng.randint(1, 3)], extra=rng.randint(0, 2))
         m = minimalize(g)
-        if int(hub_count(m)) != 0:
-            return False, f"case {i}: {int(hub_count(m))} hubs"
+        if hub_count(m) != 0:
+            return False, f"case {i}: {hub_count(m)} hubs"
     return True, "20 single-pair networks"
 
 

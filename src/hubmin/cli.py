@@ -109,7 +109,7 @@ def _cmd_check(args) -> int:
             member = False
         lines.append(f"pair {i}: cut {value} {mark} demand {pair.demand}")
     lines.append(f"in class: {member}")
-    lines.append(f"hubs: {int(hub_count(g))}")
+    lines.append(f"hubs: {hub_count(g)}")
     if member:
         if len(g.pairs) == 2:
             # The agreement report's deletion-minimality verdict is is_minimal's.
@@ -139,7 +139,7 @@ def _cmd_minimalize(args) -> int:
     _write(args.output, serialize_network(result, _systems_or_computed(result, None)))
     print(
         f"edges {len(g.edges)} -> {len(result.edges)}, "
-        f"hubs {int(hub_count(g))} -> {int(hub_count(result))}",
+        f"hubs {hub_count(g)} -> {hub_count(result)}",
         file=sys.stderr,
     )
     return 0
@@ -151,7 +151,7 @@ def _cmd_represent(args) -> int:
     _write(args.output, serialize_network(rep.graph, list(rep.systems)))
     alt = decompose_private(rep)
     delta = sum(1 for a in alt if a.kind == "S1S2")
-    print(f"hubs: {int(hub_count(rep.graph))}", file=sys.stderr)
+    print(f"hubs: {hub_count(rep.graph)}", file=sys.stderr)
     print(f"delta: {delta}", file=sys.stderr)
     for a in alt:
         print(

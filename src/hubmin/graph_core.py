@@ -66,16 +66,6 @@ class Pair:
 
 
 @dataclass(frozen=True)
-class HubCount:
-    """Number of non-terminal vertices of degree >= 3."""
-
-    value: int
-
-    def __int__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class Network:
     """A multigraph with undirected interior edges and directed terminal edges."""
 
@@ -165,11 +155,10 @@ def delete_edges(g: Network, edge_ids: Iterable[int]) -> Network:
     )
 
 
-def hub_count(g: Network) -> HubCount:
+def hub_count(g: Network) -> int:
     """Count non-terminal vertices of degree >= 3."""
     terminals = g.terminal_set
-    n = sum(1 for v in g.vertices if v not in terminals and g.degree(v) >= 3)
-    return HubCount(n)
+    return sum(1 for v in g.vertices if v not in terminals and g.degree(v) >= 3)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ path, ends at an upper vertex of an R2R1 alternating path, and alternates
 public and private edges, every edge traversed in its natural direction.
 The construction walks forward from a fresh lower vertex, switching
 previously built paths when it hits the choke of an R2R1 path, then walks
-the pulled-back path backward symmetrically.  ``verify_run`` re-checks the
+the pulled-back path backward.  The backward phase is the forward walk on the
+reversed orientation, so one routine runs both.  ``verify_run`` re-checks the
 structural guarantees after the fact.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .graph_core import (
     PHI,
@@ -67,10 +68,9 @@ class VerifyReport:
 class _Deck:
     """Indexed view of one alternating path for the walk."""
 
-    def __init__(self, g: Network, rep: Representation, alt: AlternatingPath, index: int):
+    def __init__(self, g: Network, alt: AlternatingPath, index: int):
         self.alt = alt
         self.index = index
-        self.kind = alt.kind
         # Hub order along steps; hub i sits between steps[i] and steps[i+1].
         hubs: List[int] = []
         anchor_edge = g.edge_by_id[alt.steps[0]]
@@ -94,6 +94,30 @@ class _Deck:
         return self.alt.steps[max(i, j)]
 
 
+class _Phase(NamedTuple):
+    """One direction of the walk.
+
+    The backward phase is the forward phase on the reversed orientation:
+    sources and sinks swap, so S1S2 and R2R1 trade roles, and so do the
+    upper and lower decks.  The walk keeps its path in walk order, which for
+    the backward phase is the natural order reversed.
+    """
+
+    name: str
+    stop: str  # kind of alternating path whose exhausted choke ends the walk
+    end: int  # walking end of an edge in its natural direction: head 1, tail 0
+    free: str  # deck holding the free choke candidates: "upper" or "lower"
+    keys: Tuple[str, str, str]  # trace keys for the walking vertex, a0 and b0
+
+    def turn(self, steps: List[Step]) -> List[Step]:
+        """Natural order to walk order, and back."""
+        return steps if self.end else steps[::-1]
+
+
+_FORWARD = _Phase("forward", R2R1, 1, "upper", ("u", "x0", "y0"))
+_BACKWARD = _Phase("backward", S1S2, 0, "lower", ("w", "y0", "x0"))
+
+
 class _State:
     """Mutable walk state shared by the step handlers."""
 
@@ -101,7 +125,7 @@ class _State:
         self.rep = rep
         self.g = rep.graph
         self.alt = decompose_private(rep)
-        self.decks = [_Deck(self.g, rep, a, i) for i, a in enumerate(self.alt)]
+        self.decks = [_Deck(self.g, a, i) for i, a in enumerate(self.alt)]
         self.rng = random.Random(seed) if seed is not None else None
 
         self.vertex_deck: Dict[int, _Deck] = {}
@@ -159,23 +183,19 @@ class _State:
     def ends(self, eid: int) -> Tuple[int, int]:
         return self.g.edge_by_id[eid].ends(self.rep.natural_direction(eid))
 
-    def tail(self, steps: Sequence[Step]) -> int:
-        return self.ends(steps[0][0])[0]
-
-    def head(self, steps: Sequence[Step]) -> int:
-        return self.ends(steps[-1][0])[1]
-
-    def prefix_to(self, steps: Sequence[Step], v: int) -> List[Step]:
+    def upto(self, steps: List[Step], v: int, end: int) -> List[Step]:
+        """The steps of a walk up to the one whose walking end is v."""
         for i, (eid, _) in enumerate(steps):
-            if self.ends(eid)[1] == v:
-                return list(steps[: i + 1])
-        raise InvariantError("algorithm-stuck", f"vertex {v} not a head on path")
+            if self.ends(eid)[end] == v:
+                return steps[: i + 1]
+        raise InvariantError("algorithm-stuck", f"walk reaches no vertex {v}")
 
-    def suffix_from(self, steps: Sequence[Step], v: int) -> List[Step]:
+    def onward(self, steps: List[Step], v: int, end: int) -> List[Step]:
+        """The steps of a walk from the one that leaves v onward."""
         for i, (eid, _) in enumerate(steps):
-            if self.ends(eid)[0] == v:
-                return list(steps[i:])
-        raise InvariantError("algorithm-stuck", f"vertex {v} not a tail on path")
+            if self.ends(eid)[1 - end] == v:
+                return steps[i:]
+        raise InvariantError("algorithm-stuck", f"walk leaves no vertex {v}")
 
     def path_with_edge(self, eid: int) -> int:
         for i, p in enumerate(self.paths):
@@ -185,7 +205,7 @@ class _State:
 
     def path_with_tail(self, v: int) -> int:
         for i, p in enumerate(self.paths):
-            if self.tail(p) == v:
+            if self.ends(p[0][0])[0] == v:
                 return i
         raise InvariantError("algorithm-stuck", f"no interconnecting path starts at {v}")
 
@@ -216,7 +236,7 @@ class _State:
         candidates = sorted(
             v
             for d in self.decks
-            if d.kind == S1S2
+            if d.alt.kind == S1S2
             for v in d.alt.lower
             if v not in self.occupied
         )
@@ -225,6 +245,95 @@ class _State:
         if self.rng is not None:
             return self.rng.choice(candidates)
         return candidates[0]
+
+
+def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> List[Step]:
+    """Extend a walk-ordered path from vertex ``at`` until an exhausted choke.
+
+    The walk takes the private edge at each reached vertex, then the public
+    edge at the next one.  At the choke of a ``ph.stop`` path with a free
+    candidate a0 left, it switches: the hubs between a0 and the choke read
+    b0 a1 b1 ... ad bd, and the d earlier paths through the private edges
+    ai-bi are rebuilt around the new path.
+    """
+    name, stop, end = ph.name, ph.stop, ph.end
+    public = f"{name}-public"
+    at_key, a_key, b_key = ph.keys
+    while True:
+        st.charge(name)
+        deck = st.vertex_deck[at]
+        if deck.alt.kind == stop and at == st.chokes[deck.index]:
+            free = getattr(deck, ph.free)
+            unocc = [h for h in free if h not in st.occupied]
+            if not unocc:
+                st.trace.append(
+                    {
+                        "step": f"{name}-stop",
+                        "iteration": iteration,
+                        "path_index": deck.index,
+                        at_key: at,
+                    }
+                )
+                if ph is _FORWARD:
+                    st.forward_stops.append(deck.index)
+                return path
+            a0 = max(unocc, key=lambda h: deck.pos[h])
+            between = deck.hubs[deck.pos[a0] + 1 : deck.pos[at]]
+            a = [h for h in between if h in free]  # a1 .. ad
+            b0, *b = [h for h in between if h not in free]  # b0, then b1 .. bd
+            d = len(a)
+            st.trace.append(
+                {
+                    "step": f"{name}-switch",
+                    "iteration": iteration,
+                    "path_index": deck.index,
+                    at_key: at,
+                    a_key: a0,
+                    b_key: b0,
+                    "d": d,
+                }
+            )
+            st.chokes[deck.index] = a0
+            st.occupy(b0)
+            if d == 0:
+                path.append(st.natural(deck.edge_between(at, b0)))
+            else:
+                involved = [
+                    st.path_with_edge(deck.edge_between(a[i], b[i])) for i in range(d)
+                ]
+                if len(set(involved)) != d:
+                    raise InvariantError("algorithm-stuck", "switch edges share a path")
+                olds = [ph.turn(st.paths[i]) for i in involved]
+                for i in sorted(involved, reverse=True):
+                    del st.paths[i]
+                rebuilt = [
+                    st.upto(olds[i + 1], a[i + 1], end)
+                    + [st.natural(deck.edge_between(a[i + 1], b[i]))]
+                    + st.onward(olds[i], b[i], end)
+                    for i in range(d - 1)
+                ]
+                rebuilt.append(
+                    path
+                    + [st.natural(deck.edge_between(at, b[-1]))]
+                    + st.onward(olds[-1], b[-1], end)
+                )
+                st.paths.extend(ph.turn(p) for p in rebuilt)
+                path = st.upto(olds[0], a[0], end) + [
+                    st.natural(deck.edge_between(a[0], b0))
+                ]
+                st.check_disjoint(extra=ph.turn(path))
+        else:
+            # One rule for both phases: the four kinds split into S1 and R2 paths.
+            e = st.private_at[at][PSI if deck.alt.kind in (S1S2, S1R1) else PHI]
+            st.occupy(st.ends(e)[end])
+            path.append(st.natural(e))
+
+        # Hop across the public edge at the reached vertex.
+        st.charge(public)
+        f = st.public_at[st.ends(path[-1][0])[end]]
+        at = st.ends(f)[end]
+        st.occupy(at)
+        path.append(st.natural(f))
 
 
 def run_interconnect(rep: Representation, seed: Optional[int] = None) -> InterconnectRun:
@@ -246,184 +355,15 @@ def run_interconnect(rep: Representation, seed: Optional[int] = None) -> Interco
         f = st.public_at[v]
         u = st.ends(f)[1]
         st.occupy(u)
-        path: List[Step] = [st.natural(f)]
         st.trace.append({"step": "start", "iteration": iteration, "v": v, "u": u})
+        path = _walk(st, _FORWARD, [st.natural(f)], u, iteration)
 
-        # Forward phase: extend at the head until an exhausted R2R1 choke.
-        while True:
-            st.charge("forward")
-            deck = st.vertex_deck[u]
-            if deck.kind == R2R1 and u == st.chokes[deck.index]:
-                unocc = [x for x in deck.alt.upper if x not in st.occupied]
-                if not unocc:
-                    st.trace.append(
-                        {
-                            "step": "forward-stop",
-                            "iteration": iteration,
-                            "path_index": deck.index,
-                            "u": u,
-                        }
-                    )
-                    st.forward_stops.append(deck.index)
-                    break
-                x0 = max(unocc, key=lambda x: deck.pos[x])
-                # Hubs between x0 and u alternate lower/upper: y0 x1 y1 ... xd yd.
-                between = deck.hubs[deck.pos[x0] + 1 : deck.pos[u]]
-                lows = [h for h in between if h in deck.lower]
-                ups = [h for h in between if h in deck.upper]
-                d = len(ups)
-                y0 = lows[0]
-                st.trace.append(
-                    {
-                        "step": "forward-switch",
-                        "iteration": iteration,
-                        "path_index": deck.index,
-                        "u": u,
-                        "x0": x0,
-                        "y0": y0,
-                        "d": d,
-                    }
-                )
-                st.chokes[deck.index] = x0
-                st.occupy(y0)
-                if d == 0:
-                    path.append(st.natural(deck.edge_between(u, y0)))
-                else:
-                    xs = ups  # x1 .. xd
-                    ys = lows[1:]  # y1 .. yd
-                    involved = [
-                        st.path_with_edge(deck.edge_between(xs[i], ys[i]))
-                        for i in range(d)
-                    ]
-                    if len(set(involved)) != d:
-                        raise InvariantError(
-                            "algorithm-stuck", "switch edges share a path"
-                        )
-                    olds = [st.paths[i] for i in involved]
-                    for i in sorted(involved, reverse=True):
-                        del st.paths[i]
-                    hat = path
-                    path = st.prefix_to(olds[0], xs[0]) + [
-                        st.natural(deck.edge_between(xs[0], y0))
-                    ]
-                    rebuilt = []
-                    for i in range(d - 1):
-                        rebuilt.append(
-                            st.prefix_to(olds[i + 1], xs[i + 1])
-                            + [st.natural(deck.edge_between(xs[i + 1], ys[i]))]
-                            + st.suffix_from(olds[i], ys[i])
-                        )
-                    rebuilt.append(
-                        st.prefix_to(hat, u)
-                        + [st.natural(deck.edge_between(u, ys[d - 1]))]
-                        + st.suffix_from(olds[d - 1], ys[d - 1])
-                    )
-                    st.paths.extend(rebuilt)
-                    st.check_disjoint(extra=path)
-            else:
-                want = PSI if deck.kind in (S1S2, S1R1) else PHI
-                e = st.private_at[u][want]
-                st.occupy(st.ends(e)[1])
-                path.append(st.natural(e))
-
-            # Hop across the public edge at the reached lower vertex.
-            st.charge("forward-public")
-            y = st.head(path)
-            f = st.public_at[y]
-            u = st.ends(f)[1]
-            st.occupy(u)
-            path.append(st.natural(f))
-
-        # Store the finished path, pull back the one that starts at v.
+        # Store the finished path, pull back the one that starts at v and
+        # extend it at its tail.
         st.paths.append(path)
-        idx = st.path_with_tail(v)
-        path = st.paths.pop(idx)
-        w = v
-        st.trace.append({"step": "pullback", "iteration": iteration, "w": w})
-
-        # Backward phase: extend at the tail until an exhausted S1S2 choke.
-        while True:
-            st.charge("backward")
-            deck = st.vertex_deck[w]
-            if deck.kind == S1S2 and w == st.chokes[deck.index]:
-                unocc = [y for y in deck.alt.lower if y not in st.occupied]
-                if not unocc:
-                    st.trace.append(
-                        {
-                            "step": "backward-stop",
-                            "iteration": iteration,
-                            "path_index": deck.index,
-                            "w": w,
-                        }
-                    )
-                    break
-                y0 = max(unocc, key=lambda y: deck.pos[y])
-                # Hubs between y0 and w alternate upper/lower: x0 y1 x1 ... yd xd.
-                between = deck.hubs[deck.pos[y0] + 1 : deck.pos[w]]
-                ups = [h for h in between if h in deck.upper]
-                lows = [h for h in between if h in deck.lower]
-                d = len(lows)
-                x0 = ups[0]
-                st.trace.append(
-                    {
-                        "step": "backward-switch",
-                        "iteration": iteration,
-                        "path_index": deck.index,
-                        "w": w,
-                        "y0": y0,
-                        "x0": x0,
-                        "d": d,
-                    }
-                )
-                st.chokes[deck.index] = y0
-                st.occupy(x0)
-                if d == 0:
-                    path = [st.natural(deck.edge_between(x0, w))] + path
-                else:
-                    ys = lows  # y1 .. yd
-                    xs = ups[1:]  # x1 .. xd
-                    involved = [
-                        st.path_with_edge(deck.edge_between(xs[i], ys[i]))
-                        for i in range(d)
-                    ]
-                    if len(set(involved)) != d:
-                        raise InvariantError(
-                            "algorithm-stuck", "switch edges share a path"
-                        )
-                    olds = [st.paths[i] for i in involved]
-                    for i in sorted(involved, reverse=True):
-                        del st.paths[i]
-                    hat = path
-                    path = [st.natural(deck.edge_between(x0, ys[0]))] + st.suffix_from(
-                        olds[0], ys[0]
-                    )
-                    rebuilt = []
-                    for i in range(d - 1):
-                        rebuilt.append(
-                            st.prefix_to(olds[i], xs[i])
-                            + [st.natural(deck.edge_between(xs[i], ys[i + 1]))]
-                            + st.suffix_from(olds[i + 1], ys[i + 1])
-                        )
-                    rebuilt.append(
-                        st.prefix_to(olds[d - 1], xs[d - 1])
-                        + [st.natural(deck.edge_between(xs[d - 1], w))]
-                        + st.suffix_from(hat, w)
-                    )
-                    st.paths.extend(rebuilt)
-                    st.check_disjoint(extra=path)
-            else:
-                want = PHI if deck.kind in (R2R1, R2S2) else PSI
-                e = st.private_at[w][want]
-                st.occupy(st.ends(e)[0])
-                path = [st.natural(e)] + path
-
-            # Hop backward across the public edge at the reached upper vertex.
-            st.charge("backward-public")
-            x = st.tail(path)
-            f = st.public_at[x]
-            w = st.ends(f)[0]
-            st.occupy(w)
-            path = [st.natural(f)] + path
+        path = st.paths.pop(st.path_with_tail(v))
+        st.trace.append({"step": "pullback", "iteration": iteration, "w": v})
+        path = _BACKWARD.turn(_walk(st, _BACKWARD, _BACKWARD.turn(path), v, iteration))
 
         st.paths.append(path)
         st.check_disjoint()
@@ -491,32 +431,19 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
                 count[v] += 1
     record("hub-partition", ok and all(c == 1 for c in count.values()))
 
+    def on_distinct(ends: List[int], side: str, kind: str) -> bool:
+        """Every end is a `side` vertex of a `kind` path, one end per path."""
+        roles = [vertex_role.get(v) for v in ends]
+        return all(
+            r is not None and r[1] == side and alt[r[0]].kind == kind for r in roles
+        ) and len({r[0] for r in roles}) == len(roles)
+
     # Tails at distinct S1S2 lowers; heads at distinct R2R1 uppers.
-    tails = [seq[0] for seq in seqs]
-    heads = [seq[-1] for seq in seqs]
-    ok = all(
-        vertex_role.get(t, (None, None))[1] == "lower"
-        and alt[vertex_role[t][0]].kind == S1S2
-        for t in tails
-        if t in vertex_role
-    ) and len(tails) == len({vertex_role[t][0] for t in tails if t in vertex_role})
-    ok = ok and all(t in vertex_role for t in tails)
-    record("tails-on-distinct-S1S2-paths", ok)
-    ok = all(
-        vertex_role.get(h, (None, None))[1] == "upper"
-        and alt[vertex_role[h][0]].kind == R2R1
-        for h in heads
-        if h in vertex_role
-    ) and len(heads) == len({vertex_role[h][0] for h in heads if h in vertex_role})
-    ok = ok and all(h in vertex_role for h in heads)
-    record("heads-on-distinct-R2R1-paths", ok)
+    record("tails-on-distinct-S1S2-paths", on_distinct([q[0] for q in seqs], "lower", S1S2))
+    record("heads-on-distinct-R2R1-paths", on_distinct([q[-1] for q in seqs], "upper", R2R1))
 
     # Hub-count bound chain.
-    n_hubs = int(hub_count(g))
-    record(
-        "hub-count-bound",
-        n_hubs <= 2 * delta * (c1 + c2 - delta) <= 2 * c1 * c2,
-    )
+    record("hub-count-bound", hub_count(g) <= 2 * delta * (c1 + c2 - delta) <= 2 * c1 * c2)
 
     # The R2R1 path exhausted in iteration t carries at most 2t - 1 hubs.
     ok = True

@@ -215,7 +215,7 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
             )
     return OracleReport(
         min_hub_subgraph=best_graph,
-        min_hubs=int(hub_count(best_graph)),
+        min_hubs=hub_count(best_graph),
         num_minimal_subgraphs=len(minimal),
         elapsed=time.perf_counter() - start,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,7 @@ def _step_text(g, systems, provenance) -> str:
 def test_representation_outputs_are_frozen():
     digest = hashlib.sha256()
     rewrites = {"relays": 0, "crossings": 0, "swaps": 0}
+    events: Counter = Counter()  # switches by phase and d (2 for d >= 2), stops
     for key, g, systems in _corpus():
         digest.update(key.encode())
         g1, s1, p1 = remove_relays(g, systems)
@@ -83,9 +85,17 @@ def test_representation_outputs_are_frozen():
             digest.update(repr(run.paths).encode())
             for event in run.trace:
                 digest.update(json.dumps(event, sort_keys=True).encode())
+                if event["step"].endswith("-switch"):
+                    events[event["step"], min(event["d"], 2)] += 1
+                elif event["step"].endswith("-stop"):
+                    events[event["step"]] += 1
             digest.update(repr(verify_run(rep, run).failures).encode())
     # The corpus exercises each rewrite step.
     assert rewrites == {"relays": 49, "crossings": 54, "swaps": 4}
+    # ... and both phases of the walk, with and without rebuilding paths.
+    for phase in ("forward", "backward"):
+        assert [events[f"{phase}-switch", d] for d in (0, 1, 2)] == [114, 20, 5], phase
+        assert events[f"{phase}-stop"] == 596, phase
     assert digest.hexdigest() == FROZEN_DIGEST
 
 

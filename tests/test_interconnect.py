@@ -119,11 +119,29 @@ def test_corpus_runs_verify():
 def test_verify_flags_tampered_runs():
     rep = _grid_rep(2, 2)
     run = run_interconnect(rep)
-    broken = dataclasses.replace(run, paths=run.paths[:1])
-    report = verify_run(rep, broken)
-    assert not report.ok
-    assert "path-count" in report.failures
-    assert "hub-partition" in report.failures
+    first, second = run.paths
+    # Past the first, each change keeps the path count, and the tail and head
+    # checks fail apart.
+    tampered = {
+        "first only": (first,),
+        "listed twice": (first, first),
+        "last step dropped": (dataclasses.replace(first, steps=first.steps[:-1]), second),
+        "first step dropped": (dataclasses.replace(first, steps=first.steps[1:]), second),
+    }
+    failures = {
+        key: verify_run(rep, dataclasses.replace(run, paths=paths)).failures
+        for key, paths in tampered.items()
+    }
+    assert failures == {
+        "first only": ("path-count", "hub-partition"),
+        "listed twice": (
+            "hub-partition",
+            "tails-on-distinct-S1S2-paths",
+            "heads-on-distinct-R2R1-paths",
+        ),
+        "last step dropped": ("hub-partition", "heads-on-distinct-R2R1-paths"),
+        "first step dropped": ("hub-partition", "tails-on-distinct-S1S2-paths"),
+    }
 
 
 def test_switching_is_exercised():
