@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import acceptance
 from .cuts import _cuts_and_systems
@@ -27,9 +27,7 @@ from .extremal import (
 )
 from .graph_core import (
     InvariantError,
-    Network,
     ParseError,
-    PathSystem,
     hub_count,
     parse_instance,
     serialize_network,
@@ -60,23 +58,6 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _systems_or_computed(g: Network, systems: Optional[List[PathSystem]], flows=None):
-    """The given systems, or every pair's full system; ``flows`` may hold
-    ``_cuts_and_systems(g)`` already computed."""
-    if systems is not None:
-        return systems
-    if flows is None:
-        flows = _cuts_and_systems(g)
-    out = []
-    for i, (pair, (_, system)) in enumerate(zip(g.pairs, flows)):
-        if system is None:
-            raise InvariantError(
-                "not-in-class", f"pair {i} does not reach demand {pair.demand}"
-            )
-        out.append(system)
-    return out
-
-
 def _cmd_generate(args) -> int:
     if args.family == "grid":
         spec = grid_instance(args.c1, args.c2)
@@ -89,7 +70,7 @@ def _cmd_generate(args) -> int:
         text = serialize_network(spec.network, list(spec.systems))
     elif args.family == "reroutable":
         g = reroutable_witness()
-        text = serialize_network(g, _systems_or_computed(g, None))
+        text = serialize_network(g, [system for _, system in _cuts_and_systems(g)])
     else:  # random
         demands = [int(x) for x in args.demands.split(",") if x]
         g, systems = random_network(args.seed, demands, extra=args.extra)
@@ -113,7 +94,7 @@ def _cmd_check(args) -> int:
     if member:
         if len(g.pairs) == 2:
             # The agreement report's deletion-minimality verdict is is_minimal's.
-            report = theorem1_agreement(g, _systems_or_computed(g, systems, flows))
+            report = theorem1_agreement(g, systems or [system for _, system in flows])
             lines.append(f"minimal: {report.minimal}")
             lines.append(
                 "two-pair characterizations: "
@@ -136,7 +117,8 @@ def _cmd_check(args) -> int:
 def _cmd_minimalize(args) -> int:
     g, _ = _read_instance(args.input)
     result = minimalize(g, seed=args.seed if args.shuffle else None)
-    _write(args.output, serialize_network(result, _systems_or_computed(result, None)))
+    systems = [system for _, system in _cuts_and_systems(result)]
+    _write(args.output, serialize_network(result, systems))
     print(
         f"edges {len(g.edges)} -> {len(result.edges)}, "
         f"hubs {hub_count(g)} -> {hub_count(result)}",

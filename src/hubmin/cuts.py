@@ -10,8 +10,9 @@ subdivided); ``CutResult.separator`` holds interior vertices only, hence
 
 ``_compile_network`` splits every vertex of a network once.  A source only
 sends and a sink only receives, so that one topology serves every pair:
-each pair's net (``_SplitNetwork.pair_net``) owns only its capacities.
-``_DeletionQueries`` keeps one such net per pair, each carrying a max flow,
+each pair's net (``_SplitNetwork.pair_net``) owns only its capacities, and
+every flow here runs on such a net.  ``_exact_flows`` decides membership
+and leaves a max flow in each net; ``_DeletionQueries`` keeps those nets
 and answers "is the network still in class without edge e?" from the
 strongly connected components of each flow's residual graph, or by
 rerouting that flow around e, instead of rebuilding the nets.
@@ -76,17 +77,19 @@ class _SplitNetwork:
     arcs_of_edge: Dict[int, List[int]]
     directed: Dict[Tuple[int, int], List[int]]
 
-    def pair_net(self, pair_index: int, edge_cap: int = INF) -> _PairNet:
+    def pair_net(self, pair_index: int) -> _PairNet:
         """The net of one pair: s = out(source), t = in(sink).
 
-        ``edge_cap`` is the capacity of edge arcs: effectively unbounded for
-        cut computation, 1 for rerouting analysis.  Direct source->sink
-        edges of the pair always get capacity 1 (see module docstring).  The
-        pair's own terminals are not cut: their vertex arcs get capacity 0.
-        No other pair can reach this pair's direct edges or terminal halves.
+        Vertex arcs get capacity 1 and edge arcs effectively unbounded,
+        except the pair's direct source->sink edges, which get 1 (see module
+        docstring).  The pair's own terminals are not cut: their vertex arcs
+        get capacity 0.  No other pair can reach this pair's direct edges or
+        terminal halves.  Any other edge arc leaves an out-node fed only by
+        a vertex arc or enters an in-node drained only by one, so it carries
+        at most one unit in any flow.
         """
         pair = self.g.pairs[pair_index]
-        base_cap = [1, 0] * len(self.vertex_arc) + [edge_cap, 0] * len(self.edge_arcs)
+        base_cap = [1, 0] * len(self.vertex_arc) + [INF, 0] * len(self.edge_arcs)
         source_arc, sink_arc = self.vertex_arc[pair.source], self.vertex_arc[pair.sink]
         base_cap[source_arc] = base_cap[sink_arc] = 0
         for arc in self.directed.get((pair.source, pair.sink), ()):
@@ -143,9 +146,9 @@ def _compile_network(g: Network) -> _SplitNetwork:
     )
 
 
-def _build_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> _PairNet:
+def _build_pair_net(g: Network, pair_index: int) -> _PairNet:
     """Compile ``g`` for a single pair (see ``_SplitNetwork.pair_net``)."""
-    return _compile_network(g).pair_net(pair_index, edge_cap)
+    return _compile_network(g).pair_net(pair_index)
 
 
 def min_vertex_cut(g: Network, pair_index: int) -> CutResult:
@@ -231,21 +234,30 @@ def _cuts_and_systems(g: Network) -> List[Tuple[int, Optional[PathSystem]]]:
     return out
 
 
-def in_class(g: Network) -> bool:
-    """True iff every pair's minimum vertex cut equals its demand exactly."""
-    split = _compile_network(g)
-    for i, pair in enumerate(g.pairs):
+def _exact_flows(split: _SplitNetwork) -> Optional[List[_PairNet]]:
+    """Each pair's net, in pair order, carrying a max flow of value
+    ``demand``; None at the first pair whose cut differs from its demand
+    (each flow stops one unit past the demand)."""
+    nets = []
+    for i, pair in enumerate(split.g.pairs):
         built = split.pair_net(i)
         if built.net.max_flow(built.s, built.t, limit=pair.demand + 1) != pair.demand:
-            return False
-    return True
+            return None
+        nets.append(built)
+    return nets
+
+
+def in_class(g: Network) -> bool:
+    """True iff every pair's minimum vertex cut equals its demand exactly."""
+    return _exact_flows(_compile_network(g)) is not None
 
 
 class _DeletionQueries:
     """Answers "does ``g`` stay in class without edge e?" from warm max flows.
 
     The network is compiled once (``split``), and each pair's net carries
-    one max flow of value ``demand``.  An edge arc carries at most one unit.
+    the max flow of value ``demand`` left by ``_exact_flows`` (a network out
+    of class raises ``not-in-class``).  An edge arc carries at most one unit.
     For each pair, a query on edge e:
 
     * does nothing when no arc of e carries flow: the flow already avoids e;
@@ -295,12 +307,10 @@ class _DeletionQueries:
 
     def __init__(self, g: Network):
         self.split = _compile_network(g)
-        self._nets: List[Tuple[_PairNet, Dict[int, List[int]]]] = []
-        for i, pair in enumerate(g.pairs):
-            built = self.split.pair_net(i)
-            if built.net.max_flow(built.s, built.t) != pair.demand:
-                raise InvariantError("not-in-class", f"pair {i} cut differs from its demand")
-            self._nets.append((built, built.arcs_of_edge))
+        nets = _exact_flows(self.split)
+        if nets is None:
+            raise InvariantError("not-in-class")
+        self._nets: List[_PairNet] = nets
         self._labels: List[Optional[List[int]]] = [None] * len(self._nets)
 
     def stays_in_class(self, eid: int, delete: bool = False) -> bool:
@@ -308,13 +318,13 @@ class _DeletionQueries:
         class; with ``delete``, a yes also deletes ``eid``."""
         undo: List[Tuple[List[int], int, int]] = []
         ok = all(
-            self._pair_stays(i, arcs[eid], delete, undo)
-            for i, (_, arcs) in enumerate(self._nets)
+            self._pair_stays(i, built.arcs_of_edge[eid], delete, undo)
+            for i, built in enumerate(self._nets)
         )
         if ok and delete:
             # No flow is left on e's arcs; zero capacity removes them.
-            for built, arcs in self._nets:
-                for arc in arcs[eid]:
+            for built in self._nets:
+                for arc in built.arcs_of_edge[eid]:
                     built.net.cap[arc] = built.net.base_cap[arc] = 0
             self._labels = [None] * len(self._nets)
         else:
@@ -325,7 +335,7 @@ class _DeletionQueries:
     def _pair_stays(self, i: int, arcs: List[int], delete: bool, undo: list) -> bool:
         """Pair i's answer for the edge with these arcs: the labels' where
         present (only their no when deleting), otherwise ``_reroute``'s."""
-        built = self._nets[i][0]
+        built = self._nets[i]
         net = built.net
         cap, base_cap = net.cap, net.base_cap
         carrying = [arc for arc in arcs if cap[arc] < base_cap[arc]]

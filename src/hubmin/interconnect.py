@@ -21,7 +21,6 @@ from .graph_core import (
     PSI,
     PUBLIC,
     InvariantError,
-    Network,
     Path,
     classify_edges,
     hub_count,
@@ -68,19 +67,17 @@ class VerifyReport:
 class _Deck:
     """Indexed view of one alternating path for the walk."""
 
-    def __init__(self, g: Network, alt: AlternatingPath, index: int):
+    def __init__(self, alt: AlternatingPath, index: int):
         self.alt = alt
         self.index = index
         # Hub order along steps; hub i sits between steps[i] and steps[i+1].
-        hubs: List[int] = []
-        anchor_edge = g.edge_by_id[alt.steps[0]]
-        prev = anchor_edge.u if g.is_terminal(anchor_edge.u) else anchor_edge.v
-        walk_v = prev
-        for eid in alt.steps[:-1]:
-            walk_v = g.edge_by_id[eid].other(walk_v)
-            hubs.append(walk_v)
-        self.hubs = hubs
-        self.pos = {h: i for i, h in enumerate(hubs)}
+        # Decks alternate, from the head of the edge out of S1 (lower) or the
+        # tail of the edge into R2 (upper).
+        s1_side = alt.kind in (S1S2, S1R1)
+        first, second = (alt.lower, alt.upper) if s1_side else (alt.upper, alt.lower)
+        self.hubs = [0] * (len(first) + len(second))
+        self.hubs[::2], self.hubs[1::2] = first, second
+        self.pos = {h: i for i, h in enumerate(self.hubs)}
         self.upper = set(alt.upper)
         self.lower = set(alt.lower)
 
@@ -125,7 +122,7 @@ class _State:
         self.rep = rep
         self.g = rep.graph
         self.alt = decompose_private(rep)
-        self.decks = [_Deck(self.g, a, i) for i, a in enumerate(self.alt)]
+        self.decks = [_Deck(a, i) for i, a in enumerate(self.alt)]
         self.rng = random.Random(seed) if seed is not None else None
 
         self.vertex_deck: Dict[int, _Deck] = {}
@@ -386,7 +383,7 @@ def run_interconnect(rep: Representation, seed: Optional[int] = None) -> Interco
 def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
     """Re-check the structural guarantees of a finished run."""
     g = rep.graph
-    alt = run.alternating or tuple(decompose_private(rep))
+    alt = run.alternating
     edge_to_alt: Dict[int, int] = {}
     for i, a in enumerate(alt):
         for eid in a.steps:

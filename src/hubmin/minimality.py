@@ -154,11 +154,12 @@ def find_consistent_cycle(
 def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) -> bool:
     """True iff a different set of demand-many vertex-disjoint paths exists.
 
-    The given system is loaded as a unit flow on the vertex-split network
-    (all arcs capacity 1).  A different system exists exactly when the
-    residual graph has an augmenting source->sink path or a directed cycle
-    through at least one cancellation arc; a cancellation arc lies on a cycle
-    iff its endpoints share a strongly connected component.
+    The given system is loaded as a flow on the pair's vertex-split net.  A
+    different system exists exactly when the residual graph has an
+    augmenting source->sink path or a directed cycle through at least one
+    cancellation arc; a cancellation arc lies on a cycle iff its endpoints
+    share a strongly connected component.  Each edge arc carries at most
+    one unit in any flow, so the flow's unit residual view has those cycles.
     """
     return _is_reroutable(_compile_network(g), systems, pair_index)
 
@@ -170,7 +171,7 @@ def _is_reroutable(
     g = split.g
     system = systems[pair_index]
     pair = g.pairs[pair_index]
-    built = split.pair_net(pair_index, edge_cap=1)
+    built = split.pair_net(pair_index)
     net = built.net
 
     used_vertices: Set[int] = set()
@@ -189,7 +190,6 @@ def _is_reroutable(
     if net.residual_path(built.s, built.t) is not None:
         return True
 
-    # On this unit-capacity net the unit residual view is the residual graph.
     comp = strongly_connected_components(net)
     for arc in range(1, len(net.to), 2):  # odd ids are the reverse directions
         if net.cap[arc] > 0:  # forward arc carries flow: cancellation possible
@@ -198,17 +198,9 @@ def _is_reroutable(
     return False
 
 
-def _queries_in_class(g: Network) -> _DeletionQueries:
-    """Deletion queries on ``g``, which refuse an out-of-class network."""
-    try:
-        return _DeletionQueries(g)
-    except InvariantError:
-        raise InvariantError("not-in-class") from None
-
-
 def is_minimal(g: Network) -> bool:
     """True iff no single edge can be deleted without leaving the class."""
-    return _no_deletable_edge(_queries_in_class(g))
+    return _no_deletable_edge(_DeletionQueries(g))
 
 
 def _no_deletable_edge(queries: _DeletionQueries) -> bool:
@@ -226,7 +218,7 @@ def minimalize(g: Network, seed: Optional[int] = None) -> Network:
     first deletable edge of the same (possibly shuffled) order.  Seeded and
     unseeded results are therefore those of the plain restart loop.
     """
-    queries = _queries_in_class(g)
+    queries = _DeletionQueries(g)
     rng = random.Random(seed) if seed is not None else None
     surviving = sorted(e.id for e in g.edges)
     deleted: List[int] = []
@@ -274,7 +266,7 @@ def theorem1_agreement(g: Network, systems: Sequence[PathSystem]) -> Theorem1Rep
         )
     # is_minimal and both is_reroutable checks share one compile of g; each
     # takes nets with capacities of its own from it.
-    queries = _queries_in_class(g)
+    queries = _DeletionQueries(g)
     minimal = _no_deletable_edge(queries)
     non_reroutable = not (
         _is_reroutable(queries.split, systems, 0)
@@ -297,7 +289,8 @@ def deletable_private_edges(
     """Private edges of the system whose deletion keeps the graph in class.
 
     When a system is reroutable, at least one such edge exists (rerouting
-    frees an edge only that system was using).  ``g`` must be in class.
+    frees an edge only that system was using).  ``g`` must be in class;
+    otherwise ``not-in-class`` is raised.
     """
     other = systems[1 - pair_index] if len(systems) == 2 else None
     own = systems[pair_index].edge_ids()

@@ -155,7 +155,7 @@ def test_single_deletion_query_matches_rebuild(monkeypatch):
 def _assert_flows_valid(queries, g: Network) -> None:
     """Every pair net carries a flow of value ``demand``, with zero flow on
     the arcs of deleted edges (their capacity is zero)."""
-    for (built, _), pair in zip(queries._nets, g.pairs):
+    for built, pair in zip(queries._nets, g.pairs):
         net = built.net
         balance = [0] * len(net.adj)
         for arc in range(0, len(net.to), 2):
@@ -347,21 +347,20 @@ def test_labels_match_networkx_components():
     for g in graphs:
         split = cuts._compile_network(g)
         for i, pair in enumerate(g.pairs):
-            for edge_cap in (INF, 1):
-                built = split.pair_net(i, edge_cap)
-                net = built.net
-                net.max_flow(built.s, built.t, limit=pair.demand)
-                view = nx.DiGraph()
-                view.add_nodes_from(range(len(net.adj)))
-                for arc, c in enumerate(net.cap):
-                    if c > 0 and (arc % 2 or c == net.base_cap[arc]):
-                        view.add_edge(net.frm[arc], net.to[arc])
-                labels = strongly_connected_components(net)
-                want = {frozenset(c) for c in nx.strongly_connected_components(view)}
-                got = {}
-                for node, label in enumerate(labels):
-                    got.setdefault(label, set()).add(node)
-                assert {frozenset(c) for c in got.values()} == want
+            built = split.pair_net(i)
+            net = built.net
+            net.max_flow(built.s, built.t, limit=pair.demand)
+            view = nx.DiGraph()
+            view.add_nodes_from(range(len(net.adj)))
+            for arc, c in enumerate(net.cap):
+                if c > 0 and (arc % 2 or c == net.base_cap[arc]):
+                    view.add_edge(net.frm[arc], net.to[arc])
+            labels = strongly_connected_components(net)
+            want = {frozenset(c) for c in nx.strongly_connected_components(view)}
+            got = {}
+            for node, label in enumerate(labels):
+                got.setdefault(label, set()).add(node)
+            assert {frozenset(c) for c in got.values()} == want
 
 
 def test_cuts_and_systems_match_the_single_pair_calls():
@@ -388,7 +387,7 @@ def test_in_class_compiles_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _reference_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> cuts._PairNet:
+def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
     """One pair's net compiled on its own: the pair's source and sink are the
     unsplit nodes s = 0 and t = 1, every other vertex is split into unit
     in/out halves, and direct source->sink edges of the pair get capacity 1."""
@@ -426,10 +425,10 @@ def _reference_pair_net(g: Network, pair_index: int, edge_cap: int = INF) -> cut
 
     for e in sorted(g.edges, key=lambda e: e.id):
         if e.directed:
-            add_edge_arc(e, True, 1 if (e.u, e.v) == (pair.source, pair.sink) else edge_cap)
+            add_edge_arc(e, True, 1 if (e.u, e.v) == (pair.source, pair.sink) else INF)
         else:
-            add_edge_arc(e, True, edge_cap)
-            add_edge_arc(e, False, edge_cap)
+            add_edge_arc(e, True, INF)
+            add_edge_arc(e, False, INF)
     return cuts._PairNet(
         FlowNet(to, frm, adj, cap), s, t, vertex_arc, edge_arcs, arc_of_step, arcs_of_edge
     )
@@ -465,7 +464,7 @@ def test_split_network_answers_like_per_pair_nets(monkeypatch):
     monkeypatch.setattr(
         cuts._SplitNetwork,
         "pair_net",
-        lambda self, i, edge_cap=INF: _reference_pair_net(self.g, i, edge_cap),
+        lambda self, i: _reference_pair_net(self.g, i),
     )
     for g, want in zip(graphs, shared):
         assert _flow_answers(g) == want, serialize_network(g)

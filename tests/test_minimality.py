@@ -114,6 +114,13 @@ def test_membership_check_reuses_the_deletion_nets(monkeypatch):
     assert str(err.value) == "not-in-class"
     assert len(compiles) == 1
     assert built == [0]
+    # in_class shares the membership loop: it stops at the first pair whose
+    # cut falls short.
+    compiles.clear()
+    built.clear()
+    assert not in_class(delete_edges(grid_graph(2, 2), [0]))
+    assert len(compiles) == 1
+    assert built == [0]
 
 
 def test_agreement_compiles_the_network_once(monkeypatch):
@@ -260,6 +267,13 @@ def test_reroutable_systems_expose_deletable_private_edges():
                 assert tags[eid] == own_tag
                 assert in_class(delete_edges(g, [eid]))
     assert hits >= 5, "corpus too tame to exercise rerouting"
+
+
+def test_deletable_private_edges_requires_class_membership():
+    spec = grid_instance(2, 2)
+    with pytest.raises(InvariantError) as err:
+        deletable_private_edges(delete_edges(spec.network, [0]), spec.systems, 0)
+    assert str(err.value) == "not-in-class"
 
 
 def test_non_reroutable_minimal_graph_has_no_deletable_private_edges():
