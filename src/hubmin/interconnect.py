@@ -16,16 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .graph_core import (
-    PHI,
-    PSI,
-    PUBLIC,
-    InvariantError,
-    Path,
-    classify_edges,
-    hub_count,
-    path_vertices,
-)
+from .graph_core import InvariantError, Path, hub_count, path_vertices
 from .representation import (
     R2R1,
     R2S2,
@@ -34,6 +25,7 @@ from .representation import (
     AlternatingPath,
     Representation,
     decompose_private,
+    hub_table,
 )
 
 Step = Tuple[int, bool]
@@ -80,6 +72,9 @@ class _Deck:
         self.pos = {h: i for i, h in enumerate(self.hubs)}
         self.upper = set(alt.upper)
         self.lower = set(alt.lower)
+        # The private edge a walk takes from a hub of this path, as an index
+        # into the hub's (phi, psi) pair: psi on S1 paths, phi on R2 paths.
+        self.onward = 1 if s1_side else 0
 
     def edge_between(self, a: int, b: int) -> int:
         """The private edge connecting adjacent hubs a and b."""
@@ -119,7 +114,6 @@ class _State:
     """Mutable walk state shared by the step handlers."""
 
     def __init__(self, rep: Representation, seed: Optional[int]):
-        self.rep = rep
         self.g = rep.graph
         self.alt = decompose_private(rep)
         self.decks = [_Deck(a, i) for i, a in enumerate(self.alt)]
@@ -130,22 +124,16 @@ class _State:
             for h in deck.hubs:
                 self.vertex_deck[h] = deck
 
-        self.public_at: Dict[int, int] = {}
-        self.private_at: Dict[int, Dict[str, int]] = {}
-        # The decomposition above rejects unused edges, so every edge is
-        # public or private to one system.
-        edge_tags = classify_edges(self.g, rep.systems)
-        for v in self.g.vertices:
-            if self.g.is_terminal(v):
-                continue
-            pub = [e for e in self.g.incident[v] if edge_tags[e] == PUBLIC]
-            priv = [e for e in self.g.incident[v] if edge_tags[e] != PUBLIC]
-            if len(pub) != 1 or len(priv) != 2:
-                raise InvariantError(
-                    "algorithm-stuck", f"hub {v} lacks the 1-public/2-private pattern"
-                )
-            self.public_at[v] = pub[0]
-            self.private_at[v] = {edge_tags[e]: e for e in priv}
+        table = hub_table(rep)
+        if table.unpatterned is not None:
+            raise InvariantError(
+                "algorithm-stuck",
+                f"hub {table.unpatterned} lacks the 1-public/2-private pattern",
+            )
+        self.direction = table.direction
+        self.ends = table.ends  # edge id -> natural (tail, head)
+        self.public_at = table.public
+        self.private_at = table.private
 
         self.occupied: set = set()
         self.chokes: Dict[int, Optional[int]] = {
@@ -175,22 +163,19 @@ class _State:
         self.occupied.add(v)
 
     def natural(self, eid: int) -> Step:
-        return (eid, self.rep.natural_direction(eid))
-
-    def ends(self, eid: int) -> Tuple[int, int]:
-        return self.g.edge_by_id[eid].ends(self.rep.natural_direction(eid))
+        return (eid, self.direction[eid])
 
     def upto(self, steps: List[Step], v: int, end: int) -> List[Step]:
         """The steps of a walk up to the one whose walking end is v."""
         for i, (eid, _) in enumerate(steps):
-            if self.ends(eid)[end] == v:
+            if self.ends[eid][end] == v:
                 return steps[: i + 1]
         raise InvariantError("algorithm-stuck", f"walk reaches no vertex {v}")
 
     def onward(self, steps: List[Step], v: int, end: int) -> List[Step]:
         """The steps of a walk from the one that leaves v onward."""
         for i, (eid, _) in enumerate(steps):
-            if self.ends(eid)[1 - end] == v:
+            if self.ends[eid][1 - end] == v:
                 return steps[i:]
         raise InvariantError("algorithm-stuck", f"walk leaves no vertex {v}")
 
@@ -202,7 +187,7 @@ class _State:
 
     def path_with_tail(self, v: int) -> int:
         for i, p in enumerate(self.paths):
-            if self.ends(p[0][0])[0] == v:
+            if self.ends[p[0][0]][0] == v:
                 return i
         raise InvariantError("algorithm-stuck", f"no interconnecting path starts at {v}")
 
@@ -321,14 +306,14 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
                 st.check_disjoint(extra=ph.turn(path))
         else:
             # One rule for both phases: the four kinds split into S1 and R2 paths.
-            e = st.private_at[at][PSI if deck.alt.kind in (S1S2, S1R1) else PHI]
-            st.occupy(st.ends(e)[end])
+            e = st.private_at[at][deck.onward]
+            st.occupy(st.ends[e][end])
             path.append(st.natural(e))
 
         # Hop across the public edge at the reached vertex.
         st.charge(public)
-        f = st.public_at[st.ends(path[-1][0])[end]]
-        at = st.ends(f)[end]
+        f = st.public_at[st.ends[path[-1][0]][end]]
+        at = st.ends[f][end]
         st.occupy(at)
         path.append(st.natural(f))
 
@@ -350,7 +335,7 @@ def run_interconnect(rep: Representation, seed: Optional[int] = None) -> Interco
             )
         st.occupy(v)
         f = st.public_at[v]
-        u = st.ends(f)[1]
+        u = st.ends[f][1]
         st.occupy(u)
         st.trace.append({"step": "start", "iteration": iteration, "v": v, "u": u})
         path = _walk(st, _FORWARD, [st.natural(f)], u, iteration)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cuts import _cuts_and_systems
 from .graph_core import (
@@ -41,8 +41,9 @@ R2R1 = "R2R1"
 class Representation:
     """A degree-3, naturally oriented minimal two-pair network.
 
-    The merged edge orientation and the alternating-path decomposition are
-    derived from the fields once per representation, on first use.
+    The merged edge orientation, the alternating-path decomposition and the
+    hub table are derived from the fields once per representation, on first
+    use.
     """
 
     graph: Network
@@ -58,10 +59,10 @@ class Representation:
         return merged
 
     @cached_property
-    def _alternating(self) -> Tuple[AlternatingPath, ...]:
+    def _decomposition(self) -> Tuple[Tuple[AlternatingPath, ...], HubTable]:
         # A failed decomposition raises and caches nothing, so it raises again
         # on the next use.
-        return tuple(_decompose(self))
+        return _decompose(self)
 
     def natural_direction(self, edge_id: int) -> bool:
         """The direction every system path traverses this edge."""
@@ -86,6 +87,24 @@ class AlternatingPath:
     upper: Tuple[int, ...]
     lower: Tuple[int, ...]
     choke: Optional[int]
+
+
+class HubTable(NamedTuple):
+    """Per-edge and per-hub lookups of a representation, for walks over it.
+
+    ``direction`` is the representation's natural direction of every edge
+    and ``ends`` its natural (tail, head).  ``public`` and ``private`` map
+    each hub to its public edge and to its (phi, psi) private edges.
+    ``unpatterned`` is the first non-terminal vertex, in vertex order,
+    without one public and two private edges; when it is None, every hub has
+    an entry in both maps.
+    """
+
+    direction: Dict[int, bool]
+    ends: Dict[int, Tuple[int, int]]
+    public: Dict[int, int]
+    private: Dict[int, Tuple[int, int]]
+    unpatterned: Optional[int]
 
 
 def _build(
@@ -403,30 +422,54 @@ def decompose_private(rep: Representation) -> List[AlternatingPath]:
     head/tail rule; the initial choke is the rightmost lower vertex for an
     S1S2 path and the rightmost upper vertex for an R2R1 path.
 
-    The decomposition is walked and validated once per representation; each
-    call returns a new list of the same paths.  A representation that fails
-    validation raises on every call.
+    The decomposition is walked and validated once per representation,
+    together with its hub table; each call returns a new list of the same
+    paths.  A representation that fails validation raises on every call.
     """
-    return list(rep._alternating)
+    return list(rep._decomposition[0])
 
 
-def _decompose(rep: Representation) -> List[AlternatingPath]:
-    """Walk and validate the decomposition that ``decompose_private`` returns."""
+def hub_table(rep: Representation) -> HubTable:
+    """The hub table built by the pass that walks the decomposition.
+
+    A representation whose decomposition fails validation raises here as in
+    ``decompose_private``.
+    """
+    return rep._decomposition[1]
+
+
+def _decompose(rep: Representation) -> Tuple[Tuple[AlternatingPath, ...], HubTable]:
+    """Walk and validate the decomposition that ``decompose_private`` returns,
+    and build the hub table on the way."""
     g = rep.graph
     tags = classify_edges(g, rep.systems)
-    if any(tag == UNUSED for tag in tags.values()):
+    if UNUSED in tags.values():
         raise InvariantError("decomposition-violation", "unused edge in representation")
     s1, r1 = g.pairs[0].source, g.pairs[0].sink
     s2, r2 = g.pairs[1].source, g.pairs[1].sink
+    terminals = g.terminal_set
+    direction = rep._orientation
 
+    # One pass over the edges in id order: natural ends, each hub's public
+    # edge (noting hubs with more than one) and its private edges.
+    ends: Dict[int, Tuple[int, int]] = {}
+    public: Dict[int, int] = {}
+    crowded: set = set()
     private_at: Dict[int, List[int]] = {}
     for eid, tag in sorted(tags.items()):
-        if tag == PUBLIC:
-            continue
         e = g.edge_by_id[eid]
-        for x in (e.u, e.v):
-            if not g.is_terminal(x):
-                private_at.setdefault(x, []).append(eid)
+        u, v = e.u, e.v
+        ends[eid] = (u, v) if direction[eid] else (v, u)
+        if tag != PUBLIC:
+            for x in (u, v):
+                if x not in terminals:
+                    private_at.setdefault(x, []).append(eid)
+        else:
+            for x in (u, v):
+                if x in public:
+                    crowded.add(x)
+                elif x not in terminals:
+                    public[x] = eid
     for v, eids in private_at.items():
         if len(eids) != 2:
             raise InvariantError(
@@ -434,60 +477,49 @@ def _decompose(rep: Representation) -> List[AlternatingPath]:
                 f"hub {v} has {len(eids)} private edges (want 2)",
             )
 
+    private: Dict[int, Tuple[int, int]] = {}
     seen: set = set()
     paths: List[AlternatingPath] = []
 
     def walk(first_eid: int, anchor: int) -> AlternatingPath:
-        steps = [first_eid]
-        prev_vertex = anchor
-        edge = g.edge_by_id[first_eid]
+        # Hop at each hub to its other private edge, classifying the hub by
+        # head/tail as it is passed.
+        steps, upper, lower = [first_eid], [], []
+        at, eid = anchor, first_eid
         while True:
-            nxt = edge.other(prev_vertex)
-            if g.is_terminal(nxt):
-                end = nxt
+            tail, head = ends[eid]
+            left_in = tail == at  # the hub reached is the head of this edge
+            at = head if left_in else tail
+            if at in terminals:
                 break
-            pair_edges = private_at[nxt]
-            other = pair_edges[0] if pair_edges[1] == edge.id else pair_edges[1]
-            if other == edge.id:
-                raise InvariantError("decomposition-violation", f"stuck at hub {nxt}")
-            steps.append(other)
-            prev_vertex = nxt
-            edge = g.edge_by_id[other]
-
-        # Hubs sit between consecutive steps; classify each by head/tail.
-        upper, lower = [], []
-        walk_v = anchor
-        hubs = []
-        for eid in steps[:-1]:
-            walk_v = g.edge_by_id[eid].other(walk_v)
-            hubs.append(walk_v)
-        for i, h in enumerate(hubs):
-            left = g.edge_by_id[steps[i]]
-            right = g.edge_by_id[steps[i + 1]]
-            left_head = left.ends(rep.natural_direction(left.id))[1]
-            right_head = right.ends(rep.natural_direction(right.id))[1]
-            if left_head == h and right_head == h:
-                lower.append(h)
-            elif left_head != h and right_head != h:
-                upper.append(h)
+            first, second = private_at[at]
+            right = second if first == eid else first
+            right_in = ends[right][1] == at
+            if left_in and right_in:
+                lower.append(at)
+            elif not left_in and not right_in:
+                upper.append(at)
             else:
                 raise InvariantError(
                     "decomposition-violation",
-                    f"hub {h} is head of one private edge and tail of the other",
+                    f"hub {at} is head of one private edge and tail of the other",
                 )
-            if tags[steps[i]] == tags[steps[i + 1]]:
+            if tags[eid] == tags[right]:
                 raise InvariantError(
                     "decomposition-violation",
-                    f"private edges {steps[i]}, {steps[i+1]} at hub {h} share a system",
+                    f"private edges {eid}, {right} at hub {at} share a system",
                 )
+            private[at] = (eid, right) if tags[eid] == PHI else (right, eid)
+            steps.append(right)
+            eid = right
 
         if anchor == s1:
-            kind = S1S2 if end == s2 else (S1R1 if end == r1 else None)
+            kind = S1S2 if at == s2 else (S1R1 if at == r1 else None)
         else:
-            kind = R2S2 if end == s2 else (R2R1 if end == r1 else None)
+            kind = R2S2 if at == s2 else (R2R1 if at == r1 else None)
         if kind is None:
             raise InvariantError(
-                "decomposition-violation", f"walk from {anchor} ended at {end}"
+                "decomposition-violation", f"walk from {anchor} ended at {at}"
             )
         if kind == S1S2:
             choke = lower[-1]
@@ -541,4 +573,15 @@ def _decompose(rep: Representation) -> List[AlternatingPath]:
             raise InvariantError("decomposition-violation", "R2R1 deck parity")
         if p.kind in (S1R1, R2S2) and len(p.upper) != len(p.lower):
             raise InvariantError("decomposition-violation", f"{p.kind} deck parity")
-    return paths
+
+    # Every private edge is walked, so ``private`` holds every vertex with
+    # private edges, and each has two of distinct systems.
+    unpatterned = None
+    n_hubs = len(g.vertices) - len(terminals)
+    if crowded or len(public) != n_hubs or len(private) != n_hubs:
+        unpatterned = next(
+            v
+            for v in g.vertices
+            if v not in terminals and (v in crowded or v not in public or v not in private)
+        )
+    return tuple(paths), HubTable(direction, ends, public, private, unpatterned)
