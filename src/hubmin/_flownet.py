@@ -2,8 +2,9 @@
 
 Nodes are the integers ``0 .. len(adj) - 1``; ``adj[node]`` lists the arc
 ids leaving a node.  Arcs are stored as flat lists where arc ``i`` and
-``i ^ 1`` form a forward/residual pair.  All traversals follow the order of
-the adjacency lists, so results are deterministic.
+``i ^ 1`` form a forward/residual pair, so the tail of arc ``a`` is
+``to[a ^ 1]``.  All traversals follow the order of the adjacency lists, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ _ROOT = -2
 class FlowNet:
     """Arc-list flow network with unit or large integer capacities.
 
-    ``to``, ``frm`` and ``adj`` are held, not copied, so several nets can
-    share one topology; ``base_cap`` is the net's own, and ``cap`` starts as
-    a copy of it.
+    ``to`` and ``adj`` are held, not copied, so several nets can share one
+    topology; ``base_cap`` is the net's own, and ``cap`` starts as a copy of
+    it.
     """
 
-    def __init__(
-        self, to: List[int], frm: List[int], adj: List[List[int]], base_cap: List[int]
-    ):
+    def __init__(self, to: List[int], adj: List[List[int]], base_cap: List[int]):
         self.to = to
-        self.frm = frm
         self.adj = adj
         self.base_cap = base_cap
         self.cap = list(base_cap)
@@ -74,13 +72,13 @@ class FlowNet:
         while node != s:
             arc = parent[node]
             arcs.append(arc)
-            node = self.frm[arc]
+            node = self.to[arc ^ 1]
         arcs.reverse()
         return arcs
 
     def max_flow(self, s: int, t: int, limit: int = INF) -> int:
         """Edmonds-Karp augmentation until no path remains or ``limit`` reached."""
-        cap, frm = self.cap, self.frm
+        cap, to = self.cap, self.to
         total = 0
         while total < limit:
             parent = self._bfs_parent(s, t)
@@ -94,13 +92,13 @@ class FlowNet:
                 arc = parent[node]
                 if cap[arc] < bottleneck:
                     bottleneck = cap[arc]
-                node = frm[arc]
+                node = to[arc ^ 1]
             node = t
             while node != s:
                 arc = parent[node]
                 cap[arc] -= bottleneck
                 cap[arc ^ 1] += bottleneck
-                node = frm[arc]
+                node = to[arc ^ 1]
             total += bottleneck
         return total
 

@@ -42,11 +42,11 @@ class _PairNet:
     ``s`` and ``t`` are the node ids of the pair's source and sink.  Every
     other vertex ``v`` is split into an in-node and an out-node joined by the
     unit arc ``vertex_arc[v]``; the map may also hold the pair's own
-    terminals, whose arcs then have capacity 0.  ``edge_arcs`` maps each edge arc to its step
-    ``(edge_id, forward)``, ``arc_of_step`` is the inverse map, and
-    ``arcs_of_edge`` lists each edge's arcs, forward first.  Nets of one
-    network share these maps and their arc lists; only the capacities are
-    the pair's own.
+    terminals, whose arcs then have capacity 0.  ``edge_arcs`` maps each
+    edge arc to its step ``(edge_id, forward)``, and ``arcs_of_edge`` lists
+    each edge's arcs, forward first, so step ``(e, fwd)`` runs on
+    ``arcs_of_edge[e][not fwd]``.  Nets of one network share these maps and
+    their arc lists; only the capacities are the pair's own.
     """
 
     net: FlowNet
@@ -54,7 +54,6 @@ class _PairNet:
     t: int
     vertex_arc: Dict[int, int]
     edge_arcs: Dict[int, Tuple[int, bool]]
-    arc_of_step: Dict[Tuple[int, bool], int]
     arcs_of_edge: Dict[int, List[int]]
 
 
@@ -62,20 +61,16 @@ class _PairNet:
 class _SplitNetwork:
     """Every vertex of ``g`` split into an in/out half (see ``_compile_network``).
 
-    ``to``/``frm``/``adj`` are the arc lists every pair's ``FlowNet`` shares;
-    the maps are those of ``_PairNet``.  ``directed`` maps (tail, head) to
-    the forward arcs of the directed edges between them.
+    ``to``/``adj`` are the arc lists every pair's ``FlowNet`` shares; the
+    maps are those of ``_PairNet``.
     """
 
     g: Network
     to: List[int]
-    frm: List[int]
     adj: List[List[int]]
     vertex_arc: Dict[int, int]
     edge_arcs: Dict[int, Tuple[int, bool]]
-    arc_of_step: Dict[Tuple[int, bool], int]
     arcs_of_edge: Dict[int, List[int]]
-    directed: Dict[Tuple[int, int], List[int]]
 
     def pair_net(self, pair_index: int) -> _PairNet:
         """The net of one pair: s = out(source), t = in(sink).
@@ -88,19 +83,20 @@ class _SplitNetwork:
         a vertex arc or enters an in-node drained only by one, so it carries
         at most one unit in any flow.
         """
-        pair = self.g.pairs[pair_index]
+        g = self.g
+        pair = g.pairs[pair_index]
         base_cap = [1, 0] * len(self.vertex_arc) + [INF, 0] * len(self.edge_arcs)
         source_arc, sink_arc = self.vertex_arc[pair.source], self.vertex_arc[pair.sink]
         base_cap[source_arc] = base_cap[sink_arc] = 0
-        for arc in self.directed.get((pair.source, pair.sink), ()):
-            base_cap[arc] = 1
+        for eid in g.incident[pair.source]:
+            if g.edge_by_id[eid].v == pair.sink:
+                base_cap[self.arcs_of_edge[eid][0]] = 1
         return _PairNet(
-            net=FlowNet(self.to, self.frm, self.adj, base_cap),
+            net=FlowNet(self.to, self.adj, base_cap),
             s=source_arc + 1,
             t=sink_arc,
             vertex_arc=self.vertex_arc,
             edge_arcs=self.edge_arcs,
-            arc_of_step=self.arc_of_step,
             arcs_of_edge=self.arcs_of_edge,
         )
 
@@ -120,12 +116,9 @@ def _compile_network(g: Network) -> _SplitNetwork:
     in_node = {v: 2 * i for i, v in enumerate(order)}
     n = 2 * len(order)
     to = [a ^ 1 for a in range(n)]
-    frm = list(range(n))
     adj = [[a] for a in range(n)]
     edge_arcs: Dict[int, Tuple[int, bool]] = {}
-    arc_of_step: Dict[Tuple[int, bool], int] = {}
     arcs_of_edge: Dict[int, List[int]] = {}
-    directed: Dict[Tuple[int, int], List[int]] = {}
     for e in sorted(g.edges, key=lambda e: e.id):
         arcs = arcs_of_edge[e.id] = []
         for forward in (True,) if e.directed else (True, False):
@@ -133,17 +126,11 @@ def _compile_network(g: Network) -> _SplitNetwork:
             out_tail, in_head = in_node[tail] + 1, in_node[head]
             arc = len(to)
             to += (in_head, out_tail)
-            frm += (out_tail, in_head)
             adj[out_tail].append(arc)
             adj[in_head].append(arc + 1)
             edge_arcs[arc] = (e.id, forward)
-            arc_of_step[(e.id, forward)] = arc
             arcs.append(arc)
-        if e.directed:
-            directed.setdefault((e.u, e.v), []).append(arc)
-    return _SplitNetwork(
-        g, to, frm, adj, in_node, edge_arcs, arc_of_step, arcs_of_edge, directed
-    )
+    return _SplitNetwork(g, to, adj, in_node, edge_arcs, arcs_of_edge)
 
 
 def _build_pair_net(g: Network, pair_index: int) -> _PairNet:
@@ -162,7 +149,7 @@ def min_vertex_cut(g: Network, pair_index: int) -> CutResult:
     separator = frozenset(
         v
         for v, arc in built.vertex_arc.items()
-        if reachable[net.frm[arc]] and not reachable[net.to[arc]]
+        if reachable[net.to[arc ^ 1]] and not reachable[net.to[arc]]
     )
     return CutResult(value=value, separator=separator)
 
@@ -183,11 +170,10 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
 def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSystem:
     """The k paths of the flow of value k that ``built`` carries."""
     net, edge_arcs = built.net, built.edge_arcs
-    # Net out opposing flow on the two directions of each undirected edge so
+    # The flow left to walk, over all arcs: reverse arcs read <= 0.  Opposing
+    # flow on the two directions of each undirected edge is netted out so
     # the walk below never doubles back across one edge.
-    remaining: Dict[int, int] = {}
-    for arc in range(0, len(net.to), 2):
-        remaining[arc] = net.flow_on(arc)
+    remaining = [b - c for b, c in zip(net.base_cap, net.cap)]
     for arcs in built.arcs_of_edge.values():
         if len(arcs) == 2:
             cancel = min(remaining[arcs[0]], remaining[arcs[1]])
@@ -200,7 +186,7 @@ def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSyst
         node = built.s
         while node != built.t:
             for arc in net.adj[node]:
-                if arc % 2 == 0 and remaining.get(arc, 0) > 0:
+                if remaining[arc] > 0:
                     remaining[arc] -= 1
                     if arc in edge_arcs:
                         steps.append(edge_arcs[arc])
@@ -350,7 +336,7 @@ class _DeletionQueries:
                 labels = self._labels[i] = strongly_connected_components(net)
             if labels is not None:
                 a = carrying[0]
-                if labels[net.frm[a]] != labels[net.to[a]]:
+                if labels[net.to[a ^ 1]] != labels[net.to[a]]:
                     return False
                 if not delete:
                     return True
@@ -372,7 +358,7 @@ class _DeletionQueries:
             for a in (arc, arc ^ 1):
                 undo.append((cap, a, cap[a]))
                 cap[a] = 0
-        tail, head = net.frm[carrying[0]], net.to[carrying[0]]
+        tail, head = net.to[carrying[0] ^ 1], net.to[carrying[0]]
         parent = net._bfs_parent(tail, head)
         if parent is None:
             return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ._flownet import strongly_connected_components
 from .cuts import _DeletionQueries, _SplitNetwork, _compile_network
@@ -24,6 +24,9 @@ from .graph_core import (
     delete_edges,
 )
 
+# One directed step of a walk: (edge id, forward).
+Step = Tuple[int, bool]
+
 
 @dataclass(frozen=True)
 class ConsistentCycle:
@@ -31,10 +34,15 @@ class ConsistentCycle:
 
     Every step whose edge the tagged system uses follows that edge's natural
     direction; steps on other edges may go either way.  No terminal vertex
-    appears on the cycle.
+    appears on the cycle.  At a vertex that the system's paths pass through,
+    at least one of the two steps meeting there is on a system edge: in the
+    vertex-split residual graph of the system's flow, the in-node of a used
+    vertex leads only back along the system's own flow arc, so a rerouting
+    cycle that enters such a vertex by a foreign edge leaves it along the
+    system's path.
     """
 
-    steps: Tuple[Tuple[int, bool], ...]
+    steps: Tuple[Step, ...]
     system_tag: int
 
 
@@ -63,10 +71,14 @@ def _cycle_arcs(g: Network, system: PathSystem) -> List[Tuple[int, bool, int, in
 
 
 def _simplify_closed_walk(
-    g: Network, steps: List[Tuple[int, bool]]
-) -> List[Tuple[int, bool]]:
-    """Shrink a closed edge walk (no immediate edge reversal anywhere,
-    including the wrap-around) to one with pairwise distinct vertices."""
+    g: Network, steps: List[Step], joins: Callable[[Step, Step], bool]
+) -> List[Step]:
+    """Shrink a closed edge walk to one with pairwise distinct vertices.
+
+    Every junction of the walk, the wrap-around included, must pass
+    ``joins`` (see ``find_consistent_cycle``), and every junction of the
+    result does too.
+    """
     while True:
         seq = [g.edge_by_id[eid].ends(fwd)[0] for eid, fwd in steps]
         first_seen: Dict[int, int] = {}
@@ -77,22 +89,21 @@ def _simplify_closed_walk(
                 break
             first_seen[v] = pos
         if dup is None:
-            # Vertex-simple closed walks cannot reverse an edge at the wrap
-            # either (that would repeat the shared endpoint), so we are done.
             return steps
         i, j = dup
-        # The contiguous sub-walk between the two visits is closed and keeps
-        # every interior junction; only its new wrap-around needs care.
+        # The walk splits at the repeated vertex v into two closed walks,
+        # each keeping its own junctions and gaining one at v.  The inner
+        # one has distinct vertices (j is the first repeat), so its new
+        # junction cannot reverse an edge: the inner walk would then be just
+        # that edge's two steps, joined at the far end by a junction of the
+        # walk.
         inner = steps[i:j]
-        if inner[-1][0] != inner[0][0]:
-            steps = inner
-        else:
-            # The wrap would reverse one edge: the sub-walk starts and ends
-            # with that edge, so peel both copies off; the remainder is still
-            # closed (both peeled steps border the same two vertices).
-            steps = inner[1:-1]
-            if not steps:
-                raise AssertionError("closed-walk simplification emptied the walk")
+        if joins(inner[-1], inner[0]):
+            return inner
+        # The inner junction joins two steps off the system at a used v, so
+        # the walk's junctions at v flank them with system steps, and the
+        # outer walk's new junction joins those two.
+        steps = steps[j:] + steps[:i]
 
 
 def find_consistent_cycle(
@@ -101,12 +112,27 @@ def find_consistent_cycle(
     """A cycle every step of which respects the tagged system's orientation.
 
     The search runs on the digraph of admissible directed steps; a cycle is a
-    closed walk that never uses one edge in both directions back to back.
+    closed walk that never uses one edge in both directions back to back,
+    and never joins two steps off the system at a vertex the system uses.
     """
     system = systems[tag]
     arcs = _cycle_arcs(g, system)
+    orientation = system.orientation
+    used = {
+        v for path in system.paths for eid, fwd in path.steps for v in g.edge_by_id[eid].ends(fwd)
+    }
+
+    def joins(a: Step, b: Step) -> bool:
+        """Whether step b may follow step a at the vertex between them."""
+        if a[0] == b[0]:
+            return False
+        if a[0] in orientation or b[0] in orientation:
+            return True
+        return g.edge_by_id[b[0]].ends(b[1])[0] not in used
+
     # Nodes of the search are directed steps; consecutive steps must chain at
-    # a vertex and may not reverse the same edge immediately.
+    # a vertex and pass ``joins``.
+    step_of = [(eid, fwd) for eid, fwd, _, _ in arcs]
     out_steps: Dict[int, List[int]] = {}
     for idx, (_, _, tail, _) in enumerate(arcs):
         out_steps.setdefault(tail, []).append(idx)
@@ -122,21 +148,22 @@ def find_consistent_cycle(
         color[start] = GRAY
         while stack:
             node, child_pos = stack[-1]
-            eid, fwd, tail, head = arcs[node]
+            _, _, _, head = arcs[node]
+            step = step_of[node]
             candidates = out_steps.get(head, ())
             advanced = False
             while child_pos < len(candidates):
                 nxt = candidates[child_pos]
                 child_pos += 1
                 stack[-1] = (node, child_pos)
-                if arcs[nxt][0] == eid:
-                    continue  # immediate reversal of the same edge
+                if not joins(step, step_of[nxt]):
+                    continue
                 if color[nxt] == GRAY:
                     # Found a cycle among the gray path: slice it out.
                     at = on_path.index(nxt)
                     cycle_nodes = on_path[at:]
-                    steps = [(arcs[n][0], arcs[n][1]) for n in cycle_nodes]
-                    steps = _simplify_closed_walk(g, steps)
+                    steps = [step_of[n] for n in cycle_nodes]
+                    steps = _simplify_closed_walk(g, steps, joins)
                     return ConsistentCycle(steps=tuple(steps), system_tag=tag)
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
@@ -177,7 +204,7 @@ def _is_reroutable(
     used_vertices: Set[int] = set()
     for path in system.paths:
         for eid, fwd in path.steps:
-            net.push(built.arc_of_step[(eid, fwd)], 1)
+            net.push(built.arcs_of_edge[eid][not fwd], 1)
             edge = g.edge_by_id[eid]
             for v in edge.ends(fwd):
                 if v not in (pair.source, pair.sink):
@@ -193,7 +220,7 @@ def _is_reroutable(
     comp = strongly_connected_components(net)
     for arc in range(1, len(net.to), 2):  # odd ids are the reverse directions
         if net.cap[arc] > 0:  # forward arc carries flow: cancellation possible
-            if comp[net.frm[arc]] == comp[net.to[arc]]:
+            if comp[net.to[arc ^ 1]] == comp[net.to[arc]]:
                 return True
     return False
 

@@ -161,7 +161,7 @@ def _assert_flows_valid(queries, g: Network) -> None:
         for arc in range(0, len(net.to), 2):
             flow = net.flow_on(arc)
             assert 0 <= flow <= net.base_cap[arc]
-            balance[net.frm[arc]] -= flow
+            balance[net.to[arc ^ 1]] -= flow
             balance[net.to[arc]] += flow
         assert balance[built.t] == pair.demand == -balance[built.s]
         assert not any(b for node, b in enumerate(balance) if node not in (built.s, built.t))
@@ -354,7 +354,7 @@ def test_labels_match_networkx_components():
             view.add_nodes_from(range(len(net.adj)))
             for arc, c in enumerate(net.cap):
                 if c > 0 and (arc % 2 or c == net.base_cap[arc]):
-                    view.add_edge(net.frm[arc], net.to[arc])
+                    view.add_edge(net.to[arc ^ 1], net.to[arc])
             labels = strongly_connected_components(net)
             want = {frozenset(c) for c in nx.strongly_connected_components(view)}
             got = {}
@@ -392,7 +392,7 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
     unsplit nodes s = 0 and t = 1, every other vertex is split into unit
     in/out halves, and direct source->sink edges of the pair get capacity 1."""
     pair = g.pairs[pair_index]
-    to, frm, cap, adj = [], [], [], []
+    to, cap, adj = [], [], []
 
     def add_node():
         adj.append([])
@@ -401,7 +401,6 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
     def add_arc(tail, head, c):
         arc = len(to)
         to.extend((head, tail))
-        frm.extend((tail, head))
         cap.extend((c, 0))
         adj[tail].append(arc)
         adj[head].append(arc + 1)
@@ -410,7 +409,7 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
     s, t = add_node(), add_node()
     vin = {pair.source: s, pair.sink: t}
     vout = dict(vin)
-    vertex_arc, edge_arcs, arc_of_step, arcs_of_edge = {}, {}, {}, {}
+    vertex_arc, edge_arcs, arcs_of_edge = {}, {}, {}
     for v in sorted(g.vertices):
         if v not in vin:
             vin[v], vout[v] = add_node(), add_node()
@@ -420,7 +419,6 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
         tail, head = e.ends(forward)
         arc = add_arc(vout[tail], vin[head], c)
         edge_arcs[arc] = (e.id, forward)
-        arc_of_step[(e.id, forward)] = arc
         arcs_of_edge.setdefault(e.id, []).append(arc)
 
     for e in sorted(g.edges, key=lambda e: e.id):
@@ -429,9 +427,7 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
         else:
             add_edge_arc(e, True, INF)
             add_edge_arc(e, False, INF)
-    return cuts._PairNet(
-        FlowNet(to, frm, adj, cap), s, t, vertex_arc, edge_arcs, arc_of_step, arcs_of_edge
-    )
+    return cuts._PairNet(FlowNet(to, adj, cap), s, t, vertex_arc, edge_arcs, arcs_of_edge)
 
 
 def _flow_answers(g: Network):

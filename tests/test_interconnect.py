@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from hubmin import (
     decompose_private,
     grid_instance,
     hub_count,
     minimalize,
+    parse_instance,
     path_vertices,
     run_interconnect,
     to_representation,
     verify_run,
+    vertex_disjoint_paths,
 )
 
-from conftest import two_pair_corpus
+from conftest import FIXTURES, two_pair_corpus
 
 ALL_CHECKS = (
     "private-edges-on-distinct-alternating-paths",
@@ -114,6 +118,25 @@ def test_corpus_runs_verify():
         c1, c2 = h.pairs[0].demand, h.pairs[1].demand
         assert len(run.paths) == delta
         assert int(hub_count(rep.graph)) <= 2 * delta * (c1 + c2 - delta) <= 2 * c1 * c2
+
+
+# Open defect: on these minimal inputs, stretch_crossings yields a
+# representation that is not minimal, and verify_run fails.  strict=True
+# makes a fix show up here as an unexpected pass.
+@pytest.mark.xfail(strict=True, reason="stretch_crossings breaks minimality")
+def test_stop_path_growth_input_verifies():
+    g, systems = parse_instance((FIXTURES / "stop_path_growth.json").read_text())
+    rep = to_representation(g, systems)
+    assert verify_run(rep, run_interconnect(rep)).ok
+
+
+@pytest.mark.xfail(strict=True, reason="stretch_crossings breaks minimality")
+def test_t5_bound_input_verifies():
+    g, _ = parse_instance((FIXTURES / "t5_bound.json").read_text())
+    m = minimalize(g)
+    systems = [vertex_disjoint_paths(m, i, p.demand) for i, p in enumerate(m.pairs)]
+    rep = to_representation(m, systems)
+    assert verify_run(rep, run_interconnect(rep)).ok
 
 
 def test_verify_flags_tampered_runs():

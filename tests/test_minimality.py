@@ -19,14 +19,16 @@ from hubmin import (
     is_minimal,
     is_reroutable,
     minimalize,
+    parse_instance,
     random_network,
     reroutable_witness,
+    serialize_network,
     theorem1_agreement,
     vertex_disjoint_paths,
 )
 from hubmin import cuts, minimality
 
-from conftest import two_pair_corpus
+from conftest import FIXTURES, two_pair_corpus
 
 
 def _systems_for(g):
@@ -210,8 +212,14 @@ def test_reroutable_witness_pairs():
 # ---------------------------------------------------------------------------
 
 
+def _fixture(name):
+    return parse_instance((FIXTURES / f"{name}.json").read_text())
+
+
 def _check_cycle(g, systems, cycle):
-    """Closed, vertex-simple, terminal-free, and orientation-respecting."""
+    """Closed, vertex-simple, terminal-free, and orientation-respecting, and
+    at every junction (the wrap-around included) at a vertex the system's
+    paths pass through, one of the two steps is on a system edge."""
     seq = []
     prev_head = None
     for eid, forward in cycle.steps:
@@ -223,15 +231,30 @@ def _check_cycle(g, systems, cycle):
     assert prev_head == seq[0]
     assert len(set(seq)) == len(seq)
     assert not any(g.is_terminal(v) for v in seq)
-    orientation = systems[cycle.system_tag].orientation
+    system = systems[cycle.system_tag]
+    orientation = system.orientation
     for eid, forward in cycle.steps:
         if eid in orientation:
             assert forward == orientation[eid]
+    used = {
+        v for path in system.paths for eid, fwd in path.steps for v in g.edge_by_id[eid].ends(fwd)
+    }
+    for k, v in enumerate(seq):
+        before, after = cycle.steps[k - 1][0], cycle.steps[k][0]
+        if v in used:
+            assert before in orientation or after in orientation, (v, cycle.steps)
+
+
+# The fixture is a raw instance (every edge on a system path).  The first
+# closed walk the search finds for tag 1 repeats a vertex, and shortcutting
+# it to the inner loop would join two steps off the system at vertex 6.
+def _cycle_corpus():
+    return two_pair_corpus(seed=205, count=60, extra=0) + [_fixture("theorem1_raw_2090")]
 
 
 def test_found_cycles_are_well_formed():
     found = 0
-    for g, systems in two_pair_corpus(seed=205, count=60, extra=0):
+    for g, systems in _cycle_corpus():
         for tag in range(2):
             cycle = find_consistent_cycle(g, systems, tag)
             if cycle is not None:
@@ -239,6 +262,25 @@ def test_found_cycles_are_well_formed():
                 _check_cycle(g, systems, cycle)
                 found += 1
     assert found >= 5, "corpus too tame to exercise cycle extraction"
+
+
+def test_cycle_found_exactly_for_reroutable_systems():
+    for g, systems in _cycle_corpus():
+        for tag in range(2):
+            found = find_consistent_cycle(g, systems, tag) is not None
+            assert found == is_reroutable(g, systems, tag), (tag, serialize_network(g))
+
+
+# Minimal two-pair inputs on which a cycle search without the used-vertex
+# rule finds a cycle that no rerouting can use: the "theorem1 cycle" input
+# of perfbench/known_failures.json, and three minimalized instances of a
+# seeded scan.
+@pytest.mark.parametrize(
+    "name", ["theorem1_cycle", "theorem1_scan_677", "theorem1_scan_1223", "theorem1_scan_1496"]
+)
+def test_theorem1_agrees_on_minimal_inputs(name):
+    report = theorem1_agreement(*_fixture(name))
+    assert report.agree and report.minimal
 
 
 def test_minimal_graphs_have_no_consistent_cycle():
