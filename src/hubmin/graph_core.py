@@ -239,10 +239,14 @@ def make_path_system(g: Network, pair_index: int, paths: Sequence[Path]) -> Path
     return PathSystem(pair_index=pair_index, paths=tuple(paths), orientation=orientation)
 
 
-def classify_edges(g: Network, systems: Sequence[PathSystem]) -> Dict[int, str]:
-    """Tag every edge as public / phi / psi / unused under two path systems."""
+def _require_two_systems(systems: Sequence[PathSystem]) -> None:
     if len(systems) != 2:
         raise InvariantError("two-systems-required", f"got {len(systems)}")
+
+
+def classify_edges(g: Network, systems: Sequence[PathSystem]) -> Dict[int, str]:
+    """Tag every edge as public / phi / psi / unused under two path systems."""
+    _require_two_systems(systems)
     phi_edges = systems[0].edge_ids()
     psi_edges = systems[1].edge_ids()
     tags: Dict[int, str] = {}

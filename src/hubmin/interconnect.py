@@ -145,8 +145,13 @@ class _State:
         self.delta = sum(1 for a in self.alt if a.kind == S1S2)
         self.budget = 10 * len(self.g.edges) * self.delta
         self.steps_taken = 0
-        # Step tuple -> (vertex set, edge-id set) of a path already validated.
-        self._path_sets: Dict[Tuple[Step, ...], Tuple[frozenset, frozenset]] = {}
+        # Start candidates in the order ``pick_start`` offers them.
+        self.starts = sorted(v for a in self.alt if a.kind == S1S2 for v in a.lower)
+        # The stored paths as ``check_disjoint`` last passed them: id -> (the
+        # path, its vertices), and each of their vertices -> the path's id.
+        # Holding the path keeps its id from being reused.
+        self._checked: Dict[int, Tuple[List[Step], List[int]]] = {}
+        self._owner: Dict[int, int] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -192,36 +197,48 @@ class _State:
         raise InvariantError("algorithm-stuck", f"no interconnecting path starts at {v}")
 
     def check_disjoint(self, extra: Optional[List[Step]] = None) -> None:
-        """All stored paths (plus the current one) are simple and disjoint."""
-        seen_v: set = set()
-        seen_e: set = set()
-        groups = self.paths + ([extra] if extra is not None else [])
-        for p in groups:
-            key = tuple(p)
-            sets = self._path_sets.get(key)
-            if sets is None:
-                verts = path_vertices(self.g, Path(steps=key))
-                sets = self._path_sets[key] = (frozenset(verts), frozenset(e for e, _ in p))
-            verts, eids = sets
-            if not seen_v.isdisjoint(verts):
-                raise InvariantError(
-                    "algorithm-stuck", "interconnecting paths share a vertex"
-                )
-            if not seen_e.isdisjoint(eids):
-                raise InvariantError(
-                    "algorithm-stuck", "interconnecting paths share an edge"
-                )
-            seen_v |= verts
-            seen_e |= eids
+        """All stored paths (plus the current one) are simple and disjoint.
+
+        Raises what a scan of the paths in order, ``extra`` last, raises at
+        the first path that is not simple or meets an earlier one.  Paths
+        that passed the last call are known to be simple and disjoint, so
+        only the paths stored since are walked, and they are checked against
+        the owners of the vertices they reach.  A shared edge puts both its
+        ends on both paths, so disjoint vertices are disjoint edges too.
+        ``extra`` is checked and not recorded.
+        """
+        first: Dict[int, int] = {}  # id -> the first position of that path
+        for i, p in enumerate(self.paths):
+            first.setdefault(id(p), i)
+        for key in [k for k in self._checked if k not in first]:
+            for v in self._checked.pop(key)[1]:
+                del self._owner[v]
+        groups = self.paths if extra is None else self.paths + [extra]
+        fresh: Dict[int, int] = {}  # vertex -> position of the new path on it
+        walked: List[Tuple[List[Step], List[int]]] = []
+        clash = len(groups)  # the first position that meets an earlier path
+        for i, p in enumerate(groups):
+            if i >= clash:
+                break
+            if id(p) in self._checked and first[id(p)] == i:
+                continue
+            verts = path_vertices(self.g, Path(steps=tuple(p)))
+            if not (fresh.keys().isdisjoint(verts) and self._owner.keys().isdisjoint(verts)):
+                met = [fresh[v] for v in verts if v in fresh]
+                met += [first[self._owner[v]] for v in verts if v in self._owner]
+                clash = min(clash, max(i, min(met)))
+            fresh.update(dict.fromkeys(verts, i))
+            walked.append((p, verts))
+        if clash < len(groups):
+            raise InvariantError("algorithm-stuck", "interconnecting paths share a vertex")
+        if extra is not None:
+            walked.pop()
+        for p, verts in walked:
+            self._checked[id(p)] = (p, verts)
+            self._owner.update(dict.fromkeys(verts, id(p)))
 
     def pick_start(self) -> Optional[int]:
-        candidates = sorted(
-            v
-            for d in self.decks
-            if d.alt.kind == S1S2
-            for v in d.alt.lower
-            if v not in self.occupied
-        )
+        candidates = [v for v in self.starts if v not in self.occupied]
         if not candidates:
             return None
         if self.rng is not None:

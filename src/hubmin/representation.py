@@ -26,6 +26,7 @@ from .graph_core import (
     Network,
     Path,
     PathSystem,
+    _require_two_systems,
     classify_edges,
     make_path_system,
 )
@@ -151,8 +152,15 @@ def remove_relays(
     one validated build of the network and its path systems.
     """
     provenance = {"vertices": {}, "edges": {}}
-    relays = [v for v in sorted(g.vertices) if not g.is_terminal(v) and g.degree(v) == 2]
-    isolated = {v for v in g.vertices if not g.is_terminal(v) and g.degree(v) == 0}
+    terminals = g.terminal_set
+    relays, isolated = [], set()
+    for v, eids in g.incident.items():
+        if v not in terminals:
+            if len(eids) == 2:
+                relays.append(v)
+            elif not eids:
+                isolated.add(v)
+    relays.sort()
     if not relays and not isolated:
         return g, list(systems), provenance
     edges = dict(g.edge_by_id)
@@ -218,12 +226,21 @@ def stretch_crossings(
     systems through.  Any other degree-4 (or higher) non-terminal means the
     input was not a relay-free minimal two-pair network.
 
-    A stretch changes no other vertex's degree or edge tags, so one
-    ascending scan of ``g`` meets the crossings in order.  The stretches
-    edit working copies of the vertices, edges and paths; the step ends
-    with one validated build of the network and its path systems.
+    A stretch changes no other vertex's degree or edge tags, so the vertices
+    to stretch are the non-terminals of degree above 3 in ``g``, taken in
+    ascending order; without one, ``g`` and the systems are returned as they
+    are.  The stretches edit working copies of the vertices, edges and paths;
+    the step ends with one validated build of the network and its path
+    systems.
     """
     provenance = {"vertices": {}, "edges": {}}
+    _require_two_systems(systems)
+    terminals = g.terminal_set
+    crowded = sorted(
+        v for v, eids in g.incident.items() if len(eids) > 3 and v not in terminals
+    )
+    if not crowded:
+        return g, list(systems), provenance
     tags = classify_edges(g, systems)
     orientation_all: Dict[int, bool] = {}
     for s in systems:
@@ -233,12 +250,8 @@ def stretch_crossings(
     paths, path_of = _working_paths(systems)
     top_vertex = max(g.vertices, default=0)
     next_id = max(edges, default=0) + 1
-    for v in sorted(g.vertices):
-        if g.is_terminal(v):
-            continue
+    for v in crowded:
         deg = g.degree(v)
-        if deg <= 3:
-            continue
         by_tag = {PHI: [], PSI: [], PUBLIC: [], UNUSED: []}
         for eid in g.incident[v]:
             by_tag[tags[eid]].append(eid)
@@ -287,8 +300,6 @@ def stretch_crossings(
 
         provenance["vertices"][v1] = provenance["vertices"].pop(v, v)
         provenance["vertices"][v2] = provenance["vertices"][v1]
-    if not provenance["vertices"]:
-        return g, list(systems), provenance
     return (*_build(g, vertices, edges, systems, paths), provenance)
 
 
@@ -303,20 +314,24 @@ def match_directions(
     public edge in the first system's direction.
 
     A swap fixes its own public edge and adds only private edges, so the
-    conflicts are those of ``g``, swapped in ascending edge-id order.  The
-    swaps edit working copies of the edges and the second system's paths;
-    the step ends with one validated build of the network and both systems.
+    conflicts are those of ``g``: the edges both systems traverse, opposite
+    ways, swapped in ascending edge-id order.  Without one, ``g`` and the
+    systems are returned as they are.  The swaps edit working copies of the
+    edges and the second system's paths; the step ends with one validated
+    build of the network and both systems.
     """
     provenance = {"vertices": {}, "edges": {}}
-    tags = classify_edges(g, systems)
+    _require_two_systems(systems)
     phi, psi = systems
-    conflicts = [
+    psi_direction = psi.orientation
+    conflicts = sorted(
         eid
-        for eid in sorted(tags)
-        if tags[eid] == PUBLIC and phi.orientation[eid] != psi.orientation[eid]
-    ]
+        for eid, forward in phi.orientation.items()
+        if eid in psi_direction and psi_direction[eid] != forward
+    )
     if not conflicts:
         return g, list(systems), provenance
+    tags = classify_edges(g, systems)
     edges = dict(g.edge_by_id)
     (psi_paths,), (path_of,) = _working_paths((psi,))
     next_id = max(edges) + 1
@@ -404,11 +419,12 @@ def to_representation(
         systems=(systems3[0], systems3[1]),
         provenance=provenance,
     )
-    for v in g3.vertices:
-        if not g3.is_terminal(v) and g3.degree(v) != 3:
+    terminals = g3.terminal_set
+    for v, eids in g3.incident.items():
+        if len(eids) != 3 and v not in terminals:
             raise InvariantError(
                 "decomposition-violation",
-                f"non-terminal vertex {v} has degree {g3.degree(v)} after transformation",
+                f"non-terminal vertex {v} has degree {len(eids)} after transformation",
             )
     return rep
 

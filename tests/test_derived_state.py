@@ -4,7 +4,7 @@ A frozen digest pins every output of the rewrite steps, the decomposition
 and the interconnecting-path runs on a seeded corpus, so rewriting how the
 layer computes them cannot change what it computes.  The other tests check
 the copies ``decompose_private`` hands out and that the interconnect's
-disjointness check still fails on overlapping paths.
+incremental disjointness check raises what a scan of every path raises.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ from hubmin import (
     Edge,
     InvariantError,
     Network,
+    Path,
     Representation,
     decompose_private,
     grid_instance,
     make_path_system,
     match_directions,
     minimalize,
+    path_vertices,
     random_network,
     remove_relays,
     run_interconnect,
@@ -171,6 +173,167 @@ def test_check_disjoint_still_validates_new_paths(example_instance):
     with pytest.raises(InvariantError) as err:
         st.check_disjoint(extra=[(0, True), (0, True)])
     assert err.value.code == "broken-path"
+
+
+def _scan_outcome(g, paths, extra):
+    """What a check of every path in order, ``extra`` last, raises, if anything."""
+    seen_v: set = set()
+    seen_e: set = set()
+    try:
+        for p in paths + ([extra] if extra is not None else []):
+            verts = set(path_vertices(g, Path(steps=tuple(p))))
+            if not seen_v.isdisjoint(verts):
+                raise InvariantError("algorithm-stuck", "interconnecting paths share a vertex")
+            eids = {e for e, _ in p}
+            if not seen_e.isdisjoint(eids):
+                raise InvariantError("algorithm-stuck", "interconnecting paths share an edge")
+            seen_v |= verts
+            seen_e |= eids
+    except InvariantError as err:
+        return str(err)
+    return None
+
+
+def _check_outcome(st, extra):
+    try:
+        st.check_disjoint(extra=extra)
+    except InvariantError as err:
+        return str(err)
+    return None
+
+
+def test_check_disjoint_matches_a_full_scan():
+    # Random edits of the stored paths, as a run and a faulty run could make
+    # them, each followed by a check and, after most failed checks, undone;
+    # the incremental check raises what a scan of every path raises, at every
+    # call, failed calls included.
+    spec = grid_instance(4, 4)
+    rep = to_representation(spec.network, spec.systems)
+    runs = [[list(p.steps) for p in run_interconnect(rep, seed=s).paths] for s in range(4)]
+    pool = [p for paths in runs for p in paths]
+
+    def piece(rng, p):
+        kind = rng.choices(range(5), weights=(3, 3, 3, 1, 1))[0]
+        i = rng.randrange(len(p))
+        if kind == 0:
+            return list(p)
+        if kind == 1:
+            return p[: i + 1]
+        if kind == 2:
+            return p[i:]
+        if kind == 3:  # back along the last step: repeats a vertex
+            eid, forward = p[-1]
+            return p + [(eid, not forward)]
+        return p[:i] + p[i + 1 :] if len(p) > 1 else []  # broken, or empty
+
+    rng = random.Random(12)
+    outcomes: Counter = Counter()
+    for _ in range(60):
+        st = _State(rep, None)
+        st.paths = [list(p) for p in rng.choice(runs)]
+        walking = None
+        for _ in range(12):
+            before = list(st.paths)
+            op = rng.randrange(6)
+            if op == 0 and st.paths:  # rebuild a stored path from a piece of itself
+                i = rng.randrange(len(st.paths))
+                st.paths[i] = piece(rng, st.paths[i])
+            elif op == 1 and st.paths:  # ... or of any path of any run
+                st.paths[rng.randrange(len(st.paths))] = piece(rng, rng.choice(pool))
+            elif op == 2 and st.paths:
+                del st.paths[rng.randrange(len(st.paths))]
+            elif op == 3:
+                st.paths.insert(rng.randrange(len(st.paths) + 1), piece(rng, rng.choice(pool)))
+            elif op == 4 and st.paths:  # the same list object twice
+                st.paths.append(rng.choice(st.paths))
+            elif op == 5 and walking is not None:
+                # As a walk does: extend the path last checked as ``extra`` in
+                # place, then store it.
+                walking.extend(piece(rng, rng.choice(pool))[:2])
+                st.paths.append(walking)
+            extra = None
+            if rng.random() < 0.5:
+                extra = rng.choice(st.paths) if st.paths and rng.random() < 0.2 else piece(
+                    rng, rng.choice(pool)
+                )
+            want = _scan_outcome(rep.graph, st.paths, extra)
+            assert _check_outcome(st, extra) == want
+            outcomes[want] += 1
+            walking = extra if all(extra is not p for p in st.paths) else None
+            if want is not None and rng.random() < 0.7:
+                st.paths = before  # undo the edit, keeping the path objects
+    assert outcomes[None] >= 100
+    assert outcomes["algorithm-stuck: interconnecting paths share a vertex"] >= 100
+    assert {"path-revisits-vertex", "empty-path"} <= set(outcomes)
+    assert any(str(key).startswith("broken-path") for key in outcomes)
+
+
+def test_check_disjoint_rejects_a_rebuilt_path_on_an_untouched_one(example_instance):
+    rep = _example_rep(example_instance)
+    run = run_interconnect(rep)
+    for rebuilt, untouched in ((0, 1), (1, 0)):
+        st = _State(rep, None)
+        st.paths = [list(p.steps) for p in run.paths]
+        st.check_disjoint()
+        # A new path in place of one stored path, on the first edge of the other.
+        st.paths[rebuilt] = st.paths[untouched][:1]
+        with pytest.raises(InvariantError) as err:
+            st.check_disjoint()
+        assert str(err.value) == "algorithm-stuck: interconnecting paths share a vertex"
+
+
+def test_check_disjoint_raises_the_first_failure_in_order(example_instance):
+    rep = _example_rep(example_instance)
+    st = _State(rep, None)
+    st.paths = [list(p.steps) for p in run_interconnect(rep).paths]
+    st.check_disjoint()
+    known = st.paths[1]
+    eid, forward = known[0]
+    # A new path on the checked path's first edge comes before it, and one
+    # that doubles back comes between them: a scan in order meets the second
+    # before the checked path it would find shared.
+    st.paths = [known[:1], [(eid, forward), (eid, not forward)], known]
+    with pytest.raises(InvariantError) as err:
+        st.check_disjoint()
+    assert str(err.value) == "path-revisits-vertex"
+    del st.paths[1]
+    with pytest.raises(InvariantError) as err:
+        st.check_disjoint()
+    assert str(err.value) == "algorithm-stuck: interconnecting paths share a vertex"
+
+
+def test_check_disjoint_raises_at_the_switch_that_rebuilds_a_bad_path(monkeypatch):
+    # The first path a switch rebuilds (in the forward phase of the third
+    # iteration on the 4x4 lattice with seed 1, d = 2) doubles back on its
+    # last step; the check after that switch raises.
+    spec = grid_instance(4, 4)
+    rep = to_representation(spec.network, spec.systems)
+    states = []
+    onward = _State.onward
+
+    def doubled_back(st, steps, v, end):
+        out = onward(st, steps, v, end)
+        if not states:
+            states.append(st)
+            eid, forward = out[-1]
+            out = out + [(eid, not forward)]
+        return out
+
+    monkeypatch.setattr(_State, "onward", doubled_back)
+    with pytest.raises(InvariantError) as err:
+        run_interconnect(rep, seed=1)
+    assert str(err.value) == "path-revisits-vertex"
+    (st,) = states
+    assert len(st.trace) == 18
+    assert st.trace[-1] == {
+        "step": "forward-switch",
+        "iteration": 3,
+        "path_index": 4,
+        "u": 11,
+        "x0": 29,
+        "y0": 30,
+        "d": 2,
+    }
 
 
 def test_network_terminal_sets_are_built_once(example_instance):

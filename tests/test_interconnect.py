@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -48,6 +50,36 @@ def test_example_run_is_frozen(example_instance):
     assert run.forward_stops == (3, 2)
     report = verify_run(rep, run)
     assert report.ok and report.passed == ALL_CHECKS
+
+
+# SHA-256 of the JSON-lines trace of ``run_interconnect(rep, seed=s)``, s = 0..3,
+# recorded before the start candidates were sorted once per run; they pin the
+# candidates offered to the seeded draw.
+SEEDED_TRACES = {
+    "fixture": (
+        "62ce33c336b802039f0a9db41473d790a5fb34a7229b30a3b187917a458875c0",
+        "e48ea436117b7d2853738d973d35cf9db4f5ae68d31ca70de4b8487c148c81df",
+        "e48ea436117b7d2853738d973d35cf9db4f5ae68d31ca70de4b8487c148c81df",
+        "e48ea436117b7d2853738d973d35cf9db4f5ae68d31ca70de4b8487c148c81df",
+    ),
+    "grid 6x6": (
+        "ea1a8fa65854b9cdb5b3358335046735d94d811ef47e4d62a81c545bd138835b",
+        "60346164ba1f920567d9cc9ca97f92c57729b4cbc434df83ec93539b5b8ac205",
+        "43af0e9279b55342be7bc67ceb90bfc7b8a7f2c541d11d75e705abbc248319a4",
+        "684fa921ef2a466d45ea9599f6c4f9cc1033fd72f586a1493f2ccf0bcaade899",
+    ),
+}
+
+
+def test_seeded_traces_are_frozen(example_instance):
+    reps = {"fixture": to_representation(*example_instance), "grid 6x6": _grid_rep(6, 6)}
+    for name, rep in reps.items():
+        got = []
+        for seed in range(4):
+            trace = run_interconnect(rep, seed=seed).trace
+            text = "".join(json.dumps(event, sort_keys=True) + "\n" for event in trace)
+            got.append(hashlib.sha256(text.encode()).hexdigest())
+        assert tuple(got) == SEEDED_TRACES[name], name
 
 
 def test_grid_runs_verify():

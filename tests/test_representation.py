@@ -11,11 +11,13 @@ from hubmin import (
     Network,
     Pair,
     Path,
+    PathSystem,
     Representation,
     classify_edges,
     decompose_private,
     delete_edges,
     grid_graph,
+    grid_instance,
     hub_count,
     in_class,
     is_minimal,
@@ -127,6 +129,23 @@ def test_remove_relays_preserves_hub_count():
         assert int(hub_count(h1)) == int(hub_count(h))
 
 
+def test_remove_relays_merges_in_ascending_vertex_order():
+    # Listing the vertices backwards changes neither the merged edges nor
+    # their new ids.
+    merged = 0
+    for g, _ in two_pair_corpus(seed=306, count=10, extra=1):
+        h = minimalize(g)
+        systems = [vertex_disjoint_paths(h, i, p.demand) for i, p in enumerate(h.pairs)]
+        backwards = _net(h.vertices[::-1], h.edges, h.pairs)
+        h1, _, prov = remove_relays(h, systems)
+        b1, _, b_prov = remove_relays(
+            backwards, [make_path_system(backwards, s.pair_index, s.paths) for s in systems]
+        )
+        assert b1.edges == h1.edges and b_prov == prov
+        merged += len(prov["edges"])
+    assert merged >= 10
+
+
 def test_remove_relays_drops_isolated_vertices():
     g0 = grid_graph(2, 2)
     g = _net(tuple(g0.vertices) + (99,), g0.edges, g0.pairs)
@@ -209,7 +228,10 @@ def test_stretch_crossings_rejects_degree_five():
     ]
     with pytest.raises(InvariantError) as err:
         stretch_crossings(bigger, systems)
-    assert err.value.code == "unexpected-degree-4"
+    assert str(err.value) == (
+        "unexpected-degree-4: vertex 5 has degree 5 with tags "
+        "{phi: 2, psi: 2, public: 0, unused: 1}"
+    )
 
 
 def test_stretch_crossings_rejects_wrong_tag_mix():
@@ -230,7 +252,49 @@ def test_stretch_crossings_rejects_wrong_tag_mix():
     psi = make_path_system(g, 1, [Path(((5, True),))])
     with pytest.raises(InvariantError) as err:
         stretch_crossings(g, [phi, psi])
-    assert err.value.code == "unexpected-degree-4"
+    assert str(err.value) == (
+        "unexpected-degree-4: vertex 5 has degree 4 with tags "
+        "{phi: 2, psi: 0, public: 0, unused: 2}"
+    )
+
+
+def test_stretch_crossings_rejects_a_crossing_walked_one_way():
+    # The tags are a crossing's, but an orientation that claims the first
+    # system enters vertex 5 on both of its edges leaves three in, one out.
+    g, systems = _crossing_case()
+    g1, (phi, psi), _ = remove_relays(g, systems)
+    bent = PathSystem(
+        pair_index=0, paths=phi.paths, orientation={**phi.orientation, 3: False}
+    )
+    with pytest.raises(InvariantError) as err:
+        stretch_crossings(g1, [bent, psi])
+    assert str(err.value) == "unexpected-degree-4: vertex 5 is not a two-in two-out crossing"
+
+
+def test_rewrites_require_two_systems():
+    # With or without a crossing or an opposed public edge to rewrite.
+    for step, case in (
+        (stretch_crossings, _crossing_case),
+        (stretch_crossings, _relay_case),
+        (match_directions, _conflict_case),
+        (match_directions, _relay_case),
+    ):
+        g, systems = case()
+        with pytest.raises(InvariantError) as err:
+            step(g, systems[:1])
+        assert str(err.value) == "two-systems-required: got 1", (step.__name__, case.__name__)
+
+
+def test_rewrites_return_a_canonical_input_untouched():
+    # A lattice has no relay, crossing or opposed public edge: each step
+    # hands back the network object it was given.
+    spec = grid_instance(4, 5)
+    g, systems = spec.network, list(spec.systems)
+    for step in (remove_relays, stretch_crossings, match_directions):
+        out, out_systems, provenance = step(g, systems)
+        assert out is g, step.__name__
+        assert out_systems == systems, step.__name__
+        assert provenance == {"vertices": {}, "edges": {}}, step.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +333,20 @@ def test_match_directions_swaps_in_ascending_edge_order():
         ],
         [Pair(0, 1, 2), Pair(2, 3, 2)],
     )
-    phi = make_path_system(g, 0, [Path(((0, True), (1, True), (2, True))),
-                                  Path(((5, True), (6, True), (7, True)))])
+    first = Path(((0, True), (1, True), (2, True)))
+    second = Path(((5, True), (6, True), (7, True)))
     psi = make_path_system(g, 1, [Path(((3, True), (1, False), (4, True))),
                                   Path(((8, True), (6, False), (9, True)))])
-    g3, systems3, prov = match_directions(g, [phi, psi])
-    assert prov["edges"] == {10: 3, 11: 4, 12: 8, 13: 9}
-    assert [p.steps for p in systems3[1].paths] == [
-        ((10, True), (1, True), (11, True)),
-        ((12, True), (6, True), (13, True)),
-    ]
-    assert [e.id for e in g3.edges] == [0, 1, 2, 5, 6, 7, 10, 11, 12, 13]
+    # Whichever order the first system lists its paths in.
+    for phi_paths in ([first, second], [second, first]):
+        phi = make_path_system(g, 0, phi_paths)
+        g3, systems3, prov = match_directions(g, [phi, psi])
+        assert prov["edges"] == {10: 3, 11: 4, 12: 8, 13: 9}
+        assert [p.steps for p in systems3[1].paths] == [
+            ((10, True), (1, True), (11, True)),
+            ((12, True), (6, True), (13, True)),
+        ]
+        assert [e.id for e in g3.edges] == [0, 1, 2, 5, 6, 7, 10, 11, 12, 13]
 
 
 def test_natural_direction_prefers_the_first_system():
