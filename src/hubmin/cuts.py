@@ -21,7 +21,7 @@ rerouting that flow around e, instead of rebuilding the nets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._flownet import INF, FlowNet, strongly_connected_components
 from .graph_core import InvariantError, Network, Path, PathSystem, make_path_system
@@ -119,17 +119,29 @@ def _compile_network(g: Network) -> _SplitNetwork:
     adj = [[a] for a in range(n)]
     edge_arcs: Dict[int, Tuple[int, bool]] = {}
     arcs_of_edge: Dict[int, List[int]] = {}
+    arc = n
     for e in sorted(g.edges, key=lambda e: e.id):
-        arcs = arcs_of_edge[e.id] = []
-        for forward in (True,) if e.directed else (True, False):
-            tail, head = e.ends(forward)
-            out_tail, in_head = in_node[tail] + 1, in_node[head]
-            arc = len(to)
-            to += (in_head, out_tail)
-            adj[out_tail].append(arc)
-            adj[in_head].append(arc + 1)
-            edge_arcs[arc] = (e.id, forward)
-            arcs.append(arc)
+        eid = e.id
+        in_u = in_node[e.u]
+        in_v = in_node[e.v]
+        # Forward: out(u) -> in(v).
+        to.append(in_v)
+        to.append(in_u + 1)
+        adj[in_u + 1].append(arc)
+        adj[in_v].append(arc + 1)
+        edge_arcs[arc] = (eid, True)
+        if e.directed:
+            arcs_of_edge[eid] = [arc]
+            arc += 2
+        else:
+            # Backward: out(v) -> in(u).
+            to.append(in_u)
+            to.append(in_v + 1)
+            adj[in_v + 1].append(arc + 2)
+            adj[in_u].append(arc + 3)
+            edge_arcs[arc + 2] = (eid, False)
+            arcs_of_edge[eid] = [arc, arc + 2]
+            arc += 4
     return _SplitNetwork(g, to, adj, in_node, edge_arcs, arcs_of_edge)
 
 
@@ -244,51 +256,12 @@ class _DeletionQueries:
     The network is compiled once (``split``), and each pair's net carries
     the max flow of value ``demand`` left by ``_exact_flows`` (a network out
     of class raises ``not-in-class``).  An edge arc carries at most one unit.
-    For each pair, a query on edge e:
+    Deleting edges never raises a cut, so the network stays in class
+    without e exactly when every pair still reaches its demand avoiding e.
 
-    * does nothing when no arc of e carries flow: the flow already avoids e;
-    * cancels the unit cycle through both endpoints when both directions of
-      an undirected e carry flow, which leaves the flow valid and e idle;
-    * otherwise blocks e's arcs, takes the unit off the carrying arc a, and
-      looks for one residual path from a's tail to its head.  Such a path
-      exists exactly when a flow of value ``demand`` avoids e: for any such
-      flow f', f' - f is a circulation that runs through the reverse of a.
-
-    Before that search, a pair's strongly connected components decide every
-    read-only query on their own, and a deletion's no when they are
-    present.  The labels are those of the *unit residual view* of the
-    pair's flow f (``strongly_connected_components``): reverse arcs with
-    remaining capacity, and forward arcs that carry no flow.  Every edge
-    arc carries at most one unit in any feasible flow, so the view has the
-    same flows of value ``demand`` as the net with unbounded edges.  If a
-    flow f' of value ``demand`` avoids e, f' - f is a circulation on the
-    view's arcs with -1 on a; one of its cycles runs through the reverse of
-    a, so a's tail and head share a component.  Hence different labels
-    answer no, exactly, with no search.
-
-    Equal labels answer yes.  They give a simple path P in the view from
-    a's tail to its head.  P avoids a, which carries flow, and a's reverse,
-    which ends where P starts.  If e is undirected, with a = out(u) ->
-    in(v), P may pass through e's other arc b = out(v) -> in(u), which
-    carries nothing.  P then goes on from in(u).  But e touches no
-    terminal, so u's vertex arc carries a's unit, and its reverse leads
-    from out(u) to in(u) directly.  Replacing P's part up to in(u) with
-    that arc gives a path that avoids e.  Pushing a unit along it and
-    taking the unit off a yields a flow of value ``demand`` that avoids e.
-    A read-only query stops there.  A query with ``delete=True`` still runs
-    the search, because the deletion keeps the rerouted flow.
-
-    Labels are built lazily per pair, by the first query without ``delete``
-    that needs them, and dropped when flows change for good: every pair's
-    after a committed deletion, one pair's when it cancels an opposed unit.
-    So labels always describe the flow they are tested on.  A query with
-    ``delete=True`` uses labels but never builds them, so ``minimalize``,
-    which only deletes, searches as before.
-
-    Deleting edges never raises a cut, so the network stays in class after
-    a deletion exactly when every pair still reaches its demand.  A query
-    with ``delete=True`` that answers yes keeps the rerouted flows and
-    removes e's arcs for good; every other query restores the flows.
+    ``deletable`` answers many read-only queries at once, with no search;
+    ``stays_in_class`` answers one query by rerouting, and deletes the edge
+    when the answer is yes.
     """
 
     def __init__(self, g: Network):
@@ -297,58 +270,98 @@ class _DeletionQueries:
         if nets is None:
             raise InvariantError("not-in-class")
         self._nets: List[_PairNet] = nets
-        self._labels: List[Optional[List[int]]] = [None] * len(self._nets)
 
-    def stays_in_class(self, eid: int, delete: bool = False) -> bool:
+    def deletable(self, eids: Iterable[int]) -> List[int]:
+        """The edges of ``eids``, in order, whose deletion on its own keeps
+        ``g`` (minus every edge deleted before) in class.  Changes no flow.
+
+        Each pair makes one pass over the edges still left.  An edge
+        survives the pass when the pair's flow f avoids it, or when both
+        directions of an undirected edge carry a unit: f then runs the unit
+        cycle through both endpoints, and cancelling it leaves a flow of
+        value ``demand`` that avoids the edge.  Otherwise exactly one arc a
+        of the edge carries a unit, and the pair's strongly connected
+        components decide.  They are those of the *unit residual view* of f
+        (``strongly_connected_components``): reverse arcs with remaining
+        capacity, and forward arcs that carry no flow.  A pair labels its
+        net at most once per call, on the first edge that needs it, and no
+        pair is asked once no edge is left.
+
+        Different labels answer no.  If a flow f' of value ``demand``
+        avoids e, f' - f is a circulation with -1 on a.  It uses no forward
+        arc that already carries a unit: every edge arc carries at most one
+        unit in any feasible flow, f' included.  So it runs on the view's
+        arcs, even where f carries an opposed unit on some other edge, and
+        one of its cycles runs through the reverse of a: a's tail and head
+        share a component.
+
+        Equal labels answer yes.  They give a simple path P in the view from
+        a's tail to its head.  P avoids a, which carries flow, and a's
+        reverse, which ends where P starts.  If e is undirected, with a =
+        out(u) -> in(v), P may pass through e's other arc b = out(v) ->
+        in(u), which carries nothing.  P then goes on from in(u).  But e
+        touches no terminal, so u's vertex arc carries a's unit, and its
+        reverse leads from out(u) to in(u) directly.  Replacing P's part up
+        to in(u) with that arc gives a path that avoids e.  Pushing a unit
+        along it and taking the unit off a yields a flow of value
+        ``demand`` that avoids e.
+        """
+        left = list(eids)
+        for built in self._nets:
+            if not left:
+                break
+            net = built.net
+            cap, base_cap, to = net.cap, net.base_cap, net.to
+            arcs_of_edge = built.arcs_of_edge
+            labels: Optional[List[int]] = None
+            kept = []
+            for eid in left:
+                carrying = [arc for arc in arcs_of_edge[eid] if cap[arc] < base_cap[arc]]
+                if len(carrying) == 1:
+                    if labels is None:
+                        labels = strongly_connected_components(net)
+                    a = carrying[0]
+                    if labels[to[a ^ 1]] != labels[to[a]]:
+                        continue
+                kept.append(eid)
+            left = kept
+        return left
+
+    def stays_in_class(self, eid: int) -> bool:
         """Whether ``g`` minus ``eid`` (and every edge deleted before) is in
-        class; with ``delete``, a yes also deletes ``eid``."""
+        class; a yes deletes ``eid``.
+
+        For each pair, the query does nothing when no arc of e carries
+        flow; cancels the unit cycle through both endpoints when both
+        directions of an undirected e carry flow, which leaves the flow
+        valid and e idle; and otherwise blocks e's arcs, takes the unit off
+        the carrying arc a, and looks for one residual path from a's tail
+        to its head.  Such a path exists exactly when a flow of value
+        ``demand`` avoids e: for any such flow f', f' - f is a circulation
+        that runs through the reverse of a.  A yes keeps the rerouted flows
+        and removes e's arcs for good; a no restores the flows.
+        """
         undo: List[Tuple[List[int], int, int]] = []
-        ok = all(
-            self._pair_stays(i, built.arcs_of_edge[eid], delete, undo)
-            for i, built in enumerate(self._nets)
-        )
-        if ok and delete:
+        ok = all(self._reroute(built, built.arcs_of_edge[eid], undo) for built in self._nets)
+        if ok:
             # No flow is left on e's arcs; zero capacity removes them.
             for built in self._nets:
                 for arc in built.arcs_of_edge[eid]:
                     built.net.cap[arc] = built.net.base_cap[arc] = 0
-            self._labels = [None] * len(self._nets)
         else:
             for cap, arc, old in reversed(undo):
                 cap[arc] = old
         return ok
 
-    def _pair_stays(self, i: int, arcs: List[int], delete: bool, undo: list) -> bool:
-        """Pair i's answer for the edge with these arcs: the labels' where
-        present (only their no when deleting), otherwise ``_reroute``'s."""
-        built = self._nets[i]
-        net = built.net
-        cap, base_cap = net.cap, net.base_cap
-        carrying = [arc for arc in arcs if cap[arc] < base_cap[arc]]
-        if not carrying:
-            return True
-        if len(carrying) == 2:
-            # _reroute cancels the opposed units for good.
-            self._labels[i] = None
-        else:
-            labels = self._labels[i]
-            if labels is None and not delete:
-                labels = self._labels[i] = strongly_connected_components(net)
-            if labels is not None:
-                a = carrying[0]
-                if labels[net.to[a ^ 1]] != labels[net.to[a]]:
-                    return False
-                if not delete:
-                    return True
-        return self._reroute(built, arcs, undo)
-
     def _reroute(self, built: _PairNet, arcs: List[int], undo: list) -> bool:
-        """Move one pair's flow off the edge with these arcs, which carries
-        some of it; False if the demand cannot avoid the edge.  Saves every
-        capacity it changes."""
+        """Move one pair's flow off the edge with these arcs; False if the
+        demand cannot avoid the edge.  Saves every capacity it changes,
+        except when it cancels an opposed unit, which keeps the flow valid."""
         net = built.net
         cap = net.cap
         carrying = [arc for arc in arcs if net.flow_on(arc) > 0]
+        if not carrying:
+            return True
         if len(carrying) == 2:
             edge = self.split.g.edge_by_id[built.edge_arcs[arcs[0]][0]]
             for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):

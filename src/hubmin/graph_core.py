@@ -200,6 +200,10 @@ class PathSystem:
 
     ``orientation`` maps each used edge id to its natural direction: True when
     the path traverses the edge u -> v as stored.
+
+    Direct construction checks nothing, not even that ``orientation``
+    agrees with ``paths``; ``make_path_system`` is the checked constructor,
+    and every system the library builds or parses comes from it.
     """
 
     pair_index: int

@@ -201,28 +201,30 @@ def _is_reroutable(
     built = split.pair_net(pair_index)
     net = built.net
 
+    # The arcs that carry the system's flow, each pushed once.
+    pushed: List[int] = []
     used_vertices: Set[int] = set()
     for path in system.paths:
         for eid, fwd in path.steps:
-            net.push(built.arcs_of_edge[eid][not fwd], 1)
+            pushed.append(built.arcs_of_edge[eid][not fwd])
             edge = g.edge_by_id[eid]
             for v in edge.ends(fwd):
                 if v not in (pair.source, pair.sink):
                     used_vertices.add(v)
-    for v in used_vertices:
-        net.push(built.vertex_arc[v], 1)
+    pushed += (built.vertex_arc[v] for v in used_vertices)
+    for arc in pushed:
+        net.push(arc, 1)
 
     # More flow available than the system carries: any augmentation yields
     # extra disjoint paths, hence a different selection.
     if net.residual_path(built.s, built.t) is not None:
         return True
 
+    # Cancelling a carrying arc's unit is possible exactly when its ends
+    # share a component.
     comp = strongly_connected_components(net)
-    for arc in range(1, len(net.to), 2):  # odd ids are the reverse directions
-        if net.cap[arc] > 0:  # forward arc carries flow: cancellation possible
-            if comp[net.to[arc ^ 1]] == comp[net.to[arc]]:
-                return True
-    return False
+    to = net.to
+    return any(comp[to[arc ^ 1]] == comp[to[arc]] for arc in pushed)
 
 
 def is_minimal(g: Network) -> bool:
@@ -231,8 +233,8 @@ def is_minimal(g: Network) -> bool:
 
 
 def _no_deletable_edge(queries: _DeletionQueries) -> bool:
-    """Whether every edge of the queried network is needed, in edge-id order."""
-    return not any(queries.stays_in_class(eid) for eid in sorted(queries.split.g.edge_by_id))
+    """Whether every edge of the queried network is needed."""
+    return not queries.deletable(queries.split.g.edge_by_id)
 
 
 def minimalize(g: Network, seed: Optional[int] = None) -> Network:
@@ -257,7 +259,7 @@ def minimalize(g: Network, seed: Optional[int] = None) -> Network:
         for eid in order:
             if eid in undeletable:
                 continue
-            if queries.stays_in_class(eid, delete=True):
+            if queries.stays_in_class(eid):
                 surviving.remove(eid)
                 deleted.append(eid)
                 break
@@ -323,4 +325,4 @@ def deletable_private_edges(
     own = systems[pair_index].edge_ids()
     shared = own & other.edge_ids() if other is not None else frozenset()
     queries = _DeletionQueries(g)
-    return [eid for eid in sorted(own - shared) if queries.stays_in_class(eid)]
+    return queries.deletable(sorted(own - shared))

@@ -1,12 +1,14 @@
 """The compiled flow engine against independent references.
 
-Warm-start deletion queries, with and without the residual SCC labels that
-decide read-only ones, are checked against rebuilding the network and
-calling ``in_class``; ``minimalize`` against the plain restart loop it
-replaces; the shared split network against a net compiled for one pair at
-a time; the labels against networkx's components; ``min_vertex_cut`` and
-the paths of ``vertex_disjoint_paths`` against networkx max-flow on
-vertex-split graphs far beyond the brute-force oracle's size guards.
+Warm-start deletion queries, the bulk read-only ones that residual SCC
+labels decide and the deleting ones that reroute, are checked against
+rebuilding the network and calling ``in_class``; ``minimalize`` against
+the plain restart loop it replaces; the compiled arc layout against one
+written out arc by arc; the shared split network against a net compiled
+for one pair at a time; the labels against networkx's components;
+``min_vertex_cut`` and the paths of ``vertex_disjoint_paths`` against
+networkx max-flow on vertex-split graphs far beyond the brute-force
+oracle's size guards.
 """
 
 from __future__ import annotations
@@ -140,13 +142,27 @@ def test_corpus_covers_the_edge_cases():
     assert sum(not is_minimal(g) for g in CORPUS) >= len(CORPUS) // 2
 
 
+def _rebuilt_deletable(g: Network, deleted, eids):
+    """The edges of ``eids``, in order, whose deletion on its own keeps ``g``
+    minus ``deleted`` in class, each decided by a rebuild; a deleted edge
+    counts as deletable."""
+    return [x for x in eids if x in deleted or in_class(delete_edges(g, list(deleted) + [x]))]
+
+
+def _caps(queries):
+    return [list(built.net.cap) for built in queries._nets]
+
+
 def test_single_deletion_query_matches_rebuild(monkeypatch):
     labelled = _count_labellings(monkeypatch)
     for index, g in enumerate(LABEL_CORPUS):
         queries = cuts._DeletionQueries(g)
-        for e in g.edges:
-            expected = in_class(delete_edges(g, [e.id]))
-            assert queries.stays_in_class(e.id) == expected, (index, e.id)
+        eids = [e.id for e in g.edges]
+        random.Random(index).shuffle(eids)
+        caps = _caps(queries)
+        # The answer keeps the order it was asked in, and changes no flow.
+        assert queries.deletable(eids) == _rebuilt_deletable(g, [], eids), index
+        assert _caps(queries) == caps
         _assert_flows_valid(queries, g)
     # Read-only queries on the minimal networks are decided by labels.
     assert labelled
@@ -179,13 +195,14 @@ def test_committed_deletions_keep_queries_exact():
         deleted = []
         for eid in order:
             expected = in_class(delete_edges(g, deleted + [eid]))
-            assert queries.stays_in_class(eid, delete=True) == expected, (g, eid)
+            assert queries.stays_in_class(eid) == expected, (g, eid)
             if expected:
                 deleted.append(eid)
             _assert_flows_valid(queries, g)
         # A deleted edge is gone: querying it again changes nothing.
-        for eid in deleted:
-            assert queries.stays_in_class(eid)
+        caps = _caps(queries)
+        assert queries.deletable(deleted) == deleted
+        assert _caps(queries) == caps
         _assert_flows_valid(queries, g)
 
 
@@ -215,20 +232,33 @@ def test_minimalize_queries_each_edge_at_most_once(monkeypatch, seed):
     calls = []
     stays = cuts._DeletionQueries.stays_in_class
 
-    def counting(self, eid, delete=False):
+    def counting(self, eid):
         calls.append(eid)
-        return stays(self, eid, delete)
+        return stays(self, eid)
+
+    bulk = cuts._DeletionQueries.deletable
+    asked = []
+
+    def recording(self, eids):
+        eids = list(eids)
+        asked.append(eids)
+        return bulk(self, eids)
 
     monkeypatch.setattr(cuts._DeletionQueries, "stays_in_class", counting)
+    monkeypatch.setattr(cuts._DeletionQueries, "deletable", recording)
     for g in CORPUS[:12]:
         calls.clear()
         minimalize(g, seed)
         assert len(calls) <= len(g.edges)
         assert len(set(calls)) == len(calls)
+        assert not asked
         m = minimalize(g)
         calls.clear()
         assert is_minimal(m)
-        assert len(calls) == len(m.edges)
+        # One bulk call decides each edge exactly once.
+        assert [sorted(eids) for eids in asked] == [sorted(m.edge_by_id)]
+        assert not calls
+        asked.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -244,36 +274,74 @@ def test_mixed_queries_match_rebuild(monkeypatch):
         eids = sorted(g.edge_by_id)
         queries = cuts._DeletionQueries(g)
         deleted = []
-        for _ in range(3 * len(eids)):
-            eid = rng.choice(eids)
-            delete = rng.random() < 0.25
-            expected = eid in deleted or in_class(delete_edges(g, deleted + [eid]))
-            assert queries.stays_in_class(eid, delete) == expected, (index, eid, delete)
-            if delete and expected and eid not in deleted:
-                deleted.append(eid)
+        for _ in range(len(eids)):
+            if rng.random() < 0.25:
+                eid = rng.choice(eids)
+                expected = eid in deleted or in_class(delete_edges(g, deleted + [eid]))
+                assert queries.stays_in_class(eid) == expected, (index, eid)
+                if expected and eid not in deleted:
+                    deleted.append(eid)
+            else:
+                # A sweep over a random sample in random order, repeats
+                # and deleted edges included.
+                sample = [rng.choice(eids) for _ in range(rng.randint(0, len(eids)))]
+                caps = _caps(queries)
+                got = queries.deletable(sample)
+                assert got == _rebuilt_deletable(g, deleted, sample), (index, deleted)
+                assert _caps(queries) == caps
         _assert_flows_valid(queries, g)
 
-    # Deletions in minimalize's order, each after a read-only sweep, so a
-    # deletion meets labels: on the opposed-flow instance one sweep cancels
-    # an opposed unit of a labelled pair, and the detour's first deletion
-    # has equal labels on a directed edge.  Every sweep after a deletion
-    # labels afresh.
+    # Deletions in minimalize's order, each after a read-only sweep over
+    # every edge.  Each sweep labels afresh, at most once per pair: pair 0's
+    # flow always has an edge arc with exactly one unit.
     for g in (_cycle_instance(), _detour_instance()):
         eids = sorted(g.edge_by_id)
         queries = cuts._DeletionQueries(g)
         deleted = []
-        unlabelled = True  # no sweep yet, or a deletion since the last one
         for eid in eids:
             before = len(labelled)
-            for x in eids:
-                expected = x in deleted or in_class(delete_edges(g, deleted + [x]))
-                assert queries.stays_in_class(x) == expected, (deleted, x)
-            assert len(labelled) > before or not unlabelled, deleted
-            unlabelled = queries.stays_in_class(eid, delete=True)
-            if unlabelled:
+            assert queries.deletable(eids) == _rebuilt_deletable(g, deleted, eids), deleted
+            assert 1 <= len(labelled) - before <= len(g.pairs), deleted
+            if queries.stays_in_class(eid):
                 deleted.append(eid)
                 _assert_flows_valid(queries, g)
         assert deleted
+
+
+def _opposed_edges(queries):
+    """(pair index, edge id) of every undirected edge both of whose arcs
+    carry a unit of that pair's flow."""
+    return [
+        (i, eid)
+        for i, built in enumerate(queries._nets)
+        for eid, arcs in built.arcs_of_edge.items()
+        if len(arcs) == 2 and all(built.net.flow_on(a) > 0 for a in arcs)
+    ]
+
+
+def test_bulk_answer_on_an_opposed_flow_matches_rebuild(monkeypatch):
+    # Labels of a flow that carries an opposed unit on one edge still decide
+    # every other edge exactly.
+    g = _cycle_instance()
+    eids = sorted(g.edge_by_id)
+    queries = cuts._DeletionQueries(g)
+    deleted = []
+    for eid in eids:
+        if _opposed_edges(queries):
+            break
+        if queries.stays_in_class(eid):
+            deleted.append(eid)
+    opposed = _opposed_edges(queries)
+    assert opposed
+    expected = _rebuilt_deletable(g, deleted, eids)
+    labelled = _count_labellings(monkeypatch)
+    caps = _caps(queries)
+    assert queries.deletable(eids) == expected, (deleted, opposed)
+    assert _caps(queries) == caps
+    pair, eid = opposed[0]
+    assert any(net is queries._nets[pair].net for net in labelled)
+    # The opposed edge itself is deletable: its pair cancels the unit cycle.
+    assert eid in expected
 
 
 def test_is_minimal_on_a_lattice_runs_no_search_beyond_its_max_flows(monkeypatch):
@@ -331,6 +399,13 @@ def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
             searches.clear()
             deletable += len(deletable_private_edges(g, systems, i))
             assert len(searches) == max_flows
+        # A bulk sweep over every edge runs no search at all.
+        eids = sorted(g.edge_by_id)
+        expected = _rebuilt_deletable(g, [], eids)
+        queries = cuts._DeletionQueries(g)
+        searches.clear()
+        assert queries.deletable(eids) == expected != []
+        assert not searches
     assert deletable
 
 
@@ -383,8 +458,53 @@ def test_in_class_compiles_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The shared split network against a net compiled for a single pair.
+# The shared split network against a layout written out arc by arc, and
+# against a net compiled for a single pair.
 # ---------------------------------------------------------------------------
+
+
+def _reference_layout(g: Network):
+    """``_compile_network``'s lists and maps, one arc at a time: the vertex
+    at sorted position i has in-node 2i and out-node 2i + 1 joined by arc
+    2i; then each edge in id order runs from its tail's out-node to its
+    head's in-node, forward and then, if undirected, backward."""
+    order = sorted(g.vertices)
+    in_node = {v: 2 * i for i, v in enumerate(order)}
+    to, adj = [], [[] for _ in range(2 * len(order))]
+
+    def add_arc(tail, head):
+        arc = len(to)
+        to.extend((head, tail))
+        adj[tail].append(arc)
+        adj[head].append(arc + 1)
+        return arc
+
+    for v in order:
+        add_arc(in_node[v], in_node[v] + 1)
+    edge_arcs, arcs_of_edge = {}, {}
+    for e in sorted(g.edges, key=lambda e: e.id):
+        for forward in (True,) if e.directed else (True, False):
+            tail, head = e.ends(forward)
+            arc = add_arc(in_node[tail] + 1, in_node[head])
+            edge_arcs[arc] = (e.id, forward)
+            arcs_of_edge.setdefault(e.id, []).append(arc)
+    return to, adj, in_node, edge_arcs, arcs_of_edge
+
+
+def test_compiled_layout_matches_reference():
+    graphs = CORPUS + [_cycle_instance(), _detour_instance(), ones_graph(3, 3, 2)]
+    graphs += [grid_graph(c1, c2) for c1 in range(1, 5) for c2 in range(1, 5)]
+    # Vertices and edges listed out of order, and ids with gaps.
+    g = delete_edges(grid_graph(4, 4), sorted(grid_graph(4, 4).edge_by_id)[::5])
+    graphs.append(Network(vertices=g.vertices[::-1], edges=g.edges[::-1], pairs=g.pairs))
+    for g in graphs:
+        split = cuts._compile_network(g)
+        got = (split.to, split.adj, split.vertex_arc, split.edge_arcs, split.arcs_of_edge)
+        want = _reference_layout(g)
+        assert got[:2] == want[:2], serialize_network(g)
+        # The maps keep their insertion order too.
+        for have, ref in zip(got[2:], want[2:]):
+            assert list(have.items()) == list(ref.items()), serialize_network(g)
 
 
 def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
@@ -444,7 +564,7 @@ def _flow_answers(g: Network):
     systems = [vertex_disjoint_paths(g, i, p.demand) for i, p in enumerate(g.pairs)]
     out.append([is_reroutable(g, systems, i) for i in range(len(g.pairs))])
     queries = cuts._DeletionQueries(g)
-    out.append([queries.stays_in_class(eid) for eid in sorted(g.edge_by_id)])
+    out.append(queries.deletable(sorted(g.edge_by_id)))
     out.append([serialize_network(minimalize(g, seed)) for seed in (None, 5)])
     if len(g.pairs) == 2:
         out.append(theorem1_agreement(g, systems))
