@@ -194,26 +194,36 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
 def _is_reroutable(
     split: _SplitNetwork, systems: Sequence[PathSystem], pair_index: int
 ) -> bool:
-    """``is_reroutable`` on a compiled network, in a net of its own."""
+    """``is_reroutable`` on a compiled network, in a net of its own.
+
+    Only the system's edge arcs are tested for a shared component; its used
+    vertices' arcs are pushed to load the flow, but their tests never
+    decide.  A cycle through the reverse of a used vertex v's arc enters
+    in(v), where the vertex arc is full and the only other residual arc is
+    the reverse of the system's edge arc into v.  So that edge arc lies on
+    the cycle too, and its ends share a component.
+    """
     g = split.g
     system = systems[pair_index]
     pair = g.pairs[pair_index]
     built = split.pair_net(pair_index)
     net = built.net
 
-    # The arcs that carry the system's flow, each pushed once.
-    pushed: List[int] = []
+    # The edge arcs that carry the system's flow, then the vertex arcs of
+    # the vertices it uses, each pushed once.
+    edge_flow: List[int] = []
     used_vertices: Set[int] = set()
     for path in system.paths:
         for eid, fwd in path.steps:
-            pushed.append(built.arcs_of_edge[eid][not fwd])
+            edge_flow.append(built.arcs_of_edge[eid][not fwd])
             edge = g.edge_by_id[eid]
             for v in edge.ends(fwd):
                 if v not in (pair.source, pair.sink):
                     used_vertices.add(v)
-    pushed += (built.vertex_arc[v] for v in used_vertices)
-    for arc in pushed:
+    for arc in edge_flow:
         net.push(arc, 1)
+    for v in used_vertices:
+        net.push(built.vertex_arc[v], 1)
 
     # More flow available than the system carries: any augmentation yields
     # extra disjoint paths, hence a different selection.
@@ -224,7 +234,7 @@ def _is_reroutable(
     # share a component.
     comp = strongly_connected_components(net)
     to = net.to
-    return any(comp[to[arc ^ 1]] == comp[to[arc]] for arc in pushed)
+    return any(comp[to[arc ^ 1]] == comp[to[arc]] for arc in edge_flow)
 
 
 def is_minimal(g: Network) -> bool:

@@ -4,8 +4,11 @@ Exhaustive enumeration of path systems and of edge-deletion subgraphs.
 Deliberately independent of the structural machinery (no representations,
 no alternating paths) so it can cross-check those modules; guarded against
 inputs too large to enumerate.  The minimum-hub search shares only the
-network compiler with ``minimalize``: it runs a fresh max flow for every
-deletion set instead of rerouting warm flows.
+network compiler with ``minimalize``.  A deletion set reuses its parent's
+flow for a pair when that flow avoids every deleted edge, and otherwise
+runs a max flow from zero; it never reroutes or augments a warm flow and
+reads no residual components, so it stays independent of
+``cuts._DeletionQueries``, which it cross-checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cuts import _compile_network, min_vertex_cut
 from .extremal import signature_bound
@@ -103,17 +106,30 @@ def enumerate_path_systems(g: Network, pair_index: int) -> List[PathSystem]:
     return systems
 
 
+# A pair's witness: the edges its flow uses, and the flow's value.
+_Witness = Tuple[FrozenSet[int], int]
+
+
 class _CompiledPairs:
     """Every pair's vertex-split net, on one compile of the network.
 
-    ``profile`` decides a deletion set with a fresh max flow per pair on
-    the compiled nets, with the deleted edges' arcs at zero capacity.  The
-    flows start from zero on every call, so no answer depends on the order
-    in which deletion sets are visited.
+    ``profile`` decides a deletion set pair by pair.  A pair's *witness* is
+    a flow found on some deletion set A by a max flow from zero with
+    ``limit = demand + 1``: the edges that carry it, and its value.  On a
+    superset D of A whose deleted edges the witness avoids, the same flow
+    is still a flow, so the value decides D exactly.  ``demand + 1`` shows
+    that D's cut is above the demand.  ``demand`` means cut(A) = demand;
+    deleting edges never raises a cut, so cut(D) <= demand, and the
+    witness gives cut(D) >= demand.  Only a pair whose witness uses a
+    deleted edge runs a fresh max flow, from zero flow, with the deleted
+    edges' arcs at zero capacity.  A flow's edges are read from the
+    reverse arcs, whose capacity is the flow on their forward arc and
+    stays 0 on a deleted arc.
     """
 
     def __init__(self, g: Network):
         split = _compile_network(g)
+        self._flow_arcs = [(arc ^ 1, eid) for arc, (eid, _) in split.edge_arcs.items()]
         self._pairs = []
         for i, pair in enumerate(g.pairs):
             built = split.pair_net(i)
@@ -121,23 +137,39 @@ class _CompiledPairs:
                 (built.net, built.s, built.t, pair.demand, built.arcs_of_edge)
             )
 
-    def profile(self, deleted: Iterable[int]) -> Tuple[bool, bool]:
-        """(feasible: all cuts >= demand, exact: all cuts == demand) once the
-        ``deleted`` edges are gone."""
+    def profile(
+        self,
+        deleted: Collection[int],
+        inherited: Optional[Sequence[_Witness]] = None,
+    ) -> Tuple[bool, bool, Tuple[_Witness, ...]]:
+        """(feasible: all cuts >= demand, exact: all cuts == demand, the
+        pairs' witnesses) once the ``deleted`` edges are gone.
+
+        ``inherited`` holds the witnesses of a deletion set that ``deleted``
+        contains.  An infeasible set stops at its first short pair and
+        returns no witnesses.
+        """
+        flow_arcs = self._flow_arcs
         exact = True
-        for net, s, t, demand, arcs_of_edge in self._pairs:
-            cap = net.cap
-            cap[:] = net.base_cap
-            for eid in deleted:
-                for arc in arcs_of_edge[eid]:
-                    cap[arc] = 0
-            # One unit past the demand tells "above" from "exact".
-            value = net.max_flow(s, t, limit=demand + 1)
-            if value < demand:
-                return False, False
-            if value != demand:
+        witnesses: List[_Witness] = []
+        for k, (net, s, t, demand, arcs_of_edge) in enumerate(self._pairs):
+            if inherited is not None and inherited[k][0].isdisjoint(deleted):
+                witness = inherited[k]
+            else:
+                cap = net.cap
+                cap[:] = net.base_cap
+                for eid in deleted:
+                    for arc in arcs_of_edge[eid]:
+                        cap[arc] = 0
+                # One unit past the demand tells "above" from "exact".
+                value = net.max_flow(s, t, limit=demand + 1)
+                if value < demand:
+                    return False, False, ()
+                witness = (frozenset(eid for rev, eid in flow_arcs if cap[rev]), value)
+            if witness[1] != demand:
                 exact = False
-        return True, exact
+            witnesses.append(witness)
+        return True, exact, tuple(witnesses)
 
 
 def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport:
@@ -146,41 +178,67 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
     Edges whose single removal already destroys feasibility can never be
     deleted; the search branches only on the rest, pruning any deletion set
     that drops some pair's cut below its demand.  Each pair's net is
-    compiled once; only the returned subgraph is built as a ``Network``,
-    and its cuts are checked once more with ``min_vertex_cut``.
+    compiled once, and each deletion set inherits its parent's witnesses
+    (see ``_CompiledPairs``); the single deletions inherit the input's.
+    The hub count follows the deletions down the search.  Only the returned
+    subgraph is built as a ``Network``, and its cuts are checked once more
+    with ``min_vertex_cut``.
     """
     start = time.perf_counter()
     nets = _CompiledPairs(g)
-    root = nets.profile(())
-    if not root[0]:
+    root_feasible, root_exact, root_witnesses = nets.profile(())
+    if not root_feasible:
         raise InvariantError(
             "no-in-class-subgraph", "a cut is already below its demand"
         )
-    singles = {e: nets.profile((e,)) for e in sorted(g.edge_by_id)}
-    free = [e for e, (feasible, _) in singles.items() if feasible]
+    singles = {e: nets.profile((e,), root_witnesses) for e in sorted(g.edge_by_id)}
+    free = [e for e, (feasible, _, _) in singles.items() if feasible]
     if len(free) > max_free:
         raise InvariantError(
             "size-guard-exceeded",
             f"{len(free)} deletable edges (search limit {max_free})",
         )
 
-    in_class_states: Set[FrozenSet[int]] = set()
+    degree = {v: g.degree(v) for v in g.vertices if not g.is_terminal(v)}
+    interior_ends: Dict[int, List[int]] = {}
+    for eid in free:
+        e = g.edge_by_id[eid]
+        interior_ends[eid] = [end for end in (e.u, e.v) if end in degree]
+    # Hub count of every deletion set that reaches exact cuts.
+    exact_hubs: Dict[FrozenSet[int], int] = {}
 
     def search(
-        deleted: FrozenSet[int], from_index: int, profile: Tuple[bool, bool]
+        deleted: FrozenSet[int],
+        from_index: int,
+        witnesses: Tuple[_Witness, ...],
+        hubs: int,
     ) -> None:
-        sub_feasible, exact = profile
-        if not sub_feasible:
-            return
-        if exact:
-            in_class_states.add(deleted)
         for i in range(from_index, len(free)):
-            child = deleted | {free[i]}
-            # The root and its children were decided by the checks above.
-            search(child, i + 1, nets.profile(child) if deleted else singles[free[i]])
+            eid = free[i]
+            child = deleted | {eid}
+            # The children of the root were decided by the checks above.
+            feasible, exact, child_witnesses = (
+                nets.profile(child, witnesses) if deleted else singles[eid]
+            )
+            if not feasible:
+                continue
+            ends = interior_ends[eid]
+            child_hubs = hubs
+            for v in ends:
+                degree[v] -= 1
+                if degree[v] == 2:
+                    child_hubs -= 1
+            if exact:
+                exact_hubs[child] = child_hubs
+            search(child, i + 1, child_witnesses, child_hubs)
+            for v in ends:
+                degree[v] += 1
 
-    search(frozenset(), 0, root)
-    if not in_class_states:
+    root_hubs = hub_count(g)
+    if root_exact:
+        exact_hubs[frozenset()] = root_hubs
+    search(frozenset(), 0, root_witnesses, root_hubs)
+    if not exact_hubs:
         raise InvariantError(
             "no-in-class-subgraph", "no deletion set reaches exact cuts"
         )
@@ -188,23 +246,16 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
     free_set = set(free)
     minimal = [
         s
-        for s in in_class_states
-        if all(s | {f} not in in_class_states for f in free_set - s)
+        for s in exact_hubs
+        if all(s | {f} not in exact_hubs for f in free_set - s)
     ]
 
-    interior_degree = {v: g.degree(v) for v in g.vertices if not g.is_terminal(v)}
-
-    def keyed(state: FrozenSet[int]) -> Tuple[int, Tuple[int, ...]]:
-        degree = dict(interior_degree)
-        for eid in state:
-            e = g.edge_by_id[eid]
-            for end in (e.u, e.v):
-                if end in degree:
-                    degree[end] -= 1
-        hubs = sum(1 for d in degree.values() if d >= 3)
-        return (hubs, tuple(sorted(g.edge_by_id.keys() - state)))
-
-    best = min(in_class_states, key=keyed)
+    # Fewest hubs first, then the smallest sorted tuple of surviving edges.
+    min_hubs = min(exact_hubs.values())
+    best = min(
+        (s for s, hubs in exact_hubs.items() if hubs == min_hubs),
+        key=lambda s: tuple(sorted(g.edge_by_id.keys() - s)),
+    )
     best_graph = delete_edges(g, best)
     for i, pair in enumerate(best_graph.pairs):
         value = min_vertex_cut(best_graph, i).value

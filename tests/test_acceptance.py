@@ -2,7 +2,8 @@
 
 Each test prints a single summary line; run with ``pytest -v`` to see one
 pass/fail line per criterion.  Corpus sizes and time budgets are part of the
-criteria and asserted explicitly.
+criteria and asserted explicitly.  The last test checks how often the
+claim catalog compiles its networks.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import time
 
 import pytest
 
+import hubmin.cuts
 from hubmin import (
     check_bound,
     classify_edges,
     decompose_private,
     deletable_private_edges,
+    delete_edges,
     enumerate_path_systems,
     finiteness_bound,
     grid_graph,
@@ -39,6 +42,7 @@ from hubmin import (
     vertex_disjoint_paths,
     witness_222,
 )
+from hubmin.acceptance import _in_class_and_minimal, claim_t6
 
 CORPUS_SIZE = 500
 
@@ -229,3 +233,22 @@ def test_criterion_10_hub_counts_through_pipeline(corpus):
         a, b, c, d = (int(hub_count(x)) for x in (h, h1, h2, h3))
         assert a == b <= c == d, (a, b, c, d)
     print(f"criterion 10: PASS - hub relation on {CORPUS_SIZE} instances")
+
+
+def test_claim_catalog_compiles_each_network_once(monkeypatch):
+    compiled = []
+    compile_network = hubmin.cuts._compile_network
+
+    def counting(g):
+        compiled.append(g)
+        return compile_network(g)
+
+    monkeypatch.setattr(hubmin.cuts, "_compile_network", counting)
+    assert claim_t6(0)[0]
+    # One is_minimal call per grid, (1..4) x (1..4).
+    assert len(compiled) == 16
+    grid = grid_graph(2, 2)
+    assert _in_class_and_minimal(grid)
+    assert not _in_class_and_minimal(delete_edges(grid, [0]))
+    g, _ = random_network(2, (2, 3), extra=4)
+    assert in_class(g) and not _in_class_and_minimal(g)

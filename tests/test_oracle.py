@@ -31,6 +31,7 @@ from hubmin import (
     vertex_disjoint_paths,
     witness_222,
 )
+from hubmin._flownet import FlowNet
 
 from conftest import two_pair_corpus
 
@@ -312,9 +313,9 @@ def test_oracle_decides_each_deletion_set_once(monkeypatch):
     profile = hubmin.oracle._CompiledPairs.profile
     seen = []
 
-    def recording(self, deleted):
+    def recording(self, deleted, inherited=None):
         seen.append(frozenset(deleted))
-        return profile(self, deleted)
+        return profile(self, deleted, inherited)
 
     monkeypatch.setattr(hubmin.oracle._CompiledPairs, "profile", recording)
     rng = random.Random(78)
@@ -334,6 +335,56 @@ def test_oracle_decides_each_deletion_set_once(monkeypatch):
             frozenset({e}) for e in sorted(g.edge_by_id)
         ]
     assert answered >= 5
+
+
+def test_oracle_reuses_inherited_witnesses(monkeypatch):
+    profile = hubmin.oracle._CompiledPairs.profile
+    max_flow = FlowNet.max_flow
+    counts = {"flows": 0}
+    calls = []
+
+    def counting_flow(self, *args, **kwargs):
+        counts["flows"] += 1
+        return max_flow(self, *args, **kwargs)
+
+    def recording(self, deleted, inherited=None):
+        before = counts["flows"]
+        out = profile(self, deleted, inherited)
+        calls.append((frozenset(deleted), inherited, out, counts["flows"] - before))
+        return out
+
+    monkeypatch.setattr(FlowNet, "max_flow", counting_flow)
+    monkeypatch.setattr(hubmin.oracle._CompiledPairs, "profile", recording)
+    rng = random.Random(79)
+    flows = pair_checks = reused = 0
+    for k in range(12):
+        demands = [(2, 2), (2, 2, 2), (2, 3)][k % 3]
+        g, _ = random_network(rng, list(demands), reuse=0.5, extra=3 + k % 4)
+        calls.clear()
+        min_hub_subgraph(g)
+        flows += sum(ran for _, _, _, ran in calls)
+        feasible_states = sum(out[0] for _, _, out, _ in calls)
+        pair_checks += feasible_states * len(g.pairs)
+        reference = hubmin.oracle._CompiledPairs(g)
+        for deleted, inherited, out, ran in calls:
+            # A witness decides exactly what a fresh flow decides, and
+            # never uses a deleted edge.
+            assert out[:2] == profile(reference, deleted)[:2], (k, deleted)
+            assert all(edges.isdisjoint(deleted) for edges, _ in out[2]), (k, deleted)
+            # Every set but the input inherits witnesses: the single
+            # deletions the input's, the others their parent's.
+            assert (inherited is None) == (not deleted), (k, deleted)
+            if inherited is None:
+                continue
+            # A pair runs a flow only when its witness uses a deleted edge.
+            hit = sum(not edges.isdisjoint(deleted) for edges, _ in inherited)
+            assert ran == hit if out[0] else ran <= hit, (k, deleted)
+            if hit == 0:
+                assert out[2] == inherited, (k, deleted)
+                reused += 1
+    # Without witnesses, every feasible state runs one flow per pair.
+    assert flows * 2 < pair_checks
+    assert reused > 0
 
 
 def test_oracle_checks_the_returned_cuts(monkeypatch):
