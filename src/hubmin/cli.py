@@ -42,11 +42,14 @@ DEFAULT_SEED = 7
 
 
 def _read_instance(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("input", f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_instance(text)
 
 
@@ -56,6 +59,22 @@ def _write(path: Optional[str], text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _ints(minimum: int, what: str, many: bool = False):
+    """An argparse type: an integer of at least ``minimum`` or, with ``many``,
+    a comma-separated list of one or more (empty items are skipped)."""
+
+    def parse(text: str):
+        try:
+            values = [int(x) for x in (text.split(",") if many else [text]) if x]
+        except ValueError:
+            values = []
+        if not values or min(values) < minimum:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return values if many else values[0]
+
+    return parse
 
 
 def _cmd_generate(args) -> int:
@@ -72,8 +91,7 @@ def _cmd_generate(args) -> int:
         g = reroutable_witness()
         text = serialize_network(g, [system for _, system in _cuts_and_systems(g)])
     else:  # random
-        demands = [int(x) for x in args.demands.split(",") if x]
-        g, systems = random_network(args.seed, demands, extra=args.extra)
+        g, systems = random_network(args.seed, args.demands, extra=args.extra)
         text = serialize_network(g, systems)
     _write(args.output, text)
     return 0
@@ -205,10 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["grid", "ones", "witness222", "reroutable", "random"],
     )
-    p.add_argument("--c1", type=int, default=2)
-    p.add_argument("--c2", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--demands", default="2,2", help="comma-separated, for random")
+    positive = _ints(1, "a positive integer")
+    p.add_argument("--c1", type=positive, default=2)
+    p.add_argument("--c2", type=positive, default=2)
+    p.add_argument("--n", type=_ints(0, "a non-negative integer"), default=1)
+    demands = _ints(1, "a comma-separated list of positive integers", many=True)
+    p.add_argument("--demands", type=demands, default="2,2", help="comma-separated, for random")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--extra", type=int, default=0, help="extra interior edges (random)")
     p.add_argument("--output", "-o", default=None)
@@ -255,15 +275,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

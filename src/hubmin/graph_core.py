@@ -135,9 +135,6 @@ class Network:
         object.__setattr__(self, "sink_set", frozenset(sinks))
         object.__setattr__(self, "terminal_set", frozenset(sources | sinks))
 
-    def __hash__(self):
-        return hash((self.vertices, self.edges, self.pairs))
-
     def degree(self, v: int) -> int:
         return len(self.incident.get(v, ()))
 
@@ -198,20 +195,20 @@ def path_vertices(g: Network, path: Path) -> List[int]:
 class PathSystem:
     """Vertex-disjoint source->sink paths for one pair, with induced orientation.
 
-    ``orientation`` maps each used edge id to its natural direction: True when
-    the path traverses the edge u -> v as stored.
-
-    Direct construction checks nothing, not even that ``orientation``
-    agrees with ``paths``; ``make_path_system`` is the checked constructor,
-    and every system the library builds or parses comes from it.
+    ``orientation`` is derived from ``paths``: it maps each used edge id to
+    its natural direction, True when a path traverses the edge u -> v as
+    stored.  Direct construction checks nothing else; ``make_path_system``
+    is the checked constructor, and every system the library builds or
+    parses comes from it.
     """
 
     pair_index: int
     paths: Tuple[Path, ...]
-    orientation: Dict[int, bool] = field(repr=False, compare=False)
+    orientation: Dict[int, bool] = field(init=False, repr=False, compare=False)
 
-    def __hash__(self):
-        return hash((self.pair_index, self.paths))
+    def __post_init__(self):
+        orientation = {eid: fwd for path in self.paths for eid, fwd in path.steps}
+        object.__setattr__(self, "orientation", orientation)
 
     def edge_ids(self) -> frozenset:
         return frozenset(self.orientation)
@@ -220,7 +217,7 @@ class PathSystem:
 def make_path_system(g: Network, pair_index: int, paths: Sequence[Path]) -> PathSystem:
     """Validate and assemble a path system for ``g.pairs[pair_index]``."""
     pair = g.pairs[pair_index]
-    orientation: Dict[int, bool] = {}
+    seen_edges: set = set()
     seen_interior: set = set()
     for path in paths:
         seq = path_vertices(g, path)
@@ -236,11 +233,11 @@ def make_path_system(g: Network, pair_index: int, paths: Sequence[Path]) -> Path
                 "paths-not-disjoint", f"shared vertices {sorted(interior & seen_interior)}"
             )
         seen_interior |= interior
-        for eid, forward in path.steps:
-            if eid in orientation:
+        for eid, _ in path.steps:
+            if eid in seen_edges:
                 raise InvariantError("edge-reused-within-system", f"edge {eid}")
-            orientation[eid] = forward
-    return PathSystem(pair_index=pair_index, paths=tuple(paths), orientation=orientation)
+            seen_edges.add(eid)
+    return PathSystem(pair_index=pair_index, paths=tuple(paths))
 
 
 def _require_two_systems(systems: Sequence[PathSystem]) -> None:

@@ -118,9 +118,7 @@ def find_consistent_cycle(
     system = systems[tag]
     arcs = _cycle_arcs(g, system)
     orientation = system.orientation
-    used = {
-        v for path in system.paths for eid, fwd in path.steps for v in g.edge_by_id[eid].ends(fwd)
-    }
+    used = {v for eid in orientation for v in g.edge_by_id[eid].ends(True)}
 
     def joins(a: Step, b: Step) -> bool:
         """Whether step b may follow step a at the vertex between them."""
@@ -211,18 +209,11 @@ def _is_reroutable(
 
     # The edge arcs that carry the system's flow, then the vertex arcs of
     # the vertices it uses, each pushed once.
-    edge_flow: List[int] = []
-    used_vertices: Set[int] = set()
-    for path in system.paths:
-        for eid, fwd in path.steps:
-            edge_flow.append(built.arcs_of_edge[eid][not fwd])
-            edge = g.edge_by_id[eid]
-            for v in edge.ends(fwd):
-                if v not in (pair.source, pair.sink):
-                    used_vertices.add(v)
+    edge_flow = [built.arcs_of_edge[eid][not fwd] for eid, fwd in system.orientation.items()]
+    used_vertices = {v for eid in system.orientation for v in g.edge_by_id[eid].ends(True)}
     for arc in edge_flow:
         net.push(arc, 1)
-    for v in used_vertices:
+    for v in used_vertices - {pair.source, pair.sink}:
         net.push(built.vertex_arc[v], 1)
 
     # More flow available than the system carries: any augmentation yields

@@ -88,22 +88,16 @@ def enumerate_path_systems(g: Network, pair_index: int) -> List[PathSystem]:
         )
     paths = _all_simple_paths(g, pair_index)
     demand = g.pairs[pair_index].demand
-    interiors = [
-        frozenset(path_vertices(g, p)[1:-1]) for p in paths
-    ]
+    interiors = [frozenset(path_vertices(g, p)[1:-1]) for p in paths]
     edge_sets = [frozenset(p.edge_ids()) for p in paths]
-    systems: List[PathSystem] = []
-    for combo in combinations(range(len(paths)), demand):
-        ok = True
-        for a, b in combinations(combo, 2):
-            if interiors[a] & interiors[b] or edge_sets[a] & edge_sets[b]:
-                ok = False
-                break
-        if ok:
-            systems.append(
-                make_path_system(g, pair_index, [paths[i] for i in combo])
-            )
-    return systems
+    return [
+        make_path_system(g, pair_index, [paths[i] for i in combo])
+        for combo in combinations(range(len(paths)), demand)
+        if not any(
+            interiors[a] & interiors[b] or edge_sets[a] & edge_sets[b]
+            for a, b in combinations(combo, 2)
+        )
+    ]
 
 
 # A pair's witness: the edges its flow uses, and the flow's value.
@@ -124,17 +118,19 @@ class _CompiledPairs:
     deleted edge runs a fresh max flow, from zero flow, with the deleted
     edges' arcs at zero capacity.  A flow's edges are read from the
     reverse arcs, whose capacity is the flow on their forward arc and
-    stays 0 on a deleted arc.
+    stays 0 on a deleted arc.  Every arc id a pair uses, deleted and
+    witness arcs alike, comes from that pair's own net, so any
+    ``_PairNet`` serves.
     """
 
     def __init__(self, g: Network):
         split = _compile_network(g)
-        self._flow_arcs = [(arc ^ 1, eid) for arc, (eid, _) in split.edge_arcs.items()]
         self._pairs = []
         for i, pair in enumerate(g.pairs):
             built = split.pair_net(i)
+            flow_arcs = [(arc ^ 1, eid) for arc, (eid, _) in built.edge_arcs.items()]
             self._pairs.append(
-                (built.net, built.s, built.t, pair.demand, built.arcs_of_edge)
+                (built.net, built.s, built.t, pair.demand, built.arcs_of_edge, flow_arcs)
             )
 
     def profile(
@@ -149,10 +145,9 @@ class _CompiledPairs:
         contains.  An infeasible set stops at its first short pair and
         returns no witnesses.
         """
-        flow_arcs = self._flow_arcs
         exact = True
         witnesses: List[_Witness] = []
-        for k, (net, s, t, demand, arcs_of_edge) in enumerate(self._pairs):
+        for k, (net, s, t, demand, arcs_of_edge, flow_arcs) in enumerate(self._pairs):
             if inherited is not None and inherited[k][0].isdisjoint(deleted):
                 witness = inherited[k]
             else:
@@ -200,10 +195,9 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
         )
 
     degree = {v: g.degree(v) for v in g.vertices if not g.is_terminal(v)}
-    interior_ends: Dict[int, List[int]] = {}
-    for eid in free:
-        e = g.edge_by_id[eid]
-        interior_ends[eid] = [end for end in (e.u, e.v) if end in degree]
+    interior_ends = {
+        eid: [end for end in g.edge_by_id[eid].ends(True) if end in degree] for eid in free
+    }
     # Hub count of every deletion set that reaches exact cuts.
     exact_hubs: Dict[FrozenSet[int], int] = {}
 

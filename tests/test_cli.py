@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pathlib
@@ -220,6 +221,49 @@ def test_missing_file_maps_to_exit_two(tmp_path, capsys):
 def test_unknown_family_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["generate", "--family", "nonsense"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "random", "--demands", "x"],
+        ["--family", "random", "--demands", "0,2"],
+        ["--family", "random", "--demands", ""],
+        ["--family", "grid", "--c1", "0"],
+        ["--family", "ones", "--n", "-1"],
+    ],
+    ids=["demands-not-integers", "demand-zero", "demands-empty", "c1-zero", "n-negative"],
+)
+def test_malformed_generate_arguments_exit_two(capsys, args):
+    with pytest.raises(SystemExit) as done:
+        main(["generate", *args])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {args[2]}: expected " in err
+    assert "Traceback" not in err
+
+
+NOT_UTF8 = b'{"vertices": [\xff]}'
+INPUT_COMMANDS = ("check", "minimalize", "represent", "interconnect", "oracle")
+
+
+def test_non_utf8_file_maps_to_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(NOT_UTF8)
+    for command in INPUT_COMMANDS:
+        assert main([command, "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: input: not UTF-8: invalid start byte at byte 14\n"
+
+
+def test_non_utf8_stdin_maps_to_exit_two(capsys, monkeypatch):
+    for command in INPUT_COMMANDS:
+        # A stdin whose own decoding would accept the bytes.
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="latin-1")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main([command, "-i", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: input: not UTF-8: invalid start byte at byte 14\n"
 
 
 def test_verify_all_passes(capsys):

@@ -35,6 +35,7 @@ from hubmin import (
 from hubmin import cuts
 from hubmin._flownet import INF, FlowNet, strongly_connected_components
 from hubmin.minimality import deletable_private_edges, is_reroutable, theorem1_agreement
+from hubmin.oracle import min_hub_subgraph
 
 
 def _with_direct_edge(g: Network, pair_index: int) -> Network:
@@ -559,6 +560,10 @@ def _flow_answers(g: Network):
         for k in range(1, pair.demand + 2):
             system = vertex_disjoint_paths(g, i, k)
             out.append(None if system is None else [p.steps for p in system.paths])
+    if len(g.edges) <= 30:
+        report = min_hub_subgraph(g)
+        edge_ids = sorted(report.min_hub_subgraph.edge_by_id)
+        out.append((report.min_hubs, report.num_minimal_subgraphs, edge_ids))
     if not in_class(g):
         return out
     systems = [vertex_disjoint_paths(g, i, p.demand) for i, p in enumerate(g.pairs)]

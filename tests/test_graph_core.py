@@ -25,6 +25,7 @@ from hubmin import (
     grid_instance,
     hub_count,
     make_path_system,
+    minimalize,
     ones_instance,
     parse_instance,
     parse_network,
@@ -32,6 +33,9 @@ from hubmin import (
     random_network,
     reroutable_witness,
     serialize_network,
+    theorem1_agreement,
+    to_representation,
+    vertex_disjoint_paths,
     witness_222_instance,
 )
 
@@ -223,6 +227,61 @@ def test_make_path_system_validates_endpoints_and_disjointness():
     assert err.value.code in ("paths-not-disjoint", "edge-reused-within-system")
 
 
+def _reuse_net():
+    """A direct edge 0 -> 1 beside the two-hop route 0 -> 2 -> 1."""
+    return _net(
+        [0, 1, 2],
+        [Edge(0, 0, 1, True), Edge(1, 0, 2, True), Edge(2, 2, 1, True)],
+        [Pair(0, 1, 3)],
+    )
+
+
+def test_make_path_system_rejects_a_reused_direct_edge():
+    # Paths that share only the direct edge share no interior vertex, so the
+    # edge check is the one that fires.
+    g = _reuse_net()
+    direct = Path(((0, True),))
+    for paths in ([direct, direct], [Path(((1, True), (2, True))), direct, direct]):
+        with pytest.raises(InvariantError) as err:
+            make_path_system(g, 0, paths)
+        assert str(err.value) == "edge-reused-within-system: edge 0"
+
+
+def _systems_to_rebuild():
+    """Lattice systems up to 4x4, then systems of minimalized random networks."""
+    for c1 in range(1, 5):
+        for c2 in range(1, 5):
+            spec = grid_instance(c1, c2)
+            yield spec.network, list(spec.systems)
+    rng = random.Random(15)
+    for _ in range(30):
+        demands = (rng.randint(1, 4), rng.randint(1, 4))
+        g, _ = random_network(rng, demands, reuse=rng.uniform(0.3, 0.8), extra=rng.randint(0, 4))
+        m = minimalize(g)
+        yield m, [vertex_disjoint_paths(m, i, p.demand) for i, p in enumerate(m.pairs)]
+
+
+def _system_answers(g, systems):
+    """What classification, Theorem 1 and the representation make of ``systems``."""
+    try:
+        rep = to_representation(g, systems)
+        rep_text = serialize_network(rep.graph, list(rep.systems))
+        rep_out = (rep_text, rep.provenance, [s.orientation for s in rep.systems])
+    except InvariantError as exc:
+        rep_out = str(exc)
+    return classify_edges(g, systems), theorem1_agreement(g, systems), rep_out
+
+
+def test_a_system_is_its_pair_and_paths():
+    for g, systems in _systems_to_rebuild():
+        assert hash(g) == hash((g.vertices, g.edges, g.pairs))
+        rebuilt = [PathSystem(s.pair_index, s.paths) for s in systems]
+        for s, r in zip(systems, rebuilt):
+            assert r == s and hash(r) == hash(s) == hash((s.pair_index, s.paths))
+            assert r.orientation == s.orientation
+        assert _system_answers(g, rebuilt) == _system_answers(g, systems)
+
+
 def test_classify_edges_tags_every_edge(example_instance):
     g, systems = example_instance
     tags = classify_edges(g, systems)
@@ -330,7 +389,7 @@ _SYSTEMS = st.one_of(
             max_size=3,
         ),
         max_size=3,
-    ).map(lambda raw: [PathSystem(i, tuple(paths), {}) for i, paths in enumerate(raw)]),
+    ).map(lambda raw: [PathSystem(i, tuple(paths)) for i, paths in enumerate(raw)]),
 )
 
 

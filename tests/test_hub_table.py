@@ -18,6 +18,7 @@ from hubmin import (
     InvariantError,
     Network,
     Pair,
+    Path,
     PathSystem,
     Representation,
     classify_edges,
@@ -51,13 +52,17 @@ BASE_PSI = {1: True, 2: True, 4: True}
 
 def _rep(edges, phi, psi, hubs=(4, 5)) -> Representation:
     """A representation built straight from its edges and each system's
-    orientation (edge id -> natural direction), with no paths behind them."""
+    orientation (edge id -> natural direction): each system holds one
+    one-step path per edge of its map, so the map is its orientation."""
     g = Network(
         vertices=(S1, R1, S2, R2) + tuple(hubs),
         edges=tuple(Edge(eid, u, v, directed) for eid, (u, v, directed) in edges.items()),
         pairs=(Pair(S1, R1, 1), Pair(S2, R2, 1)),
     )
-    systems = (PathSystem(0, (), dict(phi)), PathSystem(1, (), dict(psi)))
+    systems = tuple(
+        PathSystem(i, tuple(Path(((eid, forward),)) for eid, forward in orientation.items()))
+        for i, orientation in enumerate((phi, psi))
+    )
     return Representation(graph=g, systems=systems, provenance={"vertices": {}, "edges": {}})
 
 

@@ -259,12 +259,17 @@ def test_stretch_crossings_rejects_wrong_tag_mix():
 
 
 def test_stretch_crossings_rejects_a_crossing_walked_one_way():
-    # The tags are a crossing's, but an orientation that claims the first
-    # system enters vertex 5 on both of its edges leaves three in, one out.
+    # The tags are a crossing's, but a path that walks edge 3 backward, so
+    # that the first system enters vertex 5 on both of its edges, leaves
+    # three in, one out.  Direct construction does not check the path.
     g, systems = _crossing_case()
     g1, (phi, psi), _ = remove_relays(g, systems)
     bent = PathSystem(
-        pair_index=0, paths=phi.paths, orientation={**phi.orientation, 3: False}
+        pair_index=0,
+        paths=tuple(
+            Path(tuple((eid, forward if eid != 3 else not forward) for eid, forward in path.steps))
+            for path in phi.paths
+        ),
     )
     with pytest.raises(InvariantError) as err:
         stretch_crossings(g1, [bent, psi])
