@@ -42,12 +42,15 @@ DEFAULT_SEED = 7
 
 
 def _read_instance(path: str):
+    # Bytes from a file and from stdin decode alike, with no newline
+    # translation, so the same input gives the same error positions.
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("input", f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_instance(text)
@@ -260,7 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive minimum-hub search")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", default=None)
-    p.add_argument("--max-edges", type=int, default=MAX_FREE_EDGES)
+    p.add_argument(
+        "--max-edges",
+        type=_ints(0, "a non-negative integer"),
+        default=MAX_FREE_EDGES,
+        help="most free (singly deletable) edges to search",
+    )
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify-all", help="verify the claim catalog (T1-T9)")

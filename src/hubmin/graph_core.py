@@ -145,9 +145,13 @@ class Network:
 def delete_edges(g: Network, edge_ids: Iterable[int]) -> Network:
     """New network without the given edges; vertices, pairs and ids unchanged."""
     doomed = set(edge_ids)
+    # Built from a list, the tuple is allocated at its final size.  CPython
+    # allocates one built from a generator at a guessed size and resizes it,
+    # so once freed it sits on the free list of a size that is seldom
+    # allocated; repeated calls fill those lists and raise peak memory.
     return Network(
         vertices=g.vertices,
-        edges=tuple(e for e in g.edges if e.id not in doomed),
+        edges=tuple([e for e in g.edges if e.id not in doomed]),
         pairs=g.pairs,
     )
 

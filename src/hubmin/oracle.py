@@ -9,6 +9,12 @@ flow for a pair when that flow avoids every deleted edge, and otherwise
 runs a max flow from zero; it never reroutes or augments a warm flow and
 reads no residual components, so it stays independent of
 ``cuts._DeletionQueries``, which it cross-checks.
+
+The search state is plain integers: a deletion set, the edges of a pair's
+flow and the keys of the exact-set table are bit masks, one bit per edge
+position in id order.  The recursion is a method, not a closure that
+refers to itself, so everything a search builds is freed by reference
+counting when it returns.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cuts import _compile_network, min_vertex_cut
+from .cuts import _compile_network, in_class, min_vertex_cut
 from .extremal import signature_bound
 from .graph_core import (
     InvariantError,
@@ -100,46 +106,49 @@ def enumerate_path_systems(g: Network, pair_index: int) -> List[PathSystem]:
     ]
 
 
-# A pair's witness: the edges its flow uses, and the flow's value.
-_Witness = Tuple[FrozenSet[int], int]
+# A pair's witness: a bit mask of the edges its flow uses, and the flow's value.
+_Witness = Tuple[int, int]
 
 
 class _CompiledPairs:
     """Every pair's vertex-split net, on one compile of the network.
 
-    ``profile`` decides a deletion set pair by pair.  A pair's *witness* is
-    a flow found on some deletion set A by a max flow from zero with
-    ``limit = demand + 1``: the edges that carry it, and its value.  On a
-    superset D of A whose deleted edges the witness avoids, the same flow
-    is still a flow, so the value decides D exactly.  ``demand + 1`` shows
-    that D's cut is above the demand.  ``demand`` means cut(A) = demand;
-    deleting edges never raises a cut, so cut(D) <= demand, and the
-    witness gives cut(D) >= demand.  Only a pair whose witness uses a
-    deleted edge runs a fresh max flow, from zero flow, with the deleted
-    edges' arcs at zero capacity.  A flow's edges are read from the
-    reverse arcs, whose capacity is the flow on their forward arc and
+    Deletion sets are bit masks: bit p stands for the edge at position p in
+    id order.  ``profile`` decides a deletion set pair by pair.  A pair's
+    *witness* is a flow found on some deletion set A by a max flow from
+    zero with ``limit = demand + 1``: the mask of the edges that carry it,
+    and its value.  On a superset D of A whose deleted edges the witness
+    avoids, the same flow is still a flow, so the value decides D exactly.
+    ``demand + 1`` shows that D's cut is above the demand.  ``demand``
+    means cut(A) = demand; deleting edges never raises a cut, so cut(D) <=
+    demand, and the witness gives cut(D) >= demand.  Only a pair whose
+    witness uses a deleted edge runs a fresh max flow, from zero flow, with
+    the deleted edges' arcs at zero capacity.  A flow's edges are read from
+    the reverse arcs, whose capacity is the flow on their forward arc and
     stays 0 on a deleted arc.  Every arc id a pair uses, deleted and
     witness arcs alike, comes from that pair's own net, so any
     ``_PairNet`` serves.
     """
 
-    def __init__(self, g: Network):
+    def __init__(self, g: Network, edge_ids: Sequence[int]):
         split = _compile_network(g)
+        bit_of = {eid: 1 << p for p, eid in enumerate(edge_ids)}
         self._pairs = []
         for i, pair in enumerate(g.pairs):
             built = split.pair_net(i)
-            flow_arcs = [(arc ^ 1, eid) for arc, (eid, _) in built.edge_arcs.items()]
+            arcs_of_position = [built.arcs_of_edge[eid] for eid in edge_ids]
+            flow_arcs = [(arc ^ 1, bit_of[eid]) for arc, (eid, _) in built.edge_arcs.items()]
             self._pairs.append(
-                (built.net, built.s, built.t, pair.demand, built.arcs_of_edge, flow_arcs)
+                (built.net, built.s, built.t, pair.demand, arcs_of_position, flow_arcs)
             )
 
     def profile(
         self,
-        deleted: Collection[int],
+        deleted: int,
         inherited: Optional[Sequence[_Witness]] = None,
-    ) -> Tuple[bool, bool, Tuple[_Witness, ...]]:
+    ) -> Tuple[bool, bool, Sequence[_Witness]]:
         """(feasible: all cuts >= demand, exact: all cuts == demand, the
-        pairs' witnesses) once the ``deleted`` edges are gone.
+        pairs' witnesses) once the edges of the ``deleted`` mask are gone.
 
         ``inherited`` holds the witnesses of a deletion set that ``deleted``
         contains.  An infeasible set stops at its first short pair and
@@ -147,76 +156,73 @@ class _CompiledPairs:
         """
         exact = True
         witnesses: List[_Witness] = []
-        for k, (net, s, t, demand, arcs_of_edge, flow_arcs) in enumerate(self._pairs):
-            if inherited is not None and inherited[k][0].isdisjoint(deleted):
+        for k, (net, s, t, demand, arcs_of_position, flow_arcs) in enumerate(self._pairs):
+            if inherited is not None and not inherited[k][0] & deleted:
                 witness = inherited[k]
             else:
                 cap = net.cap
                 cap[:] = net.base_cap
-                for eid in deleted:
-                    for arc in arcs_of_edge[eid]:
+                rest = deleted
+                while rest:
+                    low = rest & -rest
+                    for arc in arcs_of_position[low.bit_length() - 1]:
                         cap[arc] = 0
+                    rest ^= low
                 # One unit past the demand tells "above" from "exact".
                 value = net.max_flow(s, t, limit=demand + 1)
                 if value < demand:
                     return False, False, ()
-                witness = (frozenset(eid for rev, eid in flow_arcs if cap[rev]), value)
+                used = 0
+                for rev, bit in flow_arcs:
+                    if cap[rev]:
+                        used |= bit
+                witness = (used, value)
             if witness[1] != demand:
                 exact = False
             witnesses.append(witness)
-        return True, exact, tuple(witnesses)
+        return True, exact, witnesses
 
 
-def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport:
-    """Exhaustive search for a spanning subgraph in class with fewest hubs.
+class _Search:
+    """The search's state: the compiled nets, the free edges, the interior
+    degrees and the exact sets found so far.
 
-    Edges whose single removal already destroys feasibility can never be
-    deleted; the search branches only on the rest, pruning any deletion set
-    that drops some pair's cut below its demand.  Each pair's net is
-    compiled once, and each deletion set inherits its parent's witnesses
-    (see ``_CompiledPairs``); the single deletions inherit the input's.
-    The hub count follows the deletions down the search.  Only the returned
-    subgraph is built as a ``Network``, and its cuts are checked once more
-    with ``min_vertex_cut``.
+    ``free`` lists each free edge's bit and interior ends, ``singles`` the
+    decision of each free edge's single deletion, and ``degree`` the
+    interior degrees once the deletion set being extended is gone.
+    ``exact_hubs`` maps every exact deletion set found to its hub count.
     """
-    start = time.perf_counter()
-    nets = _CompiledPairs(g)
-    root_feasible, root_exact, root_witnesses = nets.profile(())
-    if not root_feasible:
-        raise InvariantError(
-            "no-in-class-subgraph", "a cut is already below its demand"
-        )
-    singles = {e: nets.profile((e,), root_witnesses) for e in sorted(g.edge_by_id)}
-    free = [e for e, (feasible, _, _) in singles.items() if feasible]
-    if len(free) > max_free:
-        raise InvariantError(
-            "size-guard-exceeded",
-            f"{len(free)} deletable edges (search limit {max_free})",
-        )
 
-    degree = {v: g.degree(v) for v in g.vertices if not g.is_terminal(v)}
-    interior_ends = {
-        eid: [end for end in g.edge_by_id[eid].ends(True) if end in degree] for eid in free
-    }
-    # Hub count of every deletion set that reaches exact cuts.
-    exact_hubs: Dict[FrozenSet[int], int] = {}
+    def __init__(
+        self,
+        nets: _CompiledPairs,
+        free: Sequence[Tuple[int, List[int]]],
+        singles: Sequence[Tuple[bool, bool, Sequence[_Witness]]],
+        degree: Dict[int, int],
+    ):
+        self.nets = nets
+        self.free = free
+        self.singles = singles
+        self.degree = degree
+        self.exact_hubs: Dict[int, int] = {}
 
-    def search(
-        deleted: FrozenSet[int],
-        from_index: int,
-        witnesses: Tuple[_Witness, ...],
-        hubs: int,
+    def extend(
+        self, deleted: int, from_index: int, witnesses: Sequence[_Witness], hubs: int
     ) -> None:
+        """Visit every feasible deletion set that adds to ``deleted`` free
+        edges from ``from_index`` on, and record the exact ones."""
+        profile, free, degree, exact_hubs = (
+            self.nets.profile, self.free, self.degree, self.exact_hubs
+        )
         for i in range(from_index, len(free)):
-            eid = free[i]
-            child = deleted | {eid}
+            bit, ends = free[i]
+            child = deleted | bit
             # The children of the root were decided by the checks above.
             feasible, exact, child_witnesses = (
-                nets.profile(child, witnesses) if deleted else singles[eid]
+                profile(child, witnesses) if deleted else self.singles[i]
             )
             if not feasible:
                 continue
-            ends = interior_ends[eid]
             child_hubs = hubs
             for v in ends:
                 degree[v] -= 1
@@ -224,44 +230,82 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
                     child_hubs -= 1
             if exact:
                 exact_hubs[child] = child_hubs
-            search(child, i + 1, child_witnesses, child_hubs)
+            self.extend(child, i + 1, child_witnesses, child_hubs)
             for v in ends:
                 degree[v] += 1
 
+
+def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport:
+    """Exhaustive search for a spanning subgraph in class with fewest hubs.
+
+    Edges whose single removal already destroys feasibility can never be
+    deleted; the search branches only on the rest, pruning any deletion set
+    that drops some pair's cut below its demand.  Deletion sets are bit
+    masks over the edges in id order.  Each pair's net is compiled once,
+    and each deletion set inherits its parent's witnesses (see
+    ``_CompiledPairs``); the single deletions inherit the input's.  The hub
+    count follows the deletions down the search.  Only the returned
+    subgraph is built as a ``Network``, and one ``in_class`` call checks
+    its cuts once more.
+    """
+    start = time.perf_counter()
+    edge_ids = sorted(g.edge_by_id)
+    nets = _CompiledPairs(g, edge_ids)
+    root_feasible, root_exact, root_witnesses = nets.profile(0)
+    if not root_feasible:
+        raise InvariantError(
+            "no-in-class-subgraph", "a cut is already below its demand"
+        )
+    singles = [nets.profile(1 << p, root_witnesses) for p in range(len(edge_ids))]
+    free = [p for p, (feasible, _, _) in enumerate(singles) if feasible]
+    if len(free) > max_free:
+        raise InvariantError(
+            "size-guard-exceeded",
+            f"{len(free)} deletable edges (search limit {max_free})",
+        )
+
+    degree = {v: g.degree(v) for v in g.vertices if not g.is_terminal(v)}
+    free_ends = [
+        (1 << p, [end for end in g.edge_by_id[edge_ids[p]].ends(True) if end in degree])
+        for p in free
+    ]
+    search = _Search(nets, free_ends, [singles[p] for p in free], degree)
     root_hubs = hub_count(g)
+    exact_hubs = search.exact_hubs
     if root_exact:
-        exact_hubs[frozenset()] = root_hubs
-    search(frozenset(), 0, root_witnesses, root_hubs)
+        exact_hubs[0] = root_hubs
+    search.extend(0, 0, root_witnesses, root_hubs)
     if not exact_hubs:
         raise InvariantError(
             "no-in-class-subgraph", "no deletion set reaches exact cuts"
         )
 
-    free_set = set(free)
-    minimal = [
-        s
-        for s in exact_hubs
-        if all(s | {f} not in exact_hubs for f in free_set - s)
-    ]
+    free_bits = [bit for bit, _ in free_ends]
+    num_minimal = 0
+    for s in exact_hubs:
+        for bit in free_bits:
+            if not s & bit and (s | bit) in exact_hubs:
+                break
+        else:
+            num_minimal += 1
 
-    # Fewest hubs first, then the smallest sorted tuple of surviving edges.
+    # Fewest hubs first, then the smallest sorted list of surviving edges.
     min_hubs = min(exact_hubs.values())
     best = min(
         (s for s, hubs in exact_hubs.items() if hubs == min_hubs),
-        key=lambda s: tuple(sorted(g.edge_by_id.keys() - s)),
+        key=lambda s: [eid for p, eid in enumerate(edge_ids) if not s >> p & 1],
     )
-    best_graph = delete_edges(g, best)
-    for i, pair in enumerate(best_graph.pairs):
-        value = min_vertex_cut(best_graph, i).value
-        if value != pair.demand:
-            raise InvariantError(
-                "oracle-cut-mismatch",
-                f"pair {i} cut {value} differs from demand {pair.demand}",
-            )
+    best_graph = delete_edges(g, [eid for p, eid in enumerate(edge_ids) if best >> p & 1])
+    if not in_class(best_graph):
+        found = [min_vertex_cut(best_graph, i).value for i in range(len(best_graph.pairs))]
+        raise InvariantError(
+            "oracle-cut-mismatch",
+            f"cuts {found} differ from demands {[p.demand for p in best_graph.pairs]}",
+        )
     return OracleReport(
         min_hub_subgraph=best_graph,
         min_hubs=hub_count(best_graph),
-        num_minimal_subgraphs=len(minimal),
+        num_minimal_subgraphs=num_minimal,
         elapsed=time.perf_counter() - start,
     )
 

@@ -198,6 +198,15 @@ def test_oracle_size_guard_maps_to_exit_one(tmp_path, capsys):
     assert "size-guard-exceeded" in capsys.readouterr().err
 
 
+def test_negative_oracle_guard_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["oracle", "-i", "-", "--max-edges", "-1"])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --max-edges: expected a non-negative integer, got '-1'" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_json_maps_to_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -264,6 +273,20 @@ def test_non_utf8_stdin_maps_to_exit_two(capsys, monkeypatch):
         assert main([command, "-i", "-"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: input: not UTF-8: invalid start byte at byte 14\n"
+
+
+def test_crlf_input_reads_alike_from_file_and_stdin(tmp_path, capsys, monkeypatch):
+    # The file is not read with newline translation, so both report the
+    # position in the bytes as given.
+    crlf = b'{\r\n"vertices": [1,\r\n]}'
+    path = tmp_path / "crlf.json"
+    path.write_bytes(crlf)
+    want = "error: json: Expecting value: line 3 column 1 (char 20)\n"
+    assert main(["check", "-i", str(path)]) == 2
+    assert capsys.readouterr().err == want
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(crlf), encoding="utf-8"))
+    assert main(["check", "-i", "-"]) == 2
+    assert capsys.readouterr().err == want
 
 
 def test_verify_all_passes(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -127,6 +128,22 @@ def test_check_bound_on_small_families():
         g, _ = random_network(seed, (2, 2, 2), extra=1)
         assert check_bound(g)
         assert min_hub_subgraph(g).min_hubs <= signature_bound([2, 2, 2])
+
+
+def test_oracle_leaves_no_garbage_cycles():
+    # Everything the search builds is freed by reference counting on
+    # return, with nothing left for the cyclic collector.
+    graphs = [witness_222(), grid_graph(2, 2)] + [
+        random_network(seed, (2, 2), extra=3)[0] for seed in range(4)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            min_hub_subgraph(g)
+            assert gc.collect() == 0, g
+    finally:
+        gc.enable()
 
 
 def test_oracle_is_deterministic():
@@ -273,6 +290,34 @@ def test_oracle_matches_the_plain_search():
     )
 
 
+def _census_host(demands, n):
+    """Terminals 0..2k-1 (pair i runs 2i -> 2i+1), interior vertices 2k..2k+n-1
+    joined pairwise by undirected edges, and for every pair and interior v
+    the edges source -> v and v -> sink."""
+    k = len(demands)
+    interior = range(2 * k, 2 * k + n)
+    ends = [(u, v, False) for u in interior for v in interior if u < v]
+    ends += [(2 * i, v, True) for i in range(k) for v in interior]
+    ends += [(v, 2 * i + 1, True) for i in range(k) for v in interior]
+    return Network(
+        vertices=tuple(range(2 * k + n)),
+        edges=tuple(Edge(eid, u, v, d) for eid, (u, v, d) in enumerate(ends)),
+        pairs=tuple(Pair(2 * i, 2 * i + 1, c) for i, c in enumerate(demands)),
+    )
+
+
+def test_oracle_on_a_fifteen_free_edge_census_host():
+    g = _census_host((2, 2), 3)
+    assert len(g.edges) == 15
+    with pytest.raises(InvariantError) as err:
+        min_hub_subgraph(g, max_free=14)
+    assert str(err.value) == "size-guard-exceeded: 15 deletable edges (search limit 14)"
+    report = min_hub_subgraph(g)
+    assert (report.min_hubs, report.num_minimal_subgraphs) == (1, 81)
+    want = _reference_min_hub_subgraph(g, max_free=15)
+    assert (report.min_hubs, report.num_minimal_subgraphs, report.min_hub_subgraph) == want
+
+
 def test_oracle_compiles_each_pair_once(monkeypatch):
     counts = {"networks": 0}
     compiled = []
@@ -301,10 +346,10 @@ def test_oracle_compiles_each_pair_once(monkeypatch):
         counts.update(networks=0)
         compiled.clear()
         min_hub_subgraph(g)
-        # The input network once, plus one per pair for the final
-        # min_vertex_cut check of the returned subgraph.
+        # The input network once, plus one in_class check of the returned
+        # subgraph.
         assert sum(h is g for h in compiled) == 1, k
-        assert len(compiled) == 1 + len(g.pairs), k
+        assert len(compiled) == 1 + 1, k
         assert 1 <= counts["networks"] <= 2, k
     assert min(free_counts) <= 1 and max(free_counts) >= 6
 
@@ -314,7 +359,7 @@ def test_oracle_decides_each_deletion_set_once(monkeypatch):
     seen = []
 
     def recording(self, deleted, inherited=None):
-        seen.append(frozenset(deleted))
+        seen.append(deleted)
         return profile(self, deleted, inherited)
 
     monkeypatch.setattr(hubmin.oracle._CompiledPairs, "profile", recording)
@@ -330,10 +375,9 @@ def test_oracle_decides_each_deletion_set_once(monkeypatch):
         except InvariantError as err:
             assert err.code == "size-guard-exceeded", k
         assert len(set(seen)) == len(seen), k
-        # The input check and every single deletion come first.
-        assert seen[: 1 + len(g.edges)] == [frozenset()] + [
-            frozenset({e}) for e in sorted(g.edge_by_id)
-        ]
+        # The input check and every single deletion come first, in id
+        # order: bit p of a mask is the edge at position p in id order.
+        assert seen[: 1 + len(g.edges)] == [0] + [1 << p for p in range(len(g.edges))]
     assert answered >= 5
 
 
@@ -350,7 +394,7 @@ def test_oracle_reuses_inherited_witnesses(monkeypatch):
     def recording(self, deleted, inherited=None):
         before = counts["flows"]
         out = profile(self, deleted, inherited)
-        calls.append((frozenset(deleted), inherited, out, counts["flows"] - before))
+        calls.append((deleted, inherited, out, counts["flows"] - before))
         return out
 
     monkeypatch.setattr(FlowNet, "max_flow", counting_flow)
@@ -365,19 +409,19 @@ def test_oracle_reuses_inherited_witnesses(monkeypatch):
         flows += sum(ran for _, _, _, ran in calls)
         feasible_states = sum(out[0] for _, _, out, _ in calls)
         pair_checks += feasible_states * len(g.pairs)
-        reference = hubmin.oracle._CompiledPairs(g)
+        reference = hubmin.oracle._CompiledPairs(g, sorted(g.edge_by_id))
         for deleted, inherited, out, ran in calls:
             # A witness decides exactly what a fresh flow decides, and
             # never uses a deleted edge.
             assert out[:2] == profile(reference, deleted)[:2], (k, deleted)
-            assert all(edges.isdisjoint(deleted) for edges, _ in out[2]), (k, deleted)
+            assert all(not edges & deleted for edges, _ in out[2]), (k, deleted)
             # Every set but the input inherits witnesses: the single
             # deletions the input's, the others their parent's.
             assert (inherited is None) == (not deleted), (k, deleted)
             if inherited is None:
                 continue
             # A pair runs a flow only when its witness uses a deleted edge.
-            hit = sum(not edges.isdisjoint(deleted) for edges, _ in inherited)
+            hit = sum(bool(edges & deleted) for edges, _ in inherited)
             assert ran == hit if out[0] else ran <= hit, (k, deleted)
             if hit == 0:
                 assert out[2] == inherited, (k, deleted)
@@ -388,6 +432,8 @@ def test_oracle_reuses_inherited_witnesses(monkeypatch):
 
 
 def test_oracle_checks_the_returned_cuts(monkeypatch):
+    # in_class decides the check; min_vertex_cut only words the failure.
+    monkeypatch.setattr(hubmin.oracle, "in_class", lambda g: False)
     monkeypatch.setattr(
         hubmin.oracle,
         "min_vertex_cut",
@@ -396,3 +442,4 @@ def test_oracle_checks_the_returned_cuts(monkeypatch):
     with pytest.raises(InvariantError) as err:
         min_hub_subgraph(grid_graph(2, 2))
     assert err.value.code == "oracle-cut-mismatch"
+    assert str(err.value) == "oracle-cut-mismatch: cuts [3, 3] differ from demands [2, 2]"
