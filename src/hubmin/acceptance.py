@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Tuple
 
-from .cuts import _cuts_and_systems
+from .cuts import _full_systems
 from .extremal import (
     finiteness_bound,
     grid_graph,
@@ -72,7 +72,7 @@ def claim_t1(seed: int) -> Tuple[bool, str]:
         if not theorem1_agreement(g, systems).agree:
             return False, f"raw graph after {checked} checks"
         m = minimalize(g)
-        ms = [system for _, system in _cuts_and_systems(m)]
+        ms = _full_systems(m)
         report = theorem1_agreement(m, ms)
         if not (report.agree and report.minimal):
             return False, f"minimalized graph after {checked} checks"
@@ -209,7 +209,7 @@ def claim_t9(_: int) -> Tuple[bool, str]:
     w = reroutable_witness()
     if not _in_class_and_minimal(w):
         return False, "witness membership"
-    systems = [system for _, system in _cuts_and_systems(w)]
+    systems = _full_systems(w)
     if not is_reroutable(w, systems, 2):
         return False, "third pair not reroutable"
     if len(enumerate_path_systems(w, 2)) != 2:

@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import acceptance
-from .cuts import _cuts_and_systems
+from .cuts import _cuts_and_systems, _full_systems
 from .extremal import (
     grid_instance,
     ones_instance,
@@ -92,7 +92,7 @@ def _cmd_generate(args) -> int:
         text = serialize_network(spec.network, list(spec.systems))
     elif args.family == "reroutable":
         g = reroutable_witness()
-        text = serialize_network(g, [system for _, system in _cuts_and_systems(g)])
+        text = serialize_network(g, _full_systems(g))
     else:  # random
         g, systems = random_network(args.seed, args.demands, extra=args.extra)
         text = serialize_network(g, systems)
@@ -138,7 +138,7 @@ def _cmd_check(args) -> int:
 def _cmd_minimalize(args) -> int:
     g, _ = _read_instance(args.input)
     result = minimalize(g, seed=args.seed if args.shuffle else None)
-    systems = [system for _, system in _cuts_and_systems(result)]
+    systems = _full_systems(result)
     _write(args.output, serialize_network(result, systems))
     print(
         f"edges {len(g.edges)} -> {len(result.edges)}, "

@@ -210,24 +210,36 @@ def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSyst
     return make_path_system(g, pair_index, paths)
 
 
-def _cuts_and_systems(g: Network) -> List[Tuple[int, Optional[PathSystem]]]:
-    """Every pair's cut value and full system, from one compile of ``g``.
-
-    The system is ``vertex_disjoint_paths(g, i, demand)``, or None when the
-    cut is below the demand: the flow stops at the demand for the paths and
-    then runs on to the cut value, along the augmentations of one maximum
-    flow.  Raises nothing of its own; callers word their own errors.
-    """
+def _demand_flows(g: Network) -> List[Tuple[_PairNet, int, Optional[PathSystem]]]:
+    """Every pair's net from one compile of ``g``, carrying a flow stopped
+    at the pair's demand, with the flow's value and, when that is the
+    demand, the system it decomposes into (else None)."""
     split = _compile_network(g)
     out = []
     for i, pair in enumerate(g.pairs):
         built = split.pair_net(i)
-        net = built.net
-        value = net.max_flow(built.s, built.t, limit=pair.demand)
-        system = None
-        if value == pair.demand:
-            system = _decompose(g, i, built, value)
-            value += net.max_flow(built.s, built.t)
+        value = built.net.max_flow(built.s, built.t, limit=pair.demand)
+        system = _decompose(g, i, built, value) if value == pair.demand else None
+        out.append((built, value, system))
+    return out
+
+
+def _full_systems(g: Network) -> List[Optional[PathSystem]]:
+    """Every pair's full system, ``vertex_disjoint_paths(g, i, demand)``, or
+    None when the cut is below the demand, from one compile of ``g``.  Each
+    flow stops at the demand.  Raises nothing of its own; callers word their
+    own errors."""
+    return [system for _, _, system in _demand_flows(g)]
+
+
+def _cuts_and_systems(g: Network) -> List[Tuple[int, Optional[PathSystem]]]:
+    """Every pair's cut value and full system (see ``_full_systems``): past
+    the demand, the flow runs on to the cut value, along the augmentations
+    of one maximum flow."""
+    out = []
+    for built, value, system in _demand_flows(g):
+        if system is not None:
+            value += built.net.max_flow(built.s, built.t)
         out.append((value, system))
     return out
 

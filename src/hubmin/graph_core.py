@@ -159,7 +159,7 @@ def delete_edges(g: Network, edge_ids: Iterable[int]) -> Network:
 def hub_count(g: Network) -> int:
     """Count non-terminal vertices of degree >= 3."""
     terminals = g.terminal_set
-    return sum(1 for v in g.vertices if v not in terminals and g.degree(v) >= 3)
+    return len([v for v, eids in g.incident.items() if len(eids) > 2 and v not in terminals])
 
 
 @dataclass(frozen=True)
@@ -173,23 +173,33 @@ class Path:
 
 
 def path_vertices(g: Network, path: Path) -> List[int]:
-    """Vertex sequence walked by the path, validating chaining and simplicity."""
+    """Vertex sequence walked by the path, validating chaining and simplicity.
+
+    Each step is checked in turn for an unknown edge, a directed edge walked
+    backward and a break in the walk; a revisited vertex is reported only
+    once every step has passed.
+    """
     if not path.steps:
         raise InvariantError("empty-path")
+    edge_by_id = g.edge_by_id
     seq: List[int] = []
+    at = None  # the walk's current end; None before the first step
     for eid, forward in path.steps:
-        e = g.edge_by_id.get(eid)
+        e = edge_by_id.get(eid)
         if e is None:
             raise InvariantError("unknown-edge", f"edge {eid}")
-        if e.directed and not forward:
+        if forward:
+            tail, head = e.u, e.v
+        elif e.directed:
             raise InvariantError("directed-edge-reversed", f"edge {eid}")
-        tail, head = e.ends(forward)
-        if not seq:
-            seq.extend((tail, head))
         else:
-            if seq[-1] != tail:
+            tail, head = e.v, e.u
+        if tail != at:
+            if at is not None:
                 raise InvariantError("broken-path", f"edge {eid} does not continue the walk")
-            seq.append(head)
+            seq.append(tail)
+        seq.append(head)
+        at = head
     if len(set(seq)) != len(seq):
         raise InvariantError("path-revisits-vertex")
     return seq

@@ -56,36 +56,6 @@ class VerifyReport:
         return not self.failures
 
 
-class _Deck:
-    """Indexed view of one alternating path for the walk."""
-
-    def __init__(self, alt: AlternatingPath, index: int):
-        self.alt = alt
-        self.index = index
-        # Hub order along steps; hub i sits between steps[i] and steps[i+1].
-        # Decks alternate, from the head of the edge out of S1 (lower) or the
-        # tail of the edge into R2 (upper).
-        s1_side = alt.kind in (S1S2, S1R1)
-        first, second = (alt.lower, alt.upper) if s1_side else (alt.upper, alt.lower)
-        self.hubs = [0] * (len(first) + len(second))
-        self.hubs[::2], self.hubs[1::2] = first, second
-        self.pos = {h: i for i, h in enumerate(self.hubs)}
-        self.upper = set(alt.upper)
-        self.lower = set(alt.lower)
-        # The private edge a walk takes from a hub of this path, as an index
-        # into the hub's (phi, psi) pair: psi on S1 paths, phi on R2 paths.
-        self.onward = 1 if s1_side else 0
-
-    def edge_between(self, a: int, b: int) -> int:
-        """The private edge connecting adjacent hubs a and b."""
-        i, j = self.pos[a], self.pos[b]
-        if abs(i - j) != 1:
-            raise InvariantError(
-                "algorithm-stuck", f"hubs {a}, {b} are not adjacent on path {self.index}"
-            )
-        return self.alt.steps[max(i, j)]
-
-
 class _Phase(NamedTuple):
     """One direction of the walk.
 
@@ -111,18 +81,19 @@ _BACKWARD = _Phase("backward", S1S2, 0, "lower", ("w", "y0", "x0"))
 
 
 class _State:
-    """Mutable walk state shared by the step handlers."""
+    """Mutable walk state shared by the step handlers.
+
+    It reads the representation's hub table as the decomposition left it:
+    each edge's natural direction and ends, each hub's public and (phi,
+    psi) private edges, and each hub's alternating path and position there
+    (``path_index``, ``position``), with every path's hubs in step order
+    (``hubs``).
+    """
 
     def __init__(self, rep: Representation, seed: Optional[int]):
         self.g = rep.graph
         self.alt = decompose_private(rep)
-        self.decks = [_Deck(a, i) for i, a in enumerate(self.alt)]
         self.rng = random.Random(seed) if seed is not None else None
-
-        self.vertex_deck: Dict[int, _Deck] = {}
-        for deck in self.decks:
-            for h in deck.hubs:
-                self.vertex_deck[h] = deck
 
         table = hub_table(rep)
         if table.unpatterned is not None:
@@ -134,11 +105,16 @@ class _State:
         self.ends = table.ends  # edge id -> natural (tail, head)
         self.public_at = table.public
         self.private_at = table.private
+        self.hubs = table.hubs  # alternating path index -> its hubs in step order
+        self.path_index = table.path_index  # hub -> its alternating path
+        self.position = table.position  # hub -> its index in that path's hubs
+        # Per alternating path, the private edge a walk takes from its hubs,
+        # as an index into a hub's (phi, psi) pair: psi on S1 paths, phi on
+        # R2 paths.
+        self.take = [1 if a.kind in (S1S2, S1R1) else 0 for a in self.alt]
 
         self.occupied: set = set()
-        self.chokes: Dict[int, Optional[int]] = {
-            d.index: d.alt.choke for d in self.decks
-        }
+        self.chokes: List[Optional[int]] = [a.choke for a in self.alt]
         self.paths: List[List[Step]] = []  # the set of interconnecting paths
         self.trace: List[dict] = []
         self.forward_stops: List[int] = []
@@ -183,6 +159,16 @@ class _State:
             if self.ends[eid][1 - end] == v:
                 return steps[i:]
         raise InvariantError("algorithm-stuck", f"walk leaves no vertex {v}")
+
+    def edge_between(self, index: int, a: int, b: int) -> int:
+        """The private edge connecting adjacent hubs a and b of alternating
+        path ``index``."""
+        i, j = self.position[a], self.position[b]
+        if abs(i - j) != 1:
+            raise InvariantError(
+                "algorithm-stuck", f"hubs {a}, {b} are not adjacent on path {index}"
+            )
+        return self.alt[index].steps[max(i, j)]
 
     def path_with_edge(self, eid: int) -> int:
         for i, p in enumerate(self.paths):
@@ -258,47 +244,52 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
     name, stop, end = ph.name, ph.stop, ph.end
     public = f"{name}-public"
     at_key, a_key, b_key = ph.keys
+    charge, occupy, natural = st.charge, st.occupy, st.natural
+    ends, public_at = st.ends, st.public_at
+    path_index, position = st.path_index, st.position
     while True:
-        st.charge(name)
-        deck = st.vertex_deck[at]
-        if deck.alt.kind == stop and at == st.chokes[deck.index]:
-            free = getattr(deck, ph.free)
-            unocc = [h for h in free if h not in st.occupied]
+        charge(name)
+        index = path_index[at]
+        alt = st.alt[index]
+        if alt.kind == stop and at == st.chokes[index]:
+            unocc = [h for h in getattr(alt, ph.free) if h not in st.occupied]
             if not unocc:
                 st.trace.append(
                     {
                         "step": f"{name}-stop",
                         "iteration": iteration,
-                        "path_index": deck.index,
+                        "path_index": index,
                         at_key: at,
                     }
                 )
                 if ph is _FORWARD:
-                    st.forward_stops.append(deck.index)
+                    st.forward_stops.append(index)
                 return path
-            a0 = max(unocc, key=lambda h: deck.pos[h])
-            between = deck.hubs[deck.pos[a0] + 1 : deck.pos[at]]
-            a = [h for h in between if h in free]  # a1 .. ad
-            b0, *b = [h for h in between if h not in free]  # b0, then b1 .. bd
+            a0 = max(unocc, key=position.__getitem__)
+            # a0 and the choke are free hubs, and the decks alternate along
+            # the hubs, so the hubs between them read b0 a1 b1 ... ad bd.
+            between = st.hubs[index][position[a0] + 1 : position[at]]
+            a = between[1::2]  # a1 .. ad
+            b0, *b = between[::2]  # b0, then b1 .. bd
             d = len(a)
             st.trace.append(
                 {
                     "step": f"{name}-switch",
                     "iteration": iteration,
-                    "path_index": deck.index,
+                    "path_index": index,
                     at_key: at,
                     a_key: a0,
                     b_key: b0,
                     "d": d,
                 }
             )
-            st.chokes[deck.index] = a0
-            st.occupy(b0)
+            st.chokes[index] = a0
+            occupy(b0)
             if d == 0:
-                path.append(st.natural(deck.edge_between(at, b0)))
+                path.append(natural(st.edge_between(index, at, b0)))
             else:
                 involved = [
-                    st.path_with_edge(deck.edge_between(a[i], b[i])) for i in range(d)
+                    st.path_with_edge(st.edge_between(index, a[i], b[i])) for i in range(d)
                 ]
                 if len(set(involved)) != d:
                     raise InvariantError("algorithm-stuck", "switch edges share a path")
@@ -307,32 +298,32 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
                     del st.paths[i]
                 rebuilt = [
                     st.upto(olds[i + 1], a[i + 1], end)
-                    + [st.natural(deck.edge_between(a[i + 1], b[i]))]
+                    + [natural(st.edge_between(index, a[i + 1], b[i]))]
                     + st.onward(olds[i], b[i], end)
                     for i in range(d - 1)
                 ]
                 rebuilt.append(
                     path
-                    + [st.natural(deck.edge_between(at, b[-1]))]
+                    + [natural(st.edge_between(index, at, b[-1]))]
                     + st.onward(olds[-1], b[-1], end)
                 )
                 st.paths.extend(ph.turn(p) for p in rebuilt)
                 path = st.upto(olds[0], a[0], end) + [
-                    st.natural(deck.edge_between(a[0], b0))
+                    natural(st.edge_between(index, a[0], b0))
                 ]
                 st.check_disjoint(extra=ph.turn(path))
         else:
             # One rule for both phases: the four kinds split into S1 and R2 paths.
-            e = st.private_at[at][deck.onward]
-            st.occupy(st.ends[e][end])
-            path.append(st.natural(e))
+            e = st.private_at[at][st.take[index]]
+            occupy(ends[e][end])
+            path.append(natural(e))
 
         # Hop across the public edge at the reached vertex.
-        st.charge(public)
-        f = st.public_at[st.ends[path[-1][0]][end]]
-        at = st.ends[f][end]
-        st.occupy(at)
-        path.append(st.natural(f))
+        charge(public)
+        f = public_at[ends[path[-1][0]][end]]
+        at = ends[f][end]
+        occupy(at)
+        path.append(natural(f))
 
 
 def run_interconnect(rep: Representation, seed: Optional[int] = None) -> InterconnectRun:
@@ -370,7 +361,7 @@ def run_interconnect(rep: Representation, seed: Optional[int] = None) -> Interco
             {"step": "stored", "iteration": iteration, "count": len(st.paths)}
         )
 
-    chokes = {st.alt[i]: v for i, v in st.chokes.items()}
+    chokes = dict(zip(st.alt, st.chokes))
     return InterconnectRun(
         paths=tuple(Path(steps=tuple(p)) for p in st.paths),
         occupied=frozenset(st.occupied),

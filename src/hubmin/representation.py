@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cuts import _cuts_and_systems
+from .cuts import _full_systems
 from .graph_core import (
     PHI,
     PSI,
@@ -27,7 +27,6 @@ from .graph_core import (
     Path,
     PathSystem,
     _require_two_systems,
-    classify_edges,
     make_path_system,
 )
 
@@ -42,9 +41,8 @@ R2R1 = "R2R1"
 class Representation:
     """A degree-3, naturally oriented minimal two-pair network.
 
-    The merged edge orientation, the alternating-path decomposition and the
-    hub table are derived from the fields once per representation, on first
-    use.
+    The alternating-path decomposition and the hub table are derived from
+    the fields once per representation, on first use.
     """
 
     graph: Network
@@ -52,25 +50,10 @@ class Representation:
     provenance: Dict[str, Dict[int, int]]
 
     @cached_property
-    def _orientation(self) -> Dict[int, bool]:
-        """Edge id -> natural direction; the first system's where both use it."""
-        merged: Dict[int, bool] = {}
-        for system in reversed(self.systems):
-            merged.update(system.orientation)
-        return merged
-
-    @cached_property
     def _decomposition(self) -> Tuple[Tuple[AlternatingPath, ...], HubTable]:
         # A failed decomposition raises and caches nothing, so it raises again
         # on the next use.
         return _decompose(self)
-
-    def natural_direction(self, edge_id: int) -> bool:
-        """The direction every system path traverses this edge."""
-        try:
-            return self._orientation[edge_id]
-        except KeyError:
-            raise KeyError(f"edge {edge_id} is on neither system") from None
 
 
 @dataclass(frozen=True)
@@ -93,43 +76,281 @@ class AlternatingPath:
 class HubTable(NamedTuple):
     """Per-edge and per-hub lookups of a representation, for walks over it.
 
-    ``direction`` is the representation's natural direction of every edge
-    and ``ends`` its natural (tail, head).  ``public`` and ``private`` map
-    each hub to its public edge and to its (phi, psi) private edges.
+    The decomposition builds it in the same pass, and the interconnect reads
+    it as it is.  ``direction`` is the representation's natural direction of
+    every edge (the first system's where both use it) and ``ends`` its
+    natural (tail, head).  ``public`` and ``private`` map each hub to its
+    public edge and to its (phi, psi) private edges.  ``hubs`` lists each
+    alternating path's hubs in step order (hub i sits between steps i and
+    i + 1); ``path_index`` maps each hub to the index of its alternating
+    path, and ``position`` to its index in that path's ``hubs``.
     ``unpatterned`` is the first non-terminal vertex, in vertex order,
-    without one public and two private edges; when it is None, every hub has
-    an entry in both maps.
+    without one public and two private edges; when it is None, every hub
+    has an entry in every per-hub map.
     """
 
     direction: Dict[int, bool]
     ends: Dict[int, Tuple[int, int]]
     public: Dict[int, int]
     private: Dict[int, Tuple[int, int]]
+    hubs: Tuple[Tuple[int, ...], ...]
+    path_index: Dict[int, int]
+    position: Dict[int, int]
     unpatterned: Optional[int]
 
 
-def _build(
-    g: Network,
-    vertices: Sequence[int],
-    edges: Dict[int, Edge],
-    systems: Sequence[PathSystem],
-    paths: Sequence[Sequence[Sequence[Tuple[int, bool]]]],
-) -> Tuple[Network, List[PathSystem]]:
-    """Validate a rewrite step's working copies as one network and one path
-    system per pair."""
-    net = Network(vertices=tuple(vertices), edges=tuple(edges.values()), pairs=g.pairs)
-    return net, [
-        make_path_system(net, s.pair_index, [Path(steps=tuple(p)) for p in ps])
-        for s, ps in zip(systems, paths)
-    ]
+class _Rewrite:
+    """The working state the three rewrites edit: vertices, edges, incidence
+    and paths.
+
+    It reads ``g`` and ``systems`` as they are until a rewrite first has work
+    to do; that rewrite copies the vertices, edges and paths (``_edit``), and
+    every later rewrite edits the same copies.  ``incident`` holds the
+    ascending incident edge ids of the non-terminals the rewrites read: the
+    degree-2 ``relays`` and the ``crowded`` vertices of degree above 3.  A
+    merge leaves every other vertex's degree as it was, so both lists, taken
+    once from ``g`` in ascending order, stay the ones each rewrite would
+    find on the network the rewrites before it left; ``odd`` lists every
+    non-terminal of ``g`` whose degree is not 3.  ``provenance`` maps
+    each new vertex and edge id to the id of ``g`` it stands for.  ``result``
+    validates the copies once, as one network and one path system per pair.
+    """
+
+    def __init__(self, g: Network, systems: Sequence[PathSystem]):
+        self.g = g
+        self.systems = systems
+        self.provenance: Dict[str, Dict[int, int]] = {"vertices": {}, "edges": {}}
+        self.odd = _odd_vertices(g)
+        self.relays: List[int] = []
+        self.crowded: List[int] = []
+        self.isolated: set = set()
+        for v in self.odd:
+            degree = len(g.incident[v])
+            if degree == 2:
+                self.relays.append(v)
+            elif degree > 3:
+                self.crowded.append(v)
+            elif not degree:
+                self.isolated.add(v)
+        self.relays.sort()
+        self.crowded.sort()
+        self.incident = {v: list(g.incident[v]) for v in self.relays + self.crowded}
+        self.vertices: Optional[Dict[int, None]] = None
+        self.edges: Optional[Dict[int, Edge]] = None
+        self.paths: List[List[List[Tuple[int, bool]]]] = []
+        self.path_of: List[Dict[int, int]] = []  # per system: edge id -> path index
+        self.next_id = 0
+
+    def _edit(self) -> Dict[int, Edge]:
+        """The working edges, copied with the vertices and paths on first use."""
+        if self.edges is None:
+            g = self.g
+            self.vertices = dict.fromkeys(g.vertices)
+            self.edges = dict(g.edge_by_id)
+            self.paths = [[list(p.steps) for p in s.paths] for s in self.systems]
+            self.path_of = [
+                {eid: i for i, p in enumerate(ps) for eid, _ in p} for ps in self.paths
+            ]
+            self.next_id = max(self.edges, default=0) + 1
+        return self.edges
+
+    def _orientations(self) -> List[Dict[int, bool]]:
+        """Each system's edge id -> direction, as the paths stand now."""
+        if self.edges is None:
+            return [s.orientation for s in self.systems]
+        return [{eid: fwd for p in ps for eid, fwd in p} for ps in self.paths]
+
+    def result(self) -> Tuple[Network, List[PathSystem]]:
+        """The network and systems the rewrites leave: ``g`` and the systems
+        themselves when none had work to do, else one validated build."""
+        if self.edges is None:
+            return self.g, list(self.systems)
+        net = Network(
+            vertices=tuple(self.vertices), edges=tuple(self.edges.values()), pairs=self.g.pairs
+        )
+        return net, [
+            make_path_system(net, s.pair_index, [Path(steps=tuple(p)) for p in ps])
+            for s, ps in zip(self.systems, self.paths)
+        ]
+
+    def merge_relays(self) -> None:
+        """Merge each relay's two edges into one, in ascending relay order,
+        and drop the relays and isolated non-terminals."""
+        relays = self.relays
+        if not relays and not self.isolated:
+            return
+        g = self.g
+        edges = self._edit()
+        incident = self.incident
+        provenance = self.provenance["edges"]
+        sources, sinks = g.source_set, g.sink_set
+        for relay in relays:
+            e_id, f_id = incident[relay]
+            e, f = edges[e_id], edges[f_id]
+            a, b = e.other(relay), f.other(relay)
+            if a == b:
+                raise InvariantError(
+                    "degenerate-relay", f"merging at {relay} would close a loop"
+                )
+            # Direction of the merged edge: a source endpoint forces a->b, a
+            # sink endpoint b; otherwise the edge is interior and undirected.
+            new_id = self.next_id
+            self.next_id += 1
+            if a in sources or b in sinks:
+                new_edge = Edge(id=new_id, u=a, v=b, directed=True)
+            elif b in sources or a in sinks:
+                new_edge = Edge(id=new_id, u=b, v=a, directed=True)
+            else:
+                new_edge = Edge(id=new_id, u=a, v=b, directed=False)
+            del edges[e_id], edges[f_id]
+            edges[new_id] = new_edge
+            if new_edge.v in sources or new_edge.u in sinks:
+                # An edge into a source or out of a sink fails at this merge,
+                # with the error the network's own validation gives.
+                Network(vertices=g.vertices, edges=tuple(edges.values()), pairs=g.pairs)
+            for end, old in ((a, e_id), (b, f_id)):
+                if end in incident:  # the new id is the largest, so order holds
+                    incident[end].remove(old)
+                    incident[end].append(new_id)
+            for ps, where in zip(self.paths, self.path_of):
+                i = where.pop(e_id, None)
+                if i is None:
+                    continue
+                del where[f_id]
+                where[new_id] = i
+                steps = ps[i]
+                at = _step_index(steps, (e_id, f_id))  # the step into the relay
+                eid, forward = steps[at]
+                tail = (e if eid == e_id else f).ends(forward)[0]
+                steps[at:at + 2] = [(new_id, new_edge.u == tail)]
+            provenance[new_id] = min(provenance.get(e_id, e_id), provenance.get(f_id, f_id))
+            provenance.pop(e_id, None)
+            provenance.pop(f_id, None)
+        for v in self.isolated.union(relays):
+            del self.vertices[v]
+
+    def stretch_crossings(self) -> None:
+        """Split each crowded vertex, in ascending order, into an in-half and
+        an out-half joined by a new public edge."""
+        _require_two_systems(self.systems)
+        if not self.crowded:
+            return
+        phi_direction, psi_direction = self._orientations()
+        # A crossing's four edges are private: each has one system's direction.
+        direction = {**phi_direction, **psi_direction}
+        edges = self._edit()
+        vertices = self.vertices
+        provenance = self.provenance["vertices"]
+        top_vertex = max(vertices, default=0)
+        for v in self.crowded:
+            eids = self.incident[v]
+            counts = {PHI: 0, PSI: 0, PUBLIC: 0, UNUSED: 0}
+            for eid in eids:
+                if eid in phi_direction:
+                    counts[PUBLIC if eid in psi_direction else PHI] += 1
+                else:
+                    counts[PSI if eid in psi_direction else UNUSED] += 1
+            if len(eids) != 4 or counts[PHI] != 2 or counts[PSI] != 2:
+                raise InvariantError(
+                    "unexpected-degree-4",
+                    f"vertex {v} has degree {len(eids)} with tags "
+                    f"{{phi: {counts[PHI]}, psi: {counts[PSI]}, "
+                    f"public: {counts[PUBLIC]}, unused: {counts[UNUSED]}}}",
+                )
+
+            v1, v2 = top_vertex + 1, top_vertex + 2
+            top_vertex = v2
+            new_eid = self.next_id
+            self.next_id += 1
+            # Sort the four incident edges by how their system traverses them.
+            incoming, outgoing = [], []
+            for eid in eids:
+                head = edges[eid].ends(direction[eid])[1]
+                (incoming if head == v else outgoing).append(eid)
+            if len(incoming) != 2 or len(outgoing) != 2:
+                raise InvariantError(
+                    "unexpected-degree-4", f"vertex {v} is not a two-in two-out crossing"
+                )
+
+            for group, target in ((incoming, v1), (outgoing, v2)):
+                for eid in group:
+                    e = edges[eid]
+                    u = target if e.u == v else e.u
+                    w = target if e.v == v else e.v
+                    edges[eid] = Edge(id=e.id, u=u, v=w, directed=e.directed)
+            edges[new_eid] = Edge(id=new_eid, u=v1, v=v2, directed=False)
+            del vertices[v]
+            vertices[v1] = vertices[v2] = None
+
+            # Each system's step into v now enters v1 and is followed by
+            # v1->v2; its step out of v leaves from v2.  Step directions
+            # (u->v flags) survive because re-attaching keeps endpoint order.
+            for ps, where in zip(self.paths, self.path_of):
+                for eid in incoming:
+                    i = where.get(eid)
+                    if i is not None:
+                        steps = ps[i]
+                        steps.insert(_step_index(steps, (eid,)) + 1, (new_eid, True))
+                        break
+
+            provenance[v1] = provenance.pop(v, v)
+            provenance[v2] = provenance[v1]
+
+    def match_directions(self) -> None:
+        """Swap the second system's private edges around each public edge it
+        traverses against the first system, in ascending edge-id order."""
+        _require_two_systems(self.systems)
+        phi_direction, psi_direction = self._orientations()
+        conflicts = sorted(
+            [eid for eid, fwd in phi_direction.items() if psi_direction.get(eid, fwd) != fwd]
+        )
+        if not conflicts:
+            return
+        g = self.g
+        edges = self._edit()
+        psi_paths = self.paths[1]
+        phi_path_of, path_of = self.path_of
+        provenance = self.provenance["edges"]
+        for conflict in conflicts:
+            u, v = edges[conflict].ends(phi_direction[conflict])  # phi runs u -> v
+            # The psi path runs ... w3 -> v -> u -> w4 ...; find its two
+            # private steps around the public edge.
+            steps = psi_paths[path_of[conflict]]
+            at = _step_index(steps, (conflict,))
+            if at == 0 or at == len(steps) - 1:
+                raise InvariantError(
+                    "decomposition-violation", f"public edge {conflict} at a path end"
+                )
+            enter_eid = steps[at - 1][0]
+            leave_eid = steps[at + 1][0]
+            # Both are on the psi path, so they are private unless phi uses them.
+            if enter_eid in phi_path_of or leave_eid in phi_path_of:
+                raise InvariantError(
+                    "decomposition-violation",
+                    f"edges around inconsistent public edge {conflict} are not private",
+                )
+            w3 = edges[enter_eid].other(v)
+            w4 = edges[leave_eid].other(u)
+            id1, id2 = self.next_id, self.next_id + 1
+            self.next_id += 2
+            del edges[enter_eid], edges[leave_eid]
+            edges[id1] = Edge(id=id1, u=w3, v=u, directed=w3 in g.source_set)
+            edges[id2] = Edge(id=id2, u=v, v=w4, directed=w4 in g.sink_set)
+            path_of[id1] = path_of[id2] = path_of.pop(enter_eid)
+            del path_of[leave_eid]
+            steps[at - 1:at + 2] = [
+                (id1, True),
+                (conflict, phi_direction[conflict]),
+                (id2, True),
+            ]
+            provenance[id1] = provenance.pop(enter_eid, enter_eid)
+            provenance[id2] = provenance.pop(leave_eid, leave_eid)
 
 
-def _working_paths(systems: Sequence[PathSystem]):
-    """Mutable step lists per system, and per system a map from each edge id
-    to the index of the path that uses it."""
-    paths = [[list(p.steps) for p in s.paths] for s in systems]
-    path_of = [{eid: i for i, p in enumerate(ps) for eid, _ in p} for ps in paths]
-    return paths, path_of
+def _odd_vertices(g: Network) -> List[int]:
+    """The non-terminals of ``g`` whose degree is not 3, in vertex order."""
+    terminals = g.terminal_set
+    return [v for v, eids in g.incident.items() if len(eids) != 3 and v not in terminals]
 
 
 def _step_index(steps: List[Tuple[int, bool]], eids: Sequence[int]) -> int:
@@ -137,9 +358,18 @@ def _step_index(steps: List[Tuple[int, bool]], eids: Sequence[int]) -> int:
     return next(i for i, (eid, _) in enumerate(steps) if eid in eids)
 
 
-def remove_relays(
-    g: Network, systems: Sequence[PathSystem]
-) -> Tuple[Network, List[PathSystem], Dict[str, Dict[int, int]]]:
+Rewritten = Tuple[Network, List[PathSystem], Dict[str, Dict[int, int]]]
+
+
+def _rewrite(g: Network, systems: Sequence[PathSystem], *steps) -> Rewritten:
+    """Run rewrite steps (``_Rewrite`` methods) in order on one working state."""
+    state = _Rewrite(g, systems)
+    for step in steps:
+        step(state)
+    return (*state.result(), state.provenance)
+
+
+def remove_relays(g: Network, systems: Sequence[PathSystem]) -> Rewritten:
     """Merge every non-terminal degree-2 vertex's edge pair into one edge.
 
     Isolated non-terminal vertices (possible after edge deletions) are
@@ -147,77 +377,16 @@ def remove_relays(
     provenance map (new edge id -> id of one merged original edge).
 
     A merge leaves every other vertex's degree as it was, so the relays are
-    the degree-2 non-terminals of ``g``, merged in ascending order.  The
-    merges edit working copies of the edges and paths; the step ends with
-    one validated build of the network and its path systems.
+    the degree-2 non-terminals of ``g``, merged in ascending order.  Without
+    one (or an isolated vertex), ``g`` and the systems are returned as they
+    are; otherwise the merges edit working copies of the edges and paths,
+    and one validated build ends the step.  ``to_representation`` runs the
+    same code on the state it shares with the other two rewrites.
     """
-    provenance = {"vertices": {}, "edges": {}}
-    terminals = g.terminal_set
-    relays, isolated = [], set()
-    for v, eids in g.incident.items():
-        if v not in terminals:
-            if len(eids) == 2:
-                relays.append(v)
-            elif not eids:
-                isolated.add(v)
-    relays.sort()
-    if not relays and not isolated:
-        return g, list(systems), provenance
-    edges = dict(g.edge_by_id)
-    incident = {v: list(g.incident[v]) for v in relays}
-    paths, path_of = _working_paths(systems)
-    sources, sinks = g.source_set, g.sink_set
-    next_id = max(edges, default=0) + 1
-    for relay in relays:
-        e_id, f_id = incident[relay]
-        e, f = edges[e_id], edges[f_id]
-        a, b = e.other(relay), f.other(relay)
-        if a == b:
-            raise InvariantError("degenerate-relay", f"merging at {relay} would close a loop")
-        # Direction of the merged edge: a source endpoint forces a->b, a sink
-        # endpoint b; otherwise the edge is interior and undirected.
-        if a in sources or b in sinks:
-            new_edge = Edge(id=next_id, u=a, v=b, directed=True)
-        elif b in sources or a in sinks:
-            new_edge = Edge(id=next_id, u=b, v=a, directed=True)
-        else:
-            new_edge = Edge(id=next_id, u=a, v=b, directed=False)
-        next_id += 1
-        del edges[e_id], edges[f_id]
-        edges[new_edge.id] = new_edge
-        if new_edge.v in sources or new_edge.u in sinks:
-            # An edge into a source or out of a sink fails at this merge, with
-            # the error the network's own validation gives.
-            Network(vertices=g.vertices, edges=tuple(edges.values()), pairs=g.pairs)
-        for end, old in ((a, e_id), (b, f_id)):
-            if end in incident:  # a later relay: the new id is the largest
-                incident[end].remove(old)
-                incident[end].append(new_edge.id)
-        for ps, where in zip(paths, path_of):
-            i = where.pop(e_id, None)
-            if i is None:
-                continue
-            del where[f_id]
-            where[new_edge.id] = i
-            steps = ps[i]
-            at = _step_index(steps, (e_id, f_id))  # the step into the relay
-            eid, forward = steps[at]
-            tail = (e if eid == e_id else f).ends(forward)[0]
-            steps[at:at + 2] = [(new_edge.id, new_edge.u == tail)]
-        provenance["edges"][new_edge.id] = min(
-            provenance["edges"].get(e_id, e_id), provenance["edges"].get(f_id, f_id)
-        )
-        provenance["edges"].pop(e_id, None)
-        provenance["edges"].pop(f_id, None)
-
-    doomed = isolated.union(relays)
-    vertices = [v for v in g.vertices if v not in doomed]
-    return (*_build(g, vertices, edges, systems, paths), provenance)
+    return _rewrite(g, systems, _Rewrite.merge_relays)
 
 
-def stretch_crossings(
-    g: Network, systems: Sequence[PathSystem]
-) -> Tuple[Network, List[PathSystem], Dict[str, Dict[int, int]]]:
+def stretch_crossings(g: Network, systems: Sequence[PathSystem]) -> Rewritten:
     """Split every crossing vertex into an in-half and an out-half.
 
     A crossing is a degree-4 non-terminal where both systems pass without
@@ -229,83 +398,14 @@ def stretch_crossings(
     A stretch changes no other vertex's degree or edge tags, so the vertices
     to stretch are the non-terminals of degree above 3 in ``g``, taken in
     ascending order; without one, ``g`` and the systems are returned as they
-    are.  The stretches edit working copies of the vertices, edges and paths;
-    the step ends with one validated build of the network and its path
-    systems.
+    are.  Otherwise the stretches edit working copies of the vertices, edges
+    and paths, and one validated build ends the step.  ``to_representation``
+    runs the same code on the state it shares with the other two rewrites.
     """
-    provenance = {"vertices": {}, "edges": {}}
-    _require_two_systems(systems)
-    terminals = g.terminal_set
-    crowded = sorted(
-        v for v, eids in g.incident.items() if len(eids) > 3 and v not in terminals
-    )
-    if not crowded:
-        return g, list(systems), provenance
-    tags = classify_edges(g, systems)
-    orientation_all: Dict[int, bool] = {}
-    for s in systems:
-        orientation_all.update(s.orientation)
-    vertices = dict.fromkeys(g.vertices)
-    edges = dict(g.edge_by_id)
-    paths, path_of = _working_paths(systems)
-    top_vertex = max(g.vertices, default=0)
-    next_id = max(edges, default=0) + 1
-    for v in crowded:
-        deg = g.degree(v)
-        by_tag = {PHI: [], PSI: [], PUBLIC: [], UNUSED: []}
-        for eid in g.incident[v]:
-            by_tag[tags[eid]].append(eid)
-        if deg != 4 or len(by_tag[PHI]) != 2 or len(by_tag[PSI]) != 2:
-            raise InvariantError(
-                "unexpected-degree-4",
-                f"vertex {v} has degree {deg} with tags "
-                f"{{phi: {len(by_tag[PHI])}, psi: {len(by_tag[PSI])}, "
-                f"public: {len(by_tag[PUBLIC])}, unused: {len(by_tag[UNUSED])}}}",
-            )
-
-        v1, v2 = top_vertex + 1, top_vertex + 2
-        top_vertex = v2
-        new_eid = next_id
-        next_id += 1
-        # Sort the four incident edges by how their system traverses them.
-        incoming, outgoing = [], []
-        for eid in g.incident[v]:
-            head = edges[eid].ends(orientation_all[eid])[1]
-            (incoming if head == v else outgoing).append(eid)
-        if len(incoming) != 2 or len(outgoing) != 2:
-            raise InvariantError(
-                "unexpected-degree-4", f"vertex {v} is not a two-in two-out crossing"
-            )
-
-        for group, target in ((incoming, v1), (outgoing, v2)):
-            for eid in group:
-                e = edges[eid]
-                u = target if e.u == v else e.u
-                w = target if e.v == v else e.v
-                edges[eid] = Edge(id=e.id, u=u, v=w, directed=e.directed)
-        edges[new_eid] = Edge(id=new_eid, u=v1, v=v2, directed=False)
-        del vertices[v]
-        vertices[v1] = vertices[v2] = None
-
-        # Each system's step into v now enters v1 and is followed by v1->v2;
-        # its step out of v leaves from v2.  Step directions (u->v flags)
-        # survive because re-attaching keeps endpoint order.
-        for ps, where in zip(paths, path_of):
-            for eid in incoming:
-                i = where.get(eid)
-                if i is not None:
-                    steps = ps[i]
-                    steps.insert(_step_index(steps, (eid,)) + 1, (new_eid, True))
-                    break
-
-        provenance["vertices"][v1] = provenance["vertices"].pop(v, v)
-        provenance["vertices"][v2] = provenance["vertices"][v1]
-    return (*_build(g, vertices, edges, systems, paths), provenance)
+    return _rewrite(g, systems, _Rewrite.stretch_crossings)
 
 
-def match_directions(
-    g: Network, systems: Sequence[PathSystem]
-) -> Tuple[Network, List[PathSystem], Dict[str, Dict[int, int]]]:
+def match_directions(g: Network, systems: Sequence[PathSystem]) -> Rewritten:
     """Rewire the second system so every public edge is traversed one way.
 
     For a public edge with opposite traversal directions, the second system's
@@ -316,72 +416,12 @@ def match_directions(
     A swap fixes its own public edge and adds only private edges, so the
     conflicts are those of ``g``: the edges both systems traverse, opposite
     ways, swapped in ascending edge-id order.  Without one, ``g`` and the
-    systems are returned as they are.  The swaps edit working copies of the
-    edges and the second system's paths; the step ends with one validated
-    build of the network and both systems.
+    systems are returned as they are.  Otherwise the swaps edit working
+    copies of the edges and the second system's paths, and one validated
+    build ends the step.  ``to_representation`` runs the same code on the
+    state it shares with the other two rewrites.
     """
-    provenance = {"vertices": {}, "edges": {}}
-    _require_two_systems(systems)
-    phi, psi = systems
-    psi_direction = psi.orientation
-    conflicts = sorted(
-        eid
-        for eid, forward in phi.orientation.items()
-        if eid in psi_direction and psi_direction[eid] != forward
-    )
-    if not conflicts:
-        return g, list(systems), provenance
-    tags = classify_edges(g, systems)
-    edges = dict(g.edge_by_id)
-    (psi_paths,), (path_of,) = _working_paths((psi,))
-    next_id = max(edges) + 1
-    for conflict in conflicts:
-        u, v = edges[conflict].ends(phi.orientation[conflict])  # phi runs u -> v
-        # The psi path runs ... w3 -> v -> u -> w4 ...; find its two private
-        # steps around the public edge.
-        steps = psi_paths[path_of[conflict]]
-        at = _step_index(steps, (conflict,))
-        if at == 0 or at == len(steps) - 1:
-            raise InvariantError(
-                "decomposition-violation", f"public edge {conflict} at a path end"
-            )
-        enter_eid = steps[at - 1][0]
-        leave_eid = steps[at + 1][0]
-        if tags[enter_eid] != PSI or tags[leave_eid] != PSI:
-            raise InvariantError(
-                "decomposition-violation",
-                f"edges around inconsistent public edge {conflict} are not private",
-            )
-        w3 = edges[enter_eid].other(v)
-        w4 = edges[leave_eid].other(u)
-        id1, id2 = next_id, next_id + 1
-        next_id += 2
-        del edges[enter_eid], edges[leave_eid]
-        edges[id1] = Edge(id=id1, u=w3, v=u, directed=w3 in g.source_set)
-        edges[id2] = Edge(id=id2, u=v, v=w4, directed=w4 in g.sink_set)
-        tags[id1] = tags[id2] = PSI
-        path_of[id1] = path_of[id2] = path_of.pop(enter_eid)
-        del path_of[leave_eid]
-        steps[at - 1:at + 2] = [
-            (id1, True),
-            (conflict, phi.orientation[conflict]),
-            (id2, True),
-        ]
-        provenance["edges"][id1] = provenance["edges"].pop(enter_eid, enter_eid)
-        provenance["edges"][id2] = provenance["edges"].pop(leave_eid, leave_eid)
-    phi_paths = [p.steps for p in phi.paths]
-    return (*_build(g, g.vertices, edges, (phi, psi), (phi_paths, psi_paths)), provenance)
-
-
-def _compose_provenance(
-    earlier: Dict[str, Dict[int, int]], later: Dict[str, Dict[int, int]]
-) -> Dict[str, Dict[int, int]]:
-    """Chain two new->old maps: resolve later's targets through earlier."""
-    out = {"vertices": dict(earlier["vertices"]), "edges": dict(earlier["edges"])}
-    for kind in ("vertices", "edges"):
-        for new, old in later[kind].items():
-            out[kind][new] = earlier[kind].get(old, old)
-    return out
+    return _rewrite(g, systems, _Rewrite.match_directions)
 
 
 def to_representation(
@@ -390,43 +430,43 @@ def to_representation(
     """Run the three steps on a minimal two-pair network.
 
     When systems are not supplied, maximal vertex-disjoint path systems are
-    computed for both pairs, from one compile of ``g``.
+    computed for both pairs, from one compile of ``g``, each flow stopping
+    at its pair's demand.
+
+    The relay merges, crossing stretches and direction swaps edit one
+    working state in turn, as ``remove_relays``, ``stretch_crossings`` and
+    ``match_directions`` chained would, and raise what the chain raises on
+    valid systems.  The state is validated once at the end: one ``Network``
+    and two ``make_path_system`` builds when any step had work to do, none
+    otherwise.  The provenance maps each new id straight to the id of ``g``
+    it stands for.
     """
     if len(g.pairs) != 2:
         raise InvariantError("two-pairs-required", f"got {len(g.pairs)} pairs")
     if systems is None:
         systems = []
-        for i, (_, system) in enumerate(_cuts_and_systems(g)):
+        for i, system in enumerate(_full_systems(g)):
             if system is None:
                 raise InvariantError("not-in-class", f"pair {i} has no full system")
             systems.append(system)
-    g1, systems1, prov1 = remove_relays(g, systems)
-    g2, systems2, prov2 = stretch_crossings(g1, systems1)
-    g3, systems3, prov3 = match_directions(g2, systems2)
-    provenance = _compose_provenance(_compose_provenance(prov1, prov2), prov3)
-    # Composition can leave entries for intermediate ids that a later step
-    # replaced; only ids present in the final graph are meaningful.
-    provenance["edges"] = {
-        k: v for k, v in provenance["edges"].items() if k in g3.edge_by_id
-    }
-    vertex_set = set(g3.vertices)
-    provenance["vertices"] = {
-        k: v for k, v in provenance["vertices"].items() if k in vertex_set
-    }
-
-    rep = Representation(
+    state = _Rewrite(g, systems)
+    state.merge_relays()
+    state.stretch_crossings()
+    state.match_directions()
+    g3, systems3 = state.result()
+    # Without a rewrite, g3 is g, whose odd vertices the state has listed.
+    odd = state.odd if g3 is g else _odd_vertices(g3)
+    if odd:
+        v = odd[0]
+        raise InvariantError(
+            "decomposition-violation",
+            f"non-terminal vertex {v} has degree {g3.degree(v)} after transformation",
+        )
+    return Representation(
         graph=g3,
         systems=(systems3[0], systems3[1]),
-        provenance=provenance,
+        provenance=state.provenance,
     )
-    terminals = g3.terminal_set
-    for v, eids in g3.incident.items():
-        if len(eids) != 3 and v not in terminals:
-            raise InvariantError(
-                "decomposition-violation",
-                f"non-terminal vertex {v} has degree {len(eids)} after transformation",
-            )
-    return rep
 
 
 def decompose_private(rep: Representation) -> List[AlternatingPath]:
@@ -458,34 +498,53 @@ def _decompose(rep: Representation) -> Tuple[Tuple[AlternatingPath, ...], HubTab
     """Walk and validate the decomposition that ``decompose_private`` returns,
     and build the hub table on the way."""
     g = rep.graph
-    tags = classify_edges(g, rep.systems)
-    if UNUSED in tags.values():
-        raise InvariantError("decomposition-violation", "unused edge in representation")
+    phi_direction, psi_direction = (s.orientation for s in rep.systems)
     s1, r1 = g.pairs[0].source, g.pairs[0].sink
     s2, r2 = g.pairs[1].source, g.pairs[1].sink
     terminals = g.terminal_set
-    direction = rep._orientation
+    edge_by_id = g.edge_by_id
 
-    # One pass over the edges in id order: natural ends, each hub's public
-    # edge (noting hubs with more than one) and its private edges.
+    # One pass over the edges in id order: natural directions and ends, each
+    # private edge's system (True for phi), each hub's public edge (noting
+    # hubs with more than one) and its private edges.
+    direction: Dict[int, bool] = {}
     ends: Dict[int, Tuple[int, int]] = {}
+    on_phi: Dict[int, bool] = {}
     public: Dict[int, int] = {}
     crowded: set = set()
     private_at: Dict[int, List[int]] = {}
-    for eid, tag in sorted(tags.items()):
-        e = g.edge_by_id[eid]
-        u, v = e.u, e.v
-        ends[eid] = (u, v) if direction[eid] else (v, u)
-        if tag != PUBLIC:
-            for x in (u, v):
-                if x not in terminals:
-                    private_at.setdefault(x, []).append(eid)
+    for eid in sorted(edge_by_id):
+        e = edge_by_id[eid]
+        u = e.u
+        v = e.v
+        forward = phi_direction.get(eid)
+        if forward is None:
+            forward = psi_direction.get(eid)
+            if forward is None:
+                raise InvariantError(
+                    "decomposition-violation", "unused edge in representation"
+                )
+            on_phi[eid] = False
+        elif eid in psi_direction:
+            direction[eid] = forward
+            ends[eid] = (u, v) if forward else (v, u)
+            if u in public:
+                crowded.add(u)
+            elif u not in terminals:
+                public[u] = eid
+            if v in public:
+                crowded.add(v)
+            elif v not in terminals:
+                public[v] = eid
+            continue
         else:
-            for x in (u, v):
-                if x in public:
-                    crowded.add(x)
-                elif x not in terminals:
-                    public[x] = eid
+            on_phi[eid] = True
+        direction[eid] = forward
+        ends[eid] = (u, v) if forward else (v, u)
+        if u not in terminals:
+            private_at.setdefault(u, []).append(eid)
+        if v not in terminals:
+            private_at.setdefault(v, []).append(eid)
     for v, eids in private_at.items():
         if len(eids) != 2:
             raise InvariantError(
@@ -494,40 +553,49 @@ def _decompose(rep: Representation) -> Tuple[Tuple[AlternatingPath, ...], HubTab
             )
 
     private: Dict[int, Tuple[int, int]] = {}
+    path_index: Dict[int, int] = {}
+    position: Dict[int, int] = {}
     seen: set = set()
     paths: List[AlternatingPath] = []
+    hub_order: List[Tuple[int, ...]] = []
 
     def walk(first_eid: int, anchor: int) -> AlternatingPath:
-        # Hop at each hub to its other private edge, classifying the hub by
-        # head/tail as it is passed.
-        steps, upper, lower = [first_eid], [], []
-        at, eid = anchor, first_eid
-        while True:
-            tail, head = ends[eid]
-            left_in = tail == at  # the hub reached is the head of this edge
-            at = head if left_in else tail
-            if at in terminals:
-                break
+        # Hop at each hub to its other private edge.  A hub is the head of
+        # both its private edges (lower) or the tail of both (upper), so the
+        # walk runs its edges alternately with and against their direction,
+        # and the hubs it passes alternate between the decks.
+        index = len(paths)
+        steps, hubs = [first_eid], []
+        eid = first_eid
+        on_phi_left = on_phi[eid]
+        tail, head = ends[eid]
+        left_in = first_in = tail == anchor  # the hub reached is the head of eid
+        at = head if left_in else tail
+        while at not in terminals:
             first, second = private_at[at]
             right = second if first == eid else first
-            right_in = ends[right][1] == at
-            if left_in and right_in:
-                lower.append(at)
-            elif not left_in and not right_in:
-                upper.append(at)
-            else:
+            tail, head = ends[right]
+            if (head == at) != left_in:
                 raise InvariantError(
                     "decomposition-violation",
                     f"hub {at} is head of one private edge and tail of the other",
                 )
-            if tags[eid] == tags[right]:
+            if on_phi[right] == on_phi_left:
                 raise InvariantError(
                     "decomposition-violation",
                     f"private edges {eid}, {right} at hub {at} share a system",
                 )
-            private[at] = (eid, right) if tags[eid] == PHI else (right, eid)
+            private[at] = (eid, right) if on_phi_left else (right, eid)
+            path_index[at] = index
+            position[at] = len(hubs)
+            hubs.append(at)
             steps.append(right)
             eid = right
+            at = tail if left_in else head
+            left_in = not left_in
+            on_phi_left = not on_phi_left
+        lower = tuple(hubs[0 if first_in else 1 :: 2])
+        upper = tuple(hubs[1 if first_in else 0 :: 2])
 
         if anchor == s1:
             kind = S1S2 if at == s2 else (S1R1 if at == r1 else None)
@@ -544,24 +612,26 @@ def _decompose(rep: Representation) -> Tuple[Tuple[AlternatingPath, ...], HubTab
         else:
             choke = None
         seen.update(steps)
+        hub_order.append(tuple(hubs))
         return AlternatingPath(
             steps=tuple(steps),
             kind=kind,
-            upper=tuple(upper),
-            lower=tuple(lower),
+            upper=upper,
+            lower=lower,
             choke=choke,
         )
 
     for anchor in (s1, r2):
         for eid in g.incident.get(anchor, ()):
-            if tags[eid] != PUBLIC:
+            if eid in on_phi:
                 paths.append(walk(eid, anchor))
 
-    all_private = {eid for eid, tag in tags.items() if tag != PUBLIC}
-    if seen != all_private:
+    # Walks take private edges only, so they cover them all when they take
+    # as many distinct ones.
+    if len(seen) != len(on_phi):
         raise InvariantError(
             "decomposition-violation",
-            f"private edges not covered: {sorted(all_private - seen)}",
+            f"private edges not covered: {sorted(set(on_phi) - seen)}",
         )
     c1, c2 = g.pairs[0].demand, g.pairs[1].demand
     if len(paths) != c1 + c2:
@@ -600,4 +670,6 @@ def _decompose(rep: Representation) -> Tuple[Tuple[AlternatingPath, ...], HubTab
             for v in g.vertices
             if v not in terminals and (v in crowded or v not in public or v not in private)
         )
-    return tuple(paths), HubTable(direction, ends, public, private, unpatterned)
+    return tuple(paths), HubTable(
+        direction, ends, public, private, tuple(hub_order), path_index, position, unpatterned
+    )

@@ -37,7 +37,9 @@ from hubmin import (
     vertex_disjoint_paths,
     verify_run,
 )
+from hubmin import representation
 from hubmin.interconnect import _State
+from hubmin.representation import hub_table
 
 # SHA-256 of the corpus outputs below, recorded before the layer was changed
 # to compute its derived state once.
@@ -99,6 +101,35 @@ def test_representation_outputs_are_frozen():
         assert [events[f"{phase}-switch", d] for d in (0, 1, 2)] == [114, 20, 5], phase
         assert events[f"{phase}-stop"] == 596, phase
     assert digest.hexdigest() == FROZEN_DIGEST
+
+
+def test_to_representation_builds_once(monkeypatch):
+    # One Network and one path system per pair when a rewrite has work to
+    # do (the chained public rewrites return a new network), none otherwise.
+    corpus = []
+    for key, g, systems in _corpus():
+        g1, s1, _ = remove_relays(g, systems)
+        g2, s2, _ = stretch_crossings(g1, s1)
+        corpus.append((key, g, systems, match_directions(g2, s2)[0] is not g))
+    builds = Counter()
+    post_init = Network.__post_init__
+    make = representation.make_path_system
+
+    def counting_post_init(net):
+        builds["network"] += 1
+        post_init(net)
+
+    def counting_make(*args):
+        builds["system"] += 1
+        return make(*args)
+
+    monkeypatch.setattr(Network, "__post_init__", counting_post_init)
+    monkeypatch.setattr(representation, "make_path_system", counting_make)
+    for key, g, systems, rewritten in corpus:
+        builds.clear()
+        to_representation(g, systems)
+        assert builds == ({"network": 1, "system": 2} if rewritten else {}), key
+    assert sum(rewritten for *_, rewritten in corpus) == 60
 
 
 def _example_rep(example_instance) -> Representation:
@@ -163,7 +194,7 @@ def test_check_disjoint_rejects_paths_that_share_only_a_vertex(example_instance)
     st = _State(rep, None)
     st.paths = [path]
     with pytest.raises(InvariantError) as err:
-        st.check_disjoint(extra=[(eid, rep.natural_direction(eid))])
+        st.check_disjoint(extra=[(eid, hub_table(rep).direction[eid])])
     assert str(err.value) == "algorithm-stuck: interconnecting paths share a vertex"
 
 

@@ -443,9 +443,11 @@ def test_cuts_and_systems_match_the_single_pair_calls():
     graphs = CORPUS + [_cycle_instance(), ones_graph(3, 3, 2)]
     graphs += [delete_edges(grid_graph(4, 4), sorted(grid_graph(4, 4).edge_by_id)[::5])]
     for g in graphs:
+        systems = cuts._full_systems(g)
         for i, (value, system) in enumerate(cuts._cuts_and_systems(g)):
             assert value == min_vertex_cut(g, i).value
             assert system == vertex_disjoint_paths(g, i, g.pairs[i].demand)
+            assert systems[i] == system
 
 
 def test_in_class_compiles_once(monkeypatch):

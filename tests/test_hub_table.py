@@ -111,6 +111,14 @@ MALFORMED = {
         (4,),
         "decomposition-violation: hub 4 is head of one private edge and tail of the other",
     ),
+    "private cycle off every walk": (
+        # Hubs 6 and 7 hold a phi and a psi edge each, on a cycle of their own.
+        {**BASE_EDGES, 5: (6, 7, False), 6: (7, 6, False)},
+        {**BASE_PHI, 5: True},
+        {**BASE_PSI, 6: True},
+        (4, 5, 6, 7),
+        "decomposition-violation: private edges not covered: [5, 6]",
+    ),
     "hub with only public edges": (
         # The public edge 4-5 subdivided at hub 6.
         {**BASE_EDGES, 2: (4, 6, False), 5: (6, 5, False)},
@@ -154,9 +162,11 @@ def test_table_matches_an_independent_recomputation():
         rep = to_representation(g, systems)
         table = representation.hub_table(rep)
         h = rep.graph
-        assert table.direction == {e: rep.natural_direction(e) for e in h.edge_by_id}, key
+        phi, psi = (s.orientation for s in rep.systems)
+        direction = {e: phi[e] if e in phi else psi[e] for e in h.edge_by_id}
+        assert table.direction == direction, key
         assert table.ends == {
-            e: edge.ends(rep.natural_direction(e)) for e, edge in h.edge_by_id.items()
+            e: edge.ends(direction[e]) for e, edge in h.edge_by_id.items()
         }, key
         tags = classify_edges(h, rep.systems)
         public, private = {}, {}
@@ -169,6 +179,17 @@ def test_table_matches_an_independent_recomputation():
         assert table.public == public, key
         assert table.private == private, key
         assert table.unpatterned is None, key
+        # Hub i of an alternating path is the vertex its steps i and i + 1
+        # share.
+        path_index, position = {}, {}
+        for i, a in enumerate(decompose_private(rep)):
+            ends = [{h.edge_by_id[e].u, h.edge_by_id[e].v} for e in a.steps]
+            hubs = [(left & right).pop() for left, right in zip(ends, ends[1:])]
+            assert table.hubs[i] == tuple(hubs), key
+            path_index.update(dict.fromkeys(hubs, i))
+            position.update((h, j) for j, h in enumerate(hubs))
+        assert table.path_index == path_index, key
+        assert table.position == position, key
 
 
 def test_interconnect_reads_the_cached_table(monkeypatch, example_instance):
@@ -194,7 +215,8 @@ def test_interconnect_reads_the_cached_table(monkeypatch, example_instance):
         rep = to_representation(g, systems)
         calls.clear()
         decompose_private(rep)
-        assert calls == {"classify": 1, "decompose": 1}
+        # The decomposition reads the systems' orientations, not edge tags.
+        assert calls == {"decompose": 1}
         for seed in (None, 7):
             run_interconnect(rep, seed=seed)
-        assert calls == {"classify": 1, "decompose": 1}
+        assert calls == {"decompose": 1}

@@ -32,6 +32,8 @@ from hubmin import (
 )
 
 from hubmin import cuts
+from hubmin._flownet import FlowNet
+from hubmin.representation import hub_table
 from hubmin.acceptance import directions_agree
 
 from conftest import two_pair_corpus
@@ -172,10 +174,10 @@ def test_remove_relays_rejects_degenerate_relay():
     assert err.value.code == "degenerate-relay"
 
 
-def test_remove_relays_fails_at_the_first_bad_merge():
-    # Relay 6 hangs between the two sources, so its merged edge (9, after
-    # relay 5's edge 8) enters a source; relay 7 would close a loop, but
-    # comes after 6.
+def _bad_merge_case():
+    """Relay 6 hangs between the two sources, so its merged edge (9, after
+    relay 5's edge 8) enters a source; relay 7 would close a loop, but
+    comes after 6."""
     g = _net(
         range(8),
         [
@@ -192,8 +194,12 @@ def test_remove_relays_fails_at_the_first_bad_merge():
     )
     phi = make_path_system(g, 0, [Path(((0, True), (1, True)))])
     psi = make_path_system(g, 1, [Path(((2, True), (3, True)))])
+    return g, [phi, psi]
+
+
+def test_remove_relays_fails_at_the_first_bad_merge():
     with pytest.raises(InvariantError) as err:
-        remove_relays(g, [phi, psi])
+        remove_relays(*_bad_merge_case())
     assert str(err.value) == "source-incoming-edge: edge 9 at 2"
 
 
@@ -216,26 +222,28 @@ def test_stretch_crossings_splits_crossing_vertex():
     assert systems2[0].orientation[new_eid] == systems2[1].orientation[new_eid]
 
 
-def test_stretch_crossings_rejects_degree_five():
+def _degree_five_case():
+    """The crossing case with an unused edge 4-5 added."""
     g, systems = _crossing_case()
     bigger = _net(
         g.vertices,
         tuple(g.edges) + (Edge(5, 4, 5, False),),
         g.pairs,
     )
-    systems = [
-        make_path_system(bigger, s.pair_index, s.paths) for s in systems
-    ]
+    return bigger, [make_path_system(bigger, s.pair_index, s.paths) for s in systems]
+
+
+def test_stretch_crossings_rejects_degree_five():
     with pytest.raises(InvariantError) as err:
-        stretch_crossings(bigger, systems)
+        stretch_crossings(*_degree_five_case())
     assert str(err.value) == (
         "unexpected-degree-4: vertex 5 has degree 5 with tags "
         "{phi: 2, psi: 2, public: 0, unused: 1}"
     )
 
 
-def test_stretch_crossings_rejects_wrong_tag_mix():
-    # Degree-4 vertex with two unused edges is not a crossing.
+def _wrong_tag_mix_case():
+    """A degree-4 vertex with two unused edges is not a crossing."""
     g = _net(
         [0, 1, 2, 3, 4, 5, 6],
         [
@@ -250,18 +258,22 @@ def test_stretch_crossings_rejects_wrong_tag_mix():
     )
     phi = make_path_system(g, 0, [Path(((0, True), (1, True), (3, True)))])
     psi = make_path_system(g, 1, [Path(((5, True),))])
+    return g, [phi, psi]
+
+
+def test_stretch_crossings_rejects_wrong_tag_mix():
     with pytest.raises(InvariantError) as err:
-        stretch_crossings(g, [phi, psi])
+        stretch_crossings(*_wrong_tag_mix_case())
     assert str(err.value) == (
         "unexpected-degree-4: vertex 5 has degree 4 with tags "
         "{phi: 2, psi: 0, public: 0, unused: 2}"
     )
 
 
-def test_stretch_crossings_rejects_a_crossing_walked_one_way():
-    # The tags are a crossing's, but a path that walks edge 3 backward, so
-    # that the first system enters vertex 5 on both of its edges, leaves
-    # three in, one out.  Direct construction does not check the path.
+def _one_way_crossing_case():
+    """The tags are a crossing's, but a path that walks edge 3 backward, so
+    that the first system enters vertex 5 on both of its edges, leaves
+    three in, one out.  Direct construction does not check the path."""
     g, systems = _crossing_case()
     g1, (phi, psi), _ = remove_relays(g, systems)
     bent = PathSystem(
@@ -271,8 +283,12 @@ def test_stretch_crossings_rejects_a_crossing_walked_one_way():
             for path in phi.paths
         ),
     )
+    return g1, [bent, psi]
+
+
+def test_stretch_crossings_rejects_a_crossing_walked_one_way():
     with pytest.raises(InvariantError) as err:
-        stretch_crossings(g1, [bent, psi])
+        stretch_crossings(*_one_way_crossing_case())
     assert str(err.value) == "unexpected-degree-4: vertex 5 is not a two-in two-out crossing"
 
 
@@ -355,14 +371,29 @@ def test_match_directions_swaps_in_ascending_edge_order():
 
 
 def test_natural_direction_prefers_the_first_system():
-    g, (phi, psi) = _conflict_case()
-    rep = Representation(graph=g, systems=(phi, psi), provenance={})
-    assert rep.natural_direction(1) is True  # psi walks edge 1 backward
+    # The conflict case's graph with hub 4's edges to S2 and R2 swapped, so
+    # it decomposes; psi is built directly, as no checked path walks edge 1
+    # backward here.
+    g = _net(
+        [0, 1, 2, 3, 4, 5],
+        [
+            Edge(0, 0, 4, True),
+            Edge(1, 4, 5, False),
+            Edge(2, 5, 1, True),
+            Edge(3, 2, 4, True),
+            Edge(4, 5, 3, True),
+        ],
+        [Pair(0, 1, 1), Pair(2, 3, 1)],
+    )
+    phi = make_path_system(g, 0, [Path(((0, True), (1, True), (2, True)))])
+    psi = PathSystem(pair_index=1, paths=(Path(((3, True), (1, False), (4, True))),))
+    direction = hub_table(Representation(graph=g, systems=(phi, psi), provenance={})).direction
+    assert direction[1] is True  # psi walks edge 1 backward
     for e in g.edges:
         want = phi.orientation.get(e.id, psi.orientation.get(e.id))
-        assert rep.natural_direction(e.id) is want
+        assert direction[e.id] is want
     with pytest.raises(KeyError):
-        rep.natural_direction(99)
+        direction[99]
 
 
 def test_directions_agree_rejects_opposed_systems():
@@ -438,6 +469,93 @@ def test_to_representation_compiles_once_without_systems(monkeypatch):
     assert [s.paths for s in rep.systems] == [
         vertex_disjoint_paths(g, i, p.demand).paths for i, p in enumerate(g.pairs)
     ]
+
+
+def test_to_representation_stops_each_flow_at_the_demand(monkeypatch):
+    # Three augmenting searches per pair, and no failing search past them.
+    searches = []
+    bfs_parent = FlowNet._bfs_parent
+    monkeypatch.setattr(
+        FlowNet, "_bfs_parent", lambda net, s, t: searches.append(s) or bfs_parent(net, s, t)
+    )
+    g = grid_graph(3, 3)
+    rep = to_representation(g)
+    assert len(searches) == 6
+    assert [s.paths for s in rep.systems] == [
+        vertex_disjoint_paths(g, i, p.demand).paths for i, p in enumerate(g.pairs)
+    ]
+
+
+def _chained_error(g, systems) -> str:
+    """The text of what the three public rewrites, chained, raise."""
+    with pytest.raises(InvariantError) as err:
+        g1, systems1, _ = remove_relays(g, systems)
+        g2, systems2, _ = stretch_crossings(g1, systems1)
+        match_directions(g2, systems2)
+    return str(err.value)
+
+
+def test_to_representation_raises_what_the_chained_rewrites_raise():
+    # The rewrite error inputs pinned above; the degenerate relay gets a
+    # second pair (a direct edge 4 -> 5), as to_representation takes two.
+    g = _net(
+        range(6),
+        [
+            Edge(0, 0, 2, True),
+            Edge(1, 2, 3, False),
+            Edge(2, 3, 2, False),
+            Edge(3, 2, 1, True),
+            Edge(4, 4, 5, True),
+        ],
+        [Pair(0, 1, 1), Pair(4, 5, 1)],
+    )
+    degenerate = (
+        g,
+        [
+            make_path_system(g, 0, [Path(((0, True), (3, True)))]),
+            make_path_system(g, 1, [Path(((4, True),))]),
+        ],
+    )
+    cases = {
+        "degenerate relay": degenerate,
+        "bad merge": _bad_merge_case(),
+        "degree five": _degree_five_case(),
+        "wrong tag mix": _wrong_tag_mix_case(),
+        "one-way crossing": _one_way_crossing_case(),
+    }
+    for case in (_crossing_case, _relay_case, _conflict_case):
+        g, systems = case()
+        cases[f"one system, {case.__name__}"] = (g, systems[:1])
+    texts = set()
+    for name, (g, systems) in cases.items():
+        want = _chained_error(g, systems)
+        with pytest.raises(InvariantError) as err:
+            to_representation(g, systems)
+        assert str(err.value) == want, name
+        texts.add(want)
+    assert len(texts) == 6
+
+
+def test_to_representation_rejects_a_pendant_vertex():
+    # A vertex hanging off the first source keeps degree 1, whether or not a
+    # rewrite has work to do.
+    for g, systems in (_relay_case(), (grid_graph(2, 2), None)):
+        source = g.pairs[0].source
+        pendant = max(g.vertices) + 1
+        h = _net(
+            g.vertices + (pendant,),
+            g.edges + (Edge(max(g.edge_by_id) + 1, source, pendant, True),),
+            g.pairs,
+        )
+        if systems is None:
+            systems = [vertex_disjoint_paths(g, i, p.demand) for i, p in enumerate(g.pairs)]
+        systems = [make_path_system(h, s.pair_index, s.paths) for s in systems]
+        with pytest.raises(InvariantError) as err:
+            to_representation(h, systems)
+        assert str(err.value) == (
+            f"decomposition-violation: non-terminal vertex {pendant} has degree 1 "
+            "after transformation"
+        )
 
 
 def test_representation_properties_on_corpus():
