@@ -229,11 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     positive = _ints(1, "a positive integer")
     p.add_argument("--c1", type=positive, default=2)
     p.add_argument("--c2", type=positive, default=2)
-    p.add_argument("--n", type=_ints(0, "a non-negative integer"), default=1)
+    non_negative = _ints(0, "a non-negative integer")
+    p.add_argument("--n", type=non_negative, default=1)
     demands = _ints(1, "a comma-separated list of positive integers", many=True)
     p.add_argument("--demands", type=demands, default="2,2", help="comma-separated, for random")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--extra", type=int, default=0, help="extra interior edges (random)")
+    p.add_argument("--extra", type=non_negative, default=0, help="extra interior edges (random)")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_generate)
 

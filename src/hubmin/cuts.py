@@ -16,6 +16,18 @@ and leaves a max flow in each net; ``_DeletionQueries`` keeps those nets
 and answers "is the network still in class without edge e?" from the
 strongly connected components of each flow's residual graph, or by
 rerouting that flow around e, instead of rebuilding the nets.
+
+Menger's bound at a terminal: a pair's cut is at most the number of edges
+at its source, and likewise at its sink.  Every unit of a pair's flow
+leaves out(source) along an edge at the source and enters in(sink) along
+an edge at the sink, and each such edge arc carries at most one unit (see
+``_SplitNetwork.pair_net``).  Call a terminal *tight* when it has exactly
+``demand`` edges (``_tight_terminals``).  At a tight terminal, those d
+edges, each carrying at most one unit, carry a flow of value d only when
+every one of them carries a unit.  So a flow of value ``demand`` already
+proves the cut exact there, and no edge at a tight terminal can be deleted
+without leaving the class.  The oracle's search and ``is_reroutable`` do
+not use the bound, so they stay independent cross-checks of it.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._flownet import INF, FlowNet, strongly_connected_components
-from .graph_core import InvariantError, Network, Path, PathSystem, make_path_system
+from .graph_core import InvariantError, Network, Pair, Path, PathSystem, make_path_system
 
 
 @dataclass(frozen=True)
@@ -244,14 +256,26 @@ def _cuts_and_systems(g: Network) -> List[Tuple[int, Optional[PathSystem]]]:
     return out
 
 
+def _tight_terminals(g: Network, pair: Pair) -> List[int]:
+    """The pair's terminals that have exactly ``demand`` edges."""
+    return [t for t in (pair.source, pair.sink) if len(g.incident[t]) == pair.demand]
+
+
 def _exact_flows(split: _SplitNetwork) -> Optional[List[_PairNet]]:
     """Each pair's net, in pair order, carrying a max flow of value
-    ``demand``; None at the first pair whose cut differs from its demand
-    (each flow stops one unit past the demand)."""
+    ``demand``; None at the first pair whose cut differs from its demand.
+
+    A flow stops one unit past the demand, or at the demand when the pair
+    has a tight terminal: its d edges, each carrying at most one unit,
+    bound the cut by d, so a flow of value d proves the cut exact (module
+    docstring).  Both limits run the same first d augmentations.
+    """
+    g = split.g
     nets = []
-    for i, pair in enumerate(split.g.pairs):
+    for i, pair in enumerate(g.pairs):
         built = split.pair_net(i)
-        if built.net.max_flow(built.s, built.t, limit=pair.demand + 1) != pair.demand:
+        limit = pair.demand if _tight_terminals(g, pair) else pair.demand + 1
+        if built.net.max_flow(built.s, built.t, limit=limit) != pair.demand:
             return None
         nets.append(built)
     return nets
@@ -273,7 +297,10 @@ class _DeletionQueries:
 
     ``deletable`` answers many read-only queries at once, with no search;
     ``stays_in_class`` answers one query by rerouting, and deletes the edge
-    when the answer is yes.
+    when the answer is yes.  Both answer no at once for an edge of
+    ``_needed``, the edges at tight terminals read from ``g`` (module
+    docstring).  None of them is ever deleted, so their terminals stay
+    tight and the set stays valid for the object's life.
     """
 
     def __init__(self, g: Network):
@@ -282,12 +309,20 @@ class _DeletionQueries:
         if nets is None:
             raise InvariantError("not-in-class")
         self._nets: List[_PairNet] = nets
+        self._needed = frozenset(
+            eid for pair in g.pairs for t in _tight_terminals(g, pair) for eid in g.incident[t]
+        )
 
     def deletable(self, eids: Iterable[int]) -> List[int]:
         """The edges of ``eids``, in order, whose deletion on its own keeps
         ``g`` (minus every edge deleted before) in class.  Changes no flow.
 
-        Each pair makes one pass over the edges still left.  An edge
+        The edges at tight terminals go first, before any pair is labelled:
+        a tight terminal's d edges, each carrying at most one unit, all
+        carry a unit in every flow of value d, so each is needed (module
+        docstring).
+
+        Then each pair makes one pass over the edges still left.  An edge
         survives the pass when the pair's flow f avoids it, or when both
         directions of an undirected edge carry a unit: f then runs the unit
         cycle through both endpoints, and cancelling it leaves a flow of
@@ -318,7 +353,8 @@ class _DeletionQueries:
         along it and taking the unit off a yields a flow of value
         ``demand`` that avoids e.
         """
-        left = list(eids)
+        needed = self._needed
+        left = [eid for eid in eids if eid not in needed]
         for built in self._nets:
             if not left:
                 break
@@ -343,7 +379,10 @@ class _DeletionQueries:
         """Whether ``g`` minus ``eid`` (and every edge deleted before) is in
         class; a yes deletes ``eid``.
 
-        For each pair, the query does nothing when no arc of e carries
+        An edge at a tight terminal answers no with no search: the
+        terminal's d edges, each carrying at most one unit, all carry a
+        unit in every flow of value d (module docstring).  Otherwise, for
+        each pair, the query does nothing when no arc of e carries
         flow; cancels the unit cycle through both endpoints when both
         directions of an undirected e carry flow, which leaves the flow
         valid and e idle; and otherwise blocks e's arcs, takes the unit off
@@ -353,6 +392,8 @@ class _DeletionQueries:
         that runs through the reverse of a.  A yes keeps the rerouted flows
         and removes e's arcs for good; a no restores the flows.
         """
+        if eid in self._needed:
+            return False
         undo: List[Tuple[List[int], int, int]] = []
         ok = all(self._reroute(built, built.arcs_of_edge[eid], undo) for built in self._nets)
         if ok:

@@ -8,7 +8,10 @@ network compiler with ``minimalize``.  A deletion set reuses its parent's
 flow for a pair when that flow avoids every deleted edge, and otherwise
 runs a max flow from zero; it never reroutes or augments a warm flow and
 reads no residual components, so it stays independent of
-``cuts._DeletionQueries``, which it cross-checks.
+``cuts._DeletionQueries``, which it cross-checks.  For the same reason
+its max flows always run one unit past the demand: the search
+deliberately does not use Menger's bound at tight terminals (see
+``cuts``), which would let a flow of value ``demand`` settle a pair.
 
 The search state is plain integers: a deletion set, the edges of a pair's
 flow and the keys of the exact-set table are bit masks, one bit per edge

@@ -240,8 +240,16 @@ def test_unknown_family_is_an_argparse_error():
         ["--family", "random", "--demands", ""],
         ["--family", "grid", "--c1", "0"],
         ["--family", "ones", "--n", "-1"],
+        ["--family", "random", "--extra", "-2"],
     ],
-    ids=["demands-not-integers", "demand-zero", "demands-empty", "c1-zero", "n-negative"],
+    ids=[
+        "demands-not-integers",
+        "demand-zero",
+        "demands-empty",
+        "c1-zero",
+        "n-negative",
+        "extra-negative",
+    ],
 )
 def test_malformed_generate_arguments_exit_two(capsys, args):
     with pytest.raises(SystemExit) as done:

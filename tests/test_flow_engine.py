@@ -6,9 +6,10 @@ rebuilding the network and calling ``in_class``; ``minimalize`` against
 the plain restart loop it replaces; the compiled arc layout against one
 written out arc by arc; the shared split network against a net compiled
 for one pair at a time; the labels against networkx's components;
+``in_class``, where a tight terminal stops a flow at the demand, and
 ``min_vertex_cut`` and the paths of ``vertex_disjoint_paths`` against
-networkx max-flow on vertex-split graphs far beyond the brute-force
-oracle's size guards.
+networkx max-flow, the last two on vertex-split graphs far beyond the
+brute-force oracle's size guards.
 """
 
 from __future__ import annotations
@@ -269,7 +270,11 @@ def test_minimalize_queries_each_edge_at_most_once(monkeypatch, seed):
 
 def test_mixed_queries_match_rebuild(monkeypatch):
     labelled = _count_labellings(monkeypatch)
+    # Tight terminals settle their own edges, so the cases include
+    # terminals with spare edges (the loose instance) and a direct edge at
+    # a tight source, besides lattices where every terminal is tight.
     cases = CORPUS + [_cycle_instance(), grid_graph(3, 4), ones_graph(3, 3, 2)]
+    cases += [_loose_instance(), _tight_direct_instance()]
     for index, g in enumerate(cases):
         rng = random.Random(index)
         eids = sorted(g.edge_by_id)
@@ -346,21 +351,27 @@ def test_bulk_answer_on_an_opposed_flow_matches_rebuild(monkeypatch):
 
 
 def test_is_minimal_on_a_lattice_runs_no_search_beyond_its_max_flows(monkeypatch):
-    g = grid_graph(7, 7)
     labelled = _count_labellings(monkeypatch)
     searches = []
     bfs_parent = FlowNet._bfs_parent
 
     def counting(self, s, t):
-        searches.append((s, t))
-        return bfs_parent(self, s, t)
+        parent = bfs_parent(self, s, t)
+        searches.append(parent is not None)
+        return parent
 
     monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
-    assert is_minimal(g)
-    # Each max flow makes one search per unit and one that fails.
-    assert len(searches) == sum(p.demand for p in g.pairs) + len(g.pairs)
-    assert 1 <= len(labelled) <= len(g.pairs)
-    assert len({id(net) for net in labelled}) == len(labelled)
+    # Every terminal is tight, so each max flow makes one search per unit
+    # and none that fails: 7 + 7, and 3 + 3 + 1 + 1.  On the ones graph the
+    # labels of pairs 0 and 1 find every edge off the tight terminals
+    # needed, so pairs 2 and 3 are never labelled.
+    for g, units in ((grid_graph(7, 7), 14), (ones_graph(3, 3, 2), 8)):
+        labelled.clear()
+        searches.clear()
+        assert is_minimal(g)
+        assert searches == [True] * units
+        assert len(labelled) == 2
+        assert len({id(net) for net in labelled}) == len(labelled)
 
 
 def _reroutable_inputs():
@@ -379,7 +390,10 @@ def _reroutable_inputs():
 
 
 def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
-    cases = _reroutable_inputs()
+    # Every generated input has tight terminals; pair 0 of the loose
+    # instance has none.
+    loose_instance = _loose_instance()
+    cases = _reroutable_inputs() + [(loose_instance, cuts._full_systems(loose_instance))]
     searches = []
     bfs_parent = FlowNet._bfs_parent
 
@@ -389,10 +403,13 @@ def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
 
     monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
     deletable = 0
+    failing = 0
     for g, systems in cases:
-        # The max flows of one _DeletionQueries: one search per unit and
-        # one that fails, per pair.
-        max_flows = sum(p.demand for p in g.pairs) + len(g.pairs)
+        # The max flows of one _DeletionQueries: one search per unit, and
+        # one that fails for each pair where neither terminal is tight.
+        loose = [p for p in g.pairs if p.demand not in (g.degree(p.source), g.degree(p.sink))]
+        failing += len(loose)
+        max_flows = sum(p.demand for p in g.pairs) + len(loose)
         searches.clear()
         assert not is_minimal(g)
         assert len(searches) == max_flows
@@ -407,7 +424,7 @@ def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
         searches.clear()
         assert queries.deletable(eids) == expected != []
         assert not searches
-    assert deletable
+    assert deletable and failing == 1
 
 
 def test_minimalize_builds_no_labels(monkeypatch):
@@ -415,6 +432,98 @@ def test_minimalize_builds_no_labels(monkeypatch):
     for g in CORPUS[:12] + [_cycle_instance()]:
         minimalize(g, 1)
     assert not labelled
+
+
+# ---------------------------------------------------------------------------
+# Menger's bound at tight terminals: a terminal with exactly ``demand``
+# edges proves its pair's cut exact at the demand, and its edges are needed.
+# ---------------------------------------------------------------------------
+
+
+def _network(pairs, ends) -> Network:
+    """A network with one edge per ``(u, v, directed)`` triple, ids in
+    order, on the vertices the edges touch."""
+    edges = tuple(Edge(i, u, v, directed) for i, (u, v, directed) in enumerate(ends))
+    vertices = tuple(sorted({v for e in edges for v in (e.u, e.v)}))
+    return Network(vertices=vertices, edges=edges, pairs=tuple(pairs))
+
+
+# Pair 0 (0 -> 1, demand 1) runs through vertex 6, with two edges at its
+# source and three at its sink.  One of them comes from pair 1's source 2,
+# and no flow can use it, so that source too has more edges than its
+# demand; pair 1's sink 3 is tight.
+_LOOSE_ENDS = [
+    (0, 4, True), (0, 5, True), (4, 6, False), (5, 6, False),
+    (6, 7, False), (6, 8, False), (7, 1, True), (8, 1, True),
+    (2, 1, True), (2, 6, True), (6, 9, False), (9, 3, True),
+]
+
+
+def _loose_instance() -> Network:
+    return _network([Pair(0, 1, 1), Pair(2, 3, 1)], _LOOSE_ENDS)
+
+
+def _cut_above_demand_instance() -> Network:
+    """The loose instance plus a second route for pair 0 (0 -> 10 -> 1):
+    its cut is 2 against a demand of 1, with no tight terminal."""
+    return _network([Pair(0, 1, 1), Pair(2, 3, 1)], _LOOSE_ENDS + [(0, 10, True), (10, 1, True)])
+
+
+def _tight_direct_instance() -> Network:
+    """A tight source (two edges, demand 2), one of them a direct edge to
+    the sink, which has three edges."""
+    ends = [(0, 1, True), (0, 2, True), (2, 3, False), (3, 1, True), (2, 4, False), (4, 1, True)]
+    return _network([Pair(0, 1, 2)], ends)
+
+
+def test_tight_terminal_instances_are_what_they_claim():
+    loose, direct = _loose_instance(), _tight_direct_instance()
+    assert in_class(loose) and in_class(direct) and not is_minimal(loose)
+    assert not in_class(_cut_above_demand_instance())
+    assert [min_vertex_cut(_cut_above_demand_instance(), i).value for i in (0, 1)] == [2, 1]
+    assert cuts._DeletionQueries(loose)._needed == {11}
+    assert cuts._DeletionQueries(direct)._needed == {0, 1}
+    # An edge at a terminal with spare edges that no flow uses is
+    # deletable, so a minimal network has only tight terminals.
+    for m in (minimalize(loose), minimalize(direct)):
+        assert all(m.degree(t) == p.demand for p in m.pairs for t in (p.source, p.sink))
+
+
+def _bound_inputs():
+    """In-class networks where the bound is off at some terminal, plus
+    ``ones_graph(3, 3, 2)``, where every terminal is tight."""
+    return [_loose_instance(), _tight_direct_instance(), ones_graph(3, 3, 2)]
+
+
+def test_edges_at_tight_terminals_are_answered_without_search(monkeypatch):
+    searches = []
+    bfs_parent = FlowNet._bfs_parent
+
+    def counting(self, s, t):
+        searches.append((s, t))
+        return bfs_parent(self, s, t)
+
+    built = [cuts._DeletionQueries(g) for g in _bound_inputs()]
+    monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
+    for queries in built:
+        assert queries._needed
+        for eid in sorted(queries._needed):
+            assert not queries.stays_in_class(eid)
+    assert not searches
+
+
+def test_in_class_with_tight_terminals_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = _bound_inputs() + [_cut_above_demand_instance()]
+    # Every single deletion too: cuts below the demand, terminals that fall
+    # below it, and a pair with no tight terminal whose cut stays above.
+    graphs += [delete_edges(g, [eid]) for g in list(graphs) for eid in sorted(g.edge_by_id)]
+    verdicts = []
+    for g in graphs:
+        exact = all(_nx_cut(nx, g, i) == pair.demand for i, pair in enumerate(g.pairs))
+        assert in_class(g) == exact, g
+        verdicts.append(exact)
+    assert True in verdicts and False in verdicts
 
 
 def test_labels_match_networkx_components():
