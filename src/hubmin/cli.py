@@ -186,6 +186,8 @@ def _cmd_interconnect(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g, _ = _read_instance(args.input)
+    if not g.pairs:
+        raise ParseError("pairs", "the oracle needs at least one pair")
     report = min_hub_subgraph(g, max_free=args.max_edges)
     bound = signature_bound([p.demand for p in g.pairs])
     print(f"minimum hubs: {report.min_hubs}")

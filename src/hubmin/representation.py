@@ -47,7 +47,6 @@ class Representation:
 
     graph: Network
     systems: Tuple[PathSystem, PathSystem]
-    provenance: Dict[str, Dict[int, int]]
 
     @cached_property
     def _decomposition(self) -> Tuple[Tuple[AlternatingPath, ...], HubTable]:
@@ -111,15 +110,13 @@ class _Rewrite:
     merge leaves every other vertex's degree as it was, so both lists, taken
     once from ``g`` in ascending order, stay the ones each rewrite would
     find on the network the rewrites before it left; ``odd`` lists every
-    non-terminal of ``g`` whose degree is not 3.  ``provenance`` maps
-    each new vertex and edge id to the id of ``g`` it stands for.  ``result``
-    validates the copies once, as one network and one path system per pair.
+    non-terminal of ``g`` whose degree is not 3.  ``result`` validates the
+    copies once, as one network and one path system per pair.
     """
 
     def __init__(self, g: Network, systems: Sequence[PathSystem]):
         self.g = g
         self.systems = systems
-        self.provenance: Dict[str, Dict[int, int]] = {"vertices": {}, "edges": {}}
         self.odd = _odd_vertices(g)
         self.relays: List[int] = []
         self.crowded: List[int] = []
@@ -182,7 +179,6 @@ class _Rewrite:
         g = self.g
         edges = self._edit()
         incident = self.incident
-        provenance = self.provenance["edges"]
         sources, sinks = g.source_set, g.sink_set
         for relay in relays:
             e_id, f_id = incident[relay]
@@ -223,9 +219,6 @@ class _Rewrite:
                 eid, forward = steps[at]
                 tail = (e if eid == e_id else f).ends(forward)[0]
                 steps[at:at + 2] = [(new_id, new_edge.u == tail)]
-            provenance[new_id] = min(provenance.get(e_id, e_id), provenance.get(f_id, f_id))
-            provenance.pop(e_id, None)
-            provenance.pop(f_id, None)
         for v in self.isolated.union(relays):
             del self.vertices[v]
 
@@ -240,7 +233,6 @@ class _Rewrite:
         direction = {**phi_direction, **psi_direction}
         edges = self._edit()
         vertices = self.vertices
-        provenance = self.provenance["vertices"]
         top_vertex = max(vertices, default=0)
         for v in self.crowded:
             eids = self.incident[v]
@@ -293,9 +285,6 @@ class _Rewrite:
                         steps.insert(_step_index(steps, (eid,)) + 1, (new_eid, True))
                         break
 
-            provenance[v1] = provenance.pop(v, v)
-            provenance[v2] = provenance[v1]
-
     def match_directions(self) -> None:
         """Swap the second system's private edges around each public edge it
         traverses against the first system, in ascending edge-id order."""
@@ -310,7 +299,6 @@ class _Rewrite:
         edges = self._edit()
         psi_paths = self.paths[1]
         phi_path_of, path_of = self.path_of
-        provenance = self.provenance["edges"]
         for conflict in conflicts:
             u, v = edges[conflict].ends(phi_direction[conflict])  # phi runs u -> v
             # The psi path runs ... w3 -> v -> u -> w4 ...; find its two
@@ -343,8 +331,6 @@ class _Rewrite:
                 (conflict, phi_direction[conflict]),
                 (id2, True),
             ]
-            provenance[id1] = provenance.pop(enter_eid, enter_eid)
-            provenance[id2] = provenance.pop(leave_eid, leave_eid)
 
 
 def _odd_vertices(g: Network) -> List[int]:
@@ -358,23 +344,21 @@ def _step_index(steps: List[Tuple[int, bool]], eids: Sequence[int]) -> int:
     return next(i for i, (eid, _) in enumerate(steps) if eid in eids)
 
 
-Rewritten = Tuple[Network, List[PathSystem], Dict[str, Dict[int, int]]]
+Rewritten = Tuple[Network, List[PathSystem]]
 
 
-def _rewrite(g: Network, systems: Sequence[PathSystem], *steps) -> Rewritten:
-    """Run rewrite steps (``_Rewrite`` methods) in order on one working state."""
+def _rewrite(g: Network, systems: Sequence[PathSystem], step) -> Rewritten:
+    """Run one rewrite step (a ``_Rewrite`` method) on a working state."""
     state = _Rewrite(g, systems)
-    for step in steps:
-        step(state)
-    return (*state.result(), state.provenance)
+    step(state)
+    return state.result()
 
 
 def remove_relays(g: Network, systems: Sequence[PathSystem]) -> Rewritten:
     """Merge every non-terminal degree-2 vertex's edge pair into one edge.
 
     Isolated non-terminal vertices (possible after edge deletions) are
-    dropped as well.  Returns the new network, rewritten systems, and a
-    provenance map (new edge id -> id of one merged original edge).
+    dropped as well.  Returns the new network and rewritten systems.
 
     A merge leaves every other vertex's degree as it was, so the relays are
     the degree-2 non-terminals of ``g``, merged in ascending order.  Without
@@ -438,8 +422,7 @@ def to_representation(
     ``match_directions`` chained would, and raise what the chain raises on
     valid systems.  The state is validated once at the end: one ``Network``
     and two ``make_path_system`` builds when any step had work to do, none
-    otherwise.  The provenance maps each new id straight to the id of ``g``
-    it stands for.
+    otherwise.
     """
     if len(g.pairs) != 2:
         raise InvariantError("two-pairs-required", f"got {len(g.pairs)} pairs")
@@ -462,11 +445,7 @@ def to_representation(
             "decomposition-violation",
             f"non-terminal vertex {v} has degree {g3.degree(v)} after transformation",
         )
-    return Representation(
-        graph=g3,
-        systems=(systems3[0], systems3[1]),
-        provenance=state.provenance,
-    )
+    return Representation(graph=g3, systems=(systems3[0], systems3[1]))
 
 
 def decompose_private(rep: Representation) -> List[AlternatingPath]:

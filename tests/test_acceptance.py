@@ -227,9 +227,9 @@ def test_criterion_10_hub_counts_through_pipeline(corpus):
     for g, _ in corpus:
         h = minimalize(g)
         systems = _minimal_systems(h)
-        h1, s1, _ = remove_relays(h, systems)
-        h2, s2, _ = stretch_crossings(h1, s1)
-        h3, _, _ = match_directions(h2, s2)
+        h1, s1 = remove_relays(h, systems)
+        h2, s2 = stretch_crossings(h1, s1)
+        h3, _ = match_directions(h2, s2)
         a, b, c, d = (int(hub_count(x)) for x in (h, h1, h2, h3))
         assert a == b <= c == d, (a, b, c, d)
     print(f"criterion 10: PASS - hub relation on {CORPUS_SIZE} instances")

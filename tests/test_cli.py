@@ -207,6 +207,19 @@ def test_negative_oracle_guard_is_an_argparse_error(capsys):
     assert "Traceback" not in err
 
 
+def test_oracle_rejects_an_input_without_pairs(tmp_path, capsys):
+    # The input parses; the other commands read it as before.
+    path = tmp_path / "nopairs.json"
+    path.write_text('{"vertices": [1], "edges": [], "pairs": []}')
+    assert main(["oracle", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pairs: the oracle needs at least one pair\n"
+    assert captured.out == ""
+    assert main(["check", "-i", str(path)]) == 0
+    assert main(["represent", "-i", str(path)]) == 1
+    assert capsys.readouterr().err == "error: two-pairs-required: got 0 pairs\n"
+
+
 def test_malformed_json_maps_to_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -328,3 +341,19 @@ def test_bad_systems_map_to_exit_two(tmp_path, capsys, example_text, edit, where
         assert captured.err.startswith(f"error: {where}: ")
         assert "Traceback" not in captured.err
         assert "agree" not in captured.out
+
+
+def test_cli_output_pins(tmp_path):
+    # The CI output pins, run by the script CI calls, with `python` on PATH
+    # the interpreter running the tests.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    bindir = os.path.dirname(sys.executable)
+    env = dict(os.environ, PATH=os.pathsep.join([bindir, os.environ.get("PATH", "")]))
+    done = subprocess.run(
+        ["bash", str(root / "tests" / "ci_pins.sh"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    lines = done.stdout.splitlines()
+    assert sum(line.startswith("== ") for line in lines) == 13  # every step ran
+    assert sum(line.endswith(": OK") for line in lines) == 28  # every sha256 pin

@@ -266,7 +266,7 @@ def _system_answers(g, systems):
     try:
         rep = to_representation(g, systems)
         rep_text = serialize_network(rep.graph, list(rep.systems))
-        rep_out = (rep_text, rep.provenance, [s.orientation for s in rep.systems])
+        rep_out = (rep_text, [s.orientation for s in rep.systems])
     except InvariantError as exc:
         rep_out = str(exc)
     return classify_edges(g, systems), theorem1_agreement(g, systems), rep_out

@@ -63,7 +63,7 @@ def _rep(edges, phi, psi, hubs=(4, 5)) -> Representation:
         PathSystem(i, tuple(Path(((eid, forward),)) for eid, forward in orientation.items()))
         for i, orientation in enumerate((phi, psi))
     )
-    return Representation(graph=g, systems=systems, provenance={"vertices": {}, "edges": {}})
+    return Representation(graph=g, systems=systems)
 
 
 def _first_error(rep: Representation) -> str:

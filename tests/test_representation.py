@@ -105,11 +105,11 @@ def _conflict_case():
 
 def test_remove_relays_merges_shared_chain():
     g, systems = _relay_case()
-    g1, systems1, prov = remove_relays(g, systems)
+    g1, systems1 = remove_relays(g, systems)
     assert sorted(g1.vertices) == [0, 1, 2, 3, 4, 5]
     merged = g1.edge_by_id[6]
     assert {merged.u, merged.v} == {4, 5} and not merged.directed
-    assert prov["edges"] == {6: 1}
+    assert sorted(g1.edge_by_id) == [0, 3, 4, 5, 6]  # edges 1 and 2 became 6
     # Both rewritten systems traverse the merged edge.
     for s in systems1:
         assert 6 in s.orientation
@@ -117,17 +117,17 @@ def test_remove_relays_merges_shared_chain():
 
 def test_remove_relays_infers_terminal_direction():
     g, systems = _crossing_case()
-    g1, _, prov = remove_relays(g, systems)
+    g1, _ = remove_relays(g, systems)
     merged = g1.edge_by_id[5]
     assert (merged.u, merged.v, merged.directed) == (0, 5, True)
-    assert prov["edges"] == {5: 0}
+    assert sorted(g1.edge_by_id) == [2, 3, 4, 5]  # edges 0 and 1 became 5
 
 
 def test_remove_relays_preserves_hub_count():
     for g, _ in two_pair_corpus(seed=301, count=15, extra=1):
         h = minimalize(g)
         systems = [vertex_disjoint_paths(h, i, p.demand) for i, p in enumerate(h.pairs)]
-        h1, _, _ = remove_relays(h, systems)
+        h1, _ = remove_relays(h, systems)
         assert int(hub_count(h1)) == int(hub_count(h))
 
 
@@ -139,12 +139,12 @@ def test_remove_relays_merges_in_ascending_vertex_order():
         h = minimalize(g)
         systems = [vertex_disjoint_paths(h, i, p.demand) for i, p in enumerate(h.pairs)]
         backwards = _net(h.vertices[::-1], h.edges, h.pairs)
-        h1, _, prov = remove_relays(h, systems)
-        b1, _, b_prov = remove_relays(
+        h1, _ = remove_relays(h, systems)
+        b1, _ = remove_relays(
             backwards, [make_path_system(backwards, s.pair_index, s.paths) for s in systems]
         )
-        assert b1.edges == h1.edges and b_prov == prov
-        merged += len(prov["edges"])
+        assert b1.edges == h1.edges
+        merged += len(h.edges) - len(h1.edges)
     assert merged >= 10
 
 
@@ -152,7 +152,7 @@ def test_remove_relays_drops_isolated_vertices():
     g0 = grid_graph(2, 2)
     g = _net(tuple(g0.vertices) + (99,), g0.edges, g0.pairs)
     systems = [vertex_disjoint_paths(g, i, 2) for i in range(2)]
-    g1, _, _ = remove_relays(g, systems)
+    g1, _ = remove_relays(g, systems)
     assert 99 not in g1.vertices
     assert set(g0.vertices) <= set(g1.vertices)
 
@@ -210,10 +210,12 @@ def test_remove_relays_fails_at_the_first_bad_merge():
 
 def test_stretch_crossings_splits_crossing_vertex():
     g, systems = _crossing_case()
-    g1, systems1, _ = remove_relays(g, systems)
-    g2, systems2, prov = stretch_crossings(g1, systems1)
+    g1, systems1 = remove_relays(g, systems)
+    g2, systems2 = stretch_crossings(g1, systems1)
     assert sorted(g2.vertices) == [0, 1, 2, 3, 6, 7]
-    assert prov["vertices"] == {6: 5, 7: 5}
+    # Vertex 5's four edges now end at its halves 6 and 7.
+    for eid in g1.incident[5]:
+        assert {g2.edge_by_id[eid].u, g2.edge_by_id[eid].v} & {6, 7}, eid
     assert int(hub_count(g2)) == int(hub_count(g1)) + 1
     # The new edge is public: both systems traverse it, the same way.
     tags = classify_edges(g2, systems2)
@@ -275,7 +277,7 @@ def _one_way_crossing_case():
     that the first system enters vertex 5 on both of its edges, leaves
     three in, one out.  Direct construction does not check the path."""
     g, systems = _crossing_case()
-    g1, (phi, psi), _ = remove_relays(g, systems)
+    g1, (phi, psi) = remove_relays(g, systems)
     bent = PathSystem(
         pair_index=0,
         paths=tuple(
@@ -312,10 +314,9 @@ def test_rewrites_return_a_canonical_input_untouched():
     spec = grid_instance(4, 5)
     g, systems = spec.network, list(spec.systems)
     for step in (remove_relays, stretch_crossings, match_directions):
-        out, out_systems, provenance = step(g, systems)
+        out, out_systems = step(g, systems)
         assert out is g, step.__name__
         assert out_systems == systems, step.__name__
-        assert provenance == {"vertices": {}, "edges": {}}, step.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +326,13 @@ def test_rewrites_return_a_canonical_input_untouched():
 
 def test_match_directions_rewires_opposing_public_edge():
     g, systems = _conflict_case()
-    g3, systems3, prov = match_directions(g, systems)
+    g3, systems3 = match_directions(g, systems)
     assert sorted(g3.edge_by_id) == [0, 1, 2, 5, 6]
     e5, e6 = g3.edge_by_id[5], g3.edge_by_id[6]
     assert (e5.u, e5.v, e5.directed) == (2, 4, True)
     assert (e6.u, e6.v, e6.directed) == (5, 3, True)
-    assert prov["edges"] == {5: 3, 6: 4}
+    # Edges 5 and 6 keep the outer ends of the edges 3 and 4 they replace.
+    assert (e5.u, e6.v) == (g.edge_by_id[3].u, g.edge_by_id[4].v)
     assert systems3[0].orientation[1] == systems3[1].orientation[1]
     assert systems3[1].paths[0].steps == ((5, True), (1, True), (6, True))
 
@@ -361,8 +363,12 @@ def test_match_directions_swaps_in_ascending_edge_order():
     # Whichever order the first system lists its paths in.
     for phi_paths in ([first, second], [second, first]):
         phi = make_path_system(g, 0, phi_paths)
-        g3, systems3, prov = match_directions(g, [phi, psi])
-        assert prov["edges"] == {10: 3, 11: 4, 12: 8, 13: 9}
+        g3, systems3 = match_directions(g, [phi, psi])
+        # Each swap replaces its conflict's two edges, in ascending order.
+        for new, old in ((10, 3), (12, 8)):
+            assert g3.edge_by_id[new].u == g.edge_by_id[old].u, new
+        for new, old in ((11, 4), (13, 9)):
+            assert g3.edge_by_id[new].v == g.edge_by_id[old].v, new
         assert [p.steps for p in systems3[1].paths] == [
             ((10, True), (1, True), (11, True)),
             ((12, True), (6, True), (13, True)),
@@ -387,7 +393,7 @@ def test_natural_direction_prefers_the_first_system():
     )
     phi = make_path_system(g, 0, [Path(((0, True), (1, True), (2, True)))])
     psi = PathSystem(pair_index=1, paths=(Path(((3, True), (1, False), (4, True))),))
-    direction = hub_table(Representation(graph=g, systems=(phi, psi), provenance={})).direction
+    direction = hub_table(Representation(graph=g, systems=(phi, psi))).direction
     assert direction[1] is True  # psi walks edge 1 backward
     for e in g.edges:
         want = phi.orientation.get(e.id, psi.orientation.get(e.id))
@@ -398,16 +404,16 @@ def test_natural_direction_prefers_the_first_system():
 
 def test_directions_agree_rejects_opposed_systems():
     g, (phi, psi) = _conflict_case()
-    rep = Representation(graph=g, systems=(phi, psi), provenance={})
+    rep = Representation(graph=g, systems=(phi, psi))
     assert not directions_agree(rep)
-    g3, systems3, _ = match_directions(g, [phi, psi])
-    matched = Representation(graph=g3, systems=tuple(systems3), provenance={})
+    g3, systems3 = match_directions(g, [phi, psi])
+    matched = Representation(graph=g3, systems=tuple(systems3))
     assert directions_agree(matched)
 
 
 def test_match_directions_preserves_degrees_and_hubs():
     g, systems = _conflict_case()
-    g3, _, _ = match_directions(g, systems)
+    g3, _ = match_directions(g, systems)
     assert int(hub_count(g3)) == int(hub_count(g))
     degrees = sorted(g.degree(v) for v in g.vertices)
     assert sorted(g3.degree(v) for v in g3.vertices) == degrees
@@ -415,8 +421,8 @@ def test_match_directions_preserves_degrees_and_hubs():
 
 def test_match_directions_noop_when_already_oriented():
     g, systems = _relay_case()
-    g3, systems3, prov = match_directions(g, systems)
-    assert g3 == g and prov["edges"] == {}
+    g3, systems3 = match_directions(g, systems)
+    assert g3 is g
     assert [s.paths for s in systems3] == [s.paths for s in systems]
 
 
@@ -428,9 +434,8 @@ def test_match_directions_noop_when_already_oriented():
 def test_to_representation_is_identity_on_canonical_input(example_instance):
     g, systems = example_instance
     rep = to_representation(g, systems)
-    assert rep.graph == g
+    assert rep.graph is g
     assert directions_agree(rep)
-    assert rep.provenance == {"vertices": {}, "edges": {}}
     assert [s.paths for s in rep.systems] == [s.paths for s in systems]
 
 
@@ -489,9 +494,7 @@ def test_to_representation_stops_each_flow_at_the_demand(monkeypatch):
 def _chained_error(g, systems) -> str:
     """The text of what the three public rewrites, chained, raise."""
     with pytest.raises(InvariantError) as err:
-        g1, systems1, _ = remove_relays(g, systems)
-        g2, systems2, _ = stretch_crossings(g1, systems1)
-        match_directions(g2, systems2)
+        match_directions(*stretch_crossings(*remove_relays(g, systems)))
     return str(err.value)
 
 
@@ -571,11 +574,6 @@ def test_representation_properties_on_corpus():
         phi, psi = rep.systems
         for eid in phi.edge_ids() & psi.edge_ids():
             assert phi.orientation[eid] == psi.orientation[eid]
-        # Provenance keys live in the final graph, values in the original.
-        assert set(rep.provenance["edges"]) <= set(rep.graph.edge_by_id)
-        assert set(rep.provenance["edges"].values()) <= set(h.edge_by_id)
-        assert set(rep.provenance["vertices"]) <= set(rep.graph.vertices)
-        assert set(rep.provenance["vertices"].values()) <= set(h.vertices)
 
 
 def test_hub_counts_along_the_pipeline():
@@ -584,9 +582,9 @@ def test_hub_counts_along_the_pipeline():
     for g, _ in two_pair_corpus(seed=303, count=20, extra=1):
         h = minimalize(g)
         systems = [vertex_disjoint_paths(h, i, p.demand) for i, p in enumerate(h.pairs)]
-        h1, s1, _ = remove_relays(h, systems)
-        h2, s2, _ = stretch_crossings(h1, s1)
-        h3, _, _ = match_directions(h2, s2)
+        h1, s1 = remove_relays(h, systems)
+        h2, s2 = stretch_crossings(h1, s1)
+        h3, _ = match_directions(h2, s2)
         assert int(hub_count(h)) == int(hub_count(h1))
         assert int(hub_count(h1)) <= int(hub_count(h2))
         assert int(hub_count(h2)) == int(hub_count(h3))
@@ -663,7 +661,7 @@ def test_decomposition_rejects_unused_edges(example_instance):
     psi = make_path_system(bigger, 1, rep.systems[1].paths)
     from hubmin import Representation
 
-    fake = Representation(graph=bigger, systems=(phi, psi), provenance=rep.provenance)
+    fake = Representation(graph=bigger, systems=(phi, psi))
     with pytest.raises(InvariantError) as err:
         decompose_private(fake)
     assert err.value.code == "decomposition-violation"
