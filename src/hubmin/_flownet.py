@@ -18,7 +18,12 @@ _ROOT = -2
 
 
 class FlowNet:
-    """Arc-list flow network with unit or large integer capacities.
+    """Arc-list flow network in which every augmentation carries one unit.
+
+    Every residual s->t path crosses an arc with one unit of residual
+    capacity: a unit vertex arc, a direct source->sink edge arc, or a
+    reverse arc, which carries at most one unit (see
+    ``cuts._SplitNetwork.pair_net``).  So every bottleneck is 1.
 
     ``to`` and ``adj`` are held, not copied, so several nets can share one
     topology; ``base_cap`` is the net's own, and ``cap`` starts as a copy of
@@ -34,12 +39,12 @@ class FlowNet:
     def flow_on(self, arc: int) -> int:
         return self.base_cap[arc] - self.cap[arc]
 
-    def push(self, arc: int, amount: int) -> None:
-        """Force ``amount`` units through an arc (used to pre-load a known flow)."""
-        if self.cap[arc] < amount:
-            raise ValueError(f"arc {arc} cannot carry {amount}")
-        self.cap[arc] -= amount
-        self.cap[arc ^ 1] += amount
+    def push(self, arc: int) -> None:
+        """Force one unit through an arc (used to pre-load a known flow)."""
+        if self.cap[arc] < 1:
+            raise ValueError(f"arc {arc} cannot carry a unit")
+        self.cap[arc] -= 1
+        self.cap[arc ^ 1] += 1
 
     def _bfs_parent(self, s: int, t: int) -> Optional[List[int]]:
         """Shortest residual s->t search.
@@ -65,41 +70,25 @@ class FlowNet:
                         queue.append(nxt)
         return None
 
-    def path_arcs(self, parent: List[int], s: int, t: int) -> List[int]:
-        """Arc ids of the s->t path recorded in a ``_bfs_parent`` result, s first."""
-        arcs: List[int] = []
-        node = t
-        while node != s:
-            arc = parent[node]
-            arcs.append(arc)
-            node = self.to[arc ^ 1]
-        arcs.reverse()
-        return arcs
-
     def max_flow(self, s: int, t: int, limit: int = INF) -> int:
-        """Edmonds-Karp augmentation until no path remains or ``limit`` reached."""
+        """Edmonds-Karp augmentation until no path remains or ``limit`` reached.
+
+        Every bottleneck is 1 (class docstring), so each path found is
+        walked once, to push its unit.
+        """
         cap, to = self.cap, self.to
         total = 0
         while total < limit:
             parent = self._bfs_parent(s, t)
             if parent is None:
                 break
-            # Walk the parent chain twice: once for the bottleneck, once to
-            # push it.
-            bottleneck = limit - total
             node = t
             while node != s:
                 arc = parent[node]
-                if cap[arc] < bottleneck:
-                    bottleneck = cap[arc]
+                cap[arc] -= 1
+                cap[arc ^ 1] += 1
                 node = to[arc ^ 1]
-            node = t
-            while node != s:
-                arc = parent[node]
-                cap[arc] -= bottleneck
-                cap[arc ^ 1] += bottleneck
-                node = to[arc ^ 1]
-            total += bottleneck
+            total += 1
         return total
 
     def residual_reachable(self, s: int) -> List[bool]:
@@ -118,11 +107,18 @@ class FlowNet:
         return seen
 
     def residual_path(self, s: int, t: int) -> Optional[List[int]]:
-        """Arc ids of one shortest residual s->t path, or None."""
+        """Arc ids of one shortest residual s->t path, s first, or None."""
         parent = self._bfs_parent(s, t)
         if parent is None:
             return None
-        return self.path_arcs(parent, s, t)
+        arcs: List[int] = []
+        node = t
+        while node != s:
+            arc = parent[node]
+            arcs.append(arc)
+            node = self.to[arc ^ 1]
+        arcs.reverse()
+        return arcs
 
 
 def strongly_connected_components(net: FlowNet) -> List[int]:

@@ -418,17 +418,16 @@ class _DeletionQueries:
         if len(carrying) == 2:
             edge = self.split.g.edge_by_id[built.edge_arcs[arcs[0]][0]]
             for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):
-                net.push(arc ^ 1, 1)
+                net.push(arc ^ 1)
             return True
         for arc in arcs:
             for a in (arc, arc ^ 1):
                 undo.append((cap, a, cap[a]))
                 cap[a] = 0
-        tail, head = net.to[carrying[0] ^ 1], net.to[carrying[0]]
-        parent = net._bfs_parent(tail, head)
-        if parent is None:
+        path = net.residual_path(net.to[carrying[0] ^ 1], net.to[carrying[0]])
+        if path is None:
             return False
-        for arc in net.path_arcs(parent, tail, head):
+        for arc in path:
             undo.append((cap, arc, cap[arc]))
             undo.append((cap, arc ^ 1, cap[arc ^ 1]))
             cap[arc] -= 1

@@ -123,30 +123,19 @@ def _build_lattice(c1: int, c2: int, n: int, merge: bool) -> GridSpec:
 
     g = Network(vertices=tuple(vertices), edges=tuple(edges), pairs=tuple(pairs))
 
-    def to_path(step_ids: List[int], start: int) -> Path:
-        steps = []
-        at = start
-        for eid in step_ids:
-            e = g.edge_by_id[eid]
-            steps.append((eid, e.u == at))
-            at = e.other(at)
-        return Path(steps=tuple(steps))
+    # Every edge was added in the direction its path walks it.
+    def to_path(step_ids: List[int]) -> Path:
+        return Path(steps=tuple((eid, True) for eid in step_ids))
 
     systems = [
-        make_path_system(g, 0, [to_path(row, 0) for row in phi_steps]),
-        make_path_system(g, 1, [to_path(col, 2) for col in psi_steps]),
+        make_path_system(g, 0, [to_path(row) for row in phi_steps]),
+        make_path_system(g, 1, [to_path(col) for col in psi_steps]),
     ]
     if n > 0 and merge:
-        systems.append(
-            make_path_system(
-                g, 2, [to_path(chain_paths[k], chain_sources[k]) for k in range(n)]
-            )
-        )
+        systems.append(make_path_system(g, 2, [to_path(path) for path in chain_paths]))
     else:
         for k in range(n):
-            systems.append(
-                make_path_system(g, 2 + k, [to_path(chain_paths[k], chain_sources[k])])
-            )
+            systems.append(make_path_system(g, 2 + k, [to_path(chain_paths[k])]))
     return GridSpec(
         c1=c1, c2=c2, network=g, systems=tuple(systems), lam=lam, mu=mu
     )

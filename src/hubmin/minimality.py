@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._flownet import strongly_connected_components
 from .cuts import _DeletionQueries, _SplitNetwork, _compile_network
@@ -50,7 +50,8 @@ def _cycle_arcs(g: Network, system: PathSystem) -> List[Tuple[int, bool, int, in
     """Directed arcs (edge_id, forward, tail, head) of the auxiliary digraph.
 
     Edges used by the tagged system contribute only their natural-direction
-    arc; every other edge contributes every direction it can be walked.
+    arc; every other edge contributes both directions, since the edges left
+    are interior and ``Network`` rejects a directed interior edge.
     Terminal-incident arcs are dropped: no cycle can pass through a terminal.
     """
     terminals = g.terminal_set
@@ -60,8 +61,6 @@ def _cycle_arcs(g: Network, system: PathSystem) -> List[Tuple[int, bool, int, in
             continue
         if e.id in system.orientation:
             directions = [system.orientation[e.id]]
-        elif e.directed:
-            directions = [True]
         else:
             directions = [True, False]
         for forward in directions:
@@ -184,7 +183,9 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
     augmenting source->sink path or a directed cycle through at least one
     cancellation arc; a cancellation arc lies on a cycle iff its endpoints
     share a strongly connected component.  Each edge arc carries at most
-    one unit in any flow, so the flow's unit residual view has those cycles.
+    one unit in any flow, so the flow's unit residual view has those cycles,
+    and an augmenting path closes into one of them (see ``_is_reroutable``):
+    the components alone decide, with no source->sink search.
     """
     return _is_reroutable(_compile_network(g), systems, pair_index)
 
@@ -200,6 +201,15 @@ def _is_reroutable(
     in(v), where the vertex arc is full and the only other residual arc is
     the reverse of the system's edge arc into v.  So that edge arc lies on
     the cycle too, and its ends share a component.
+
+    A simple augmenting path P needs no search of its own.  P takes no
+    forward edge arc a that carries a unit: if a's head is not t, a's
+    reverse is the only residual arc out of it, and if it is t, a's
+    reverse is the only residual arc into a's tail.  So P lies in the
+    unit residual view.  P followed by one of the flow's paths walked
+    backward (the demand is at least 1) is a closed walk in the view, so
+    every edge arc of that path has both ends in one component, and the
+    test below answers yes.
     """
     g = split.g
     system = systems[pair_index]
@@ -212,14 +222,9 @@ def _is_reroutable(
     edge_flow = [built.arcs_of_edge[eid][not fwd] for eid, fwd in system.orientation.items()]
     used_vertices = {v for eid in system.orientation for v in g.edge_by_id[eid].ends(True)}
     for arc in edge_flow:
-        net.push(arc, 1)
+        net.push(arc)
     for v in used_vertices - {pair.source, pair.sink}:
-        net.push(built.vertex_arc[v], 1)
-
-    # More flow available than the system carries: any augmentation yields
-    # extra disjoint paths, hence a different selection.
-    if net.residual_path(built.s, built.t) is not None:
-        return True
+        net.push(built.vertex_arc[v])
 
     # Cancelling a carrying arc's unit is possible exactly when its ends
     # share a component.
@@ -241,32 +246,17 @@ def _no_deletable_edge(queries: _DeletionQueries) -> bool:
 def minimalize(g: Network, seed: Optional[int] = None) -> Network:
     """Delete deletable edges until none remains; result is minimal.
 
-    The sweep runs in ascending edge-id order and restarts after every
-    deletion; a seed permutes the sweep to sample other minimal subgraphs.
-    An edge found undeletable is never queried again: deleting edges never
-    raises a cut, so it stays undeletable, and each sweep still deletes the
-    first deletable edge of the same (possibly shuffled) order.  Seeded and
-    unseeded results are therefore those of the plain restart loop.
+    One pass in ascending edge-id order, or in one seeded shuffle of it to
+    sample other minimal subgraphs, deletes every edge that can go after
+    the deletions before it.  Deleting edges never raises a cut, so an edge
+    found undeletable stays undeletable and the result is minimal.
+    Unseeded, the pass deletes what the plain restart loop does.
     """
     queries = _DeletionQueries(g)
-    rng = random.Random(seed) if seed is not None else None
-    surviving = sorted(e.id for e in g.edges)
-    deleted: List[int] = []
-    undeletable: Set[int] = set()
-    while True:
-        order = list(surviving)
-        if rng is not None:
-            rng.shuffle(order)
-        for eid in order:
-            if eid in undeletable:
-                continue
-            if queries.stays_in_class(eid):
-                surviving.remove(eid)
-                deleted.append(eid)
-                break
-            undeletable.add(eid)
-        else:
-            return delete_edges(g, deleted)
+    order = sorted(g.edge_by_id)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    return delete_edges(g, [eid for eid in order if queries.stays_in_class(eid)])
 
 
 @dataclass(frozen=True)

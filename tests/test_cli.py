@@ -344,8 +344,8 @@ def test_bad_systems_map_to_exit_two(tmp_path, capsys, example_text, edit, where
 
 
 def test_cli_output_pins(tmp_path):
-    # The CI output pins, run by the script CI calls, with `python` on PATH
-    # the interpreter running the tests.
+    # The CLI output pins of tests/ci_pins.sh, with `python` on PATH the
+    # interpreter running the tests; CI runs the pins only through this test.
     root = pathlib.Path(__file__).resolve().parent.parent
     bindir = os.path.dirname(sys.executable)
     env = dict(os.environ, PATH=os.pathsep.join([bindir, os.environ.get("PATH", "")]))

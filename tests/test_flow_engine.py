@@ -3,13 +3,13 @@
 Warm-start deletion queries, the bulk read-only ones that residual SCC
 labels decide and the deleting ones that reroute, are checked against
 rebuilding the network and calling ``in_class``; ``minimalize`` against
-the plain restart loop it replaces; the compiled arc layout against one
-written out arc by arc; the shared split network against a net compiled
-for one pair at a time; the labels against networkx's components;
-``in_class``, where a tight terminal stops a flow at the demand, and
-``min_vertex_cut`` and the paths of ``vertex_disjoint_paths`` against
-networkx max-flow, the last two on vertex-split graphs far beyond the
-brute-force oracle's size guards.
+the plain restart loop and, seeded, a rebuild per edge in its order; the
+compiled arc layout against one written out arc by arc; the shared split
+network against a net compiled for one pair at a time; the labels against
+networkx's components; ``in_class``, where a tight terminal stops a flow
+at the demand, and ``min_vertex_cut`` and the paths of
+``vertex_disjoint_paths`` against networkx max-flow, the last two on
+vertex-split graphs far beyond the brute-force oracle's size guards.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from hubmin import (
     min_vertex_cut,
     minimalize,
     ones_graph,
+    parse_instance,
     random_network,
     serialize_network,
     vertex_disjoint_paths,
@@ -36,7 +37,9 @@ from hubmin import (
 from hubmin import cuts
 from hubmin._flownet import INF, FlowNet, strongly_connected_components
 from hubmin.minimality import deletable_private_edges, is_reroutable, theorem1_agreement
-from hubmin.oracle import min_hub_subgraph
+from hubmin.oracle import enumerate_path_systems, min_hub_subgraph
+
+from conftest import FIXTURES
 
 
 def _with_direct_edge(g: Network, pair_index: int) -> Network:
@@ -111,21 +114,30 @@ def _count_labellings(monkeypatch):
     return labelled
 
 
-def _reference_minimalize(g: Network, seed=None) -> Network:
+def _reference_minimalize(g: Network) -> Network:
     """The plain restart loop: query every surviving edge by rebuilding."""
-    rng = random.Random(seed) if seed is not None else None
     current = g
     while True:
-        order = sorted(e.id for e in current.edges)
-        if rng is not None:
-            rng.shuffle(order)
-        for eid in order:
+        for eid in sorted(e.id for e in current.edges):
             candidate = delete_edges(current, [eid])
             if in_class(candidate):
                 current = candidate
                 break
         else:
             return current
+
+
+def _reference_seeded_pass(g: Network, seed: int) -> Network:
+    """One pass over the edges in ``minimalize``'s seeded order, each edge
+    decided by rebuilding."""
+    order = sorted(g.edge_by_id)
+    random.Random(seed).shuffle(order)
+    current = g
+    for eid in order:
+        candidate = delete_edges(current, [eid])
+        if in_class(candidate):
+            current = candidate
+    return current
 
 
 def test_corpus_covers_the_edge_cases():
@@ -209,10 +221,13 @@ def test_committed_deletions_keep_queries_exact():
 
 
 def test_minimalize_matches_reference_restart_loop():
+    # Unseeded, against the restart loop; seeded, against a rebuild per
+    # edge in the same shuffled order.
     for index, g in enumerate(CORPUS):
-        for seed in (None, index):
-            got = serialize_network(minimalize(g, seed))
-            assert got == serialize_network(_reference_minimalize(g, seed)), (index, seed)
+        assert serialize_network(minimalize(g)) == serialize_network(_reference_minimalize(g))
+        got = minimalize(g, index)
+        assert serialize_network(got) == serialize_network(_reference_seeded_pass(g, index))
+        assert is_minimal(got), index
 
 
 def test_opposed_flow_on_one_edge_is_cancelled(monkeypatch):
@@ -524,6 +539,34 @@ def test_in_class_with_tight_terminals_matches_networkx():
         assert in_class(g) == exact, g
         verdicts.append(exact)
     assert True in verdicts and False in verdicts
+
+
+def test_is_reroutable_above_the_demand_matches_enumeration(monkeypatch):
+    # Where a cut exceeds its demand, an augmenting path exists; the
+    # component test must find the rerouting with no search of its own.
+    fixture, _ = parse_instance((FIXTURES / "oracle_cut_above_demand.json").read_text())
+    graphs = [fixture, _cut_above_demand_instance()]
+    graphs += [delete_edges(g, [eid]) for g in list(graphs) for eid in sorted(g.edge_by_id)]
+    cases = [(g, cuts._cuts_and_systems(g)) for g in graphs]
+    searches = []
+    bfs_parent = FlowNet._bfs_parent
+
+    def counting(self, s, t):
+        searches.append((s, t))
+        return bfs_parent(self, s, t)
+
+    monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
+    above = 0
+    for g, cuts_and_systems in cases:
+        systems = [system for _, system in cuts_and_systems]
+        for i, (value, system) in enumerate(cuts_and_systems):
+            if system is None:
+                continue
+            above += value > g.pairs[i].demand
+            want = len(enumerate_path_systems(g, i)) > 1
+            assert is_reroutable(g, systems, i) == want, (serialize_network(g), i)
+    assert not searches
+    assert above >= 20
 
 
 def test_labels_match_networkx_components():

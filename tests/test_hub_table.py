@@ -119,6 +119,15 @@ MALFORMED = {
         (4, 5, 6, 7),
         "decomposition-violation: private edges not covered: [5, 6]",
     ),
+    "more alternating paths than the demands": (
+        # A direct phi edge S1 -> R1 adds an S1R1 path to demands (1,1); the
+        # per-kind counts catch the extra path.
+        {**BASE_EDGES, 5: (S1, R1, True)},
+        {**BASE_PHI, 5: True},
+        BASE_PSI,
+        (4, 5),
+        "decomposition-violation: 1 S1R1 paths, expected 0",
+    ),
     "hub with only public edges": (
         # The public edge 4-5 subdivided at hub 6.
         {**BASE_EDGES, 2: (4, 6, False), 5: (6, 5, False)},

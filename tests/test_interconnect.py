@@ -9,6 +9,7 @@ import json
 import pytest
 
 from hubmin import (
+    Path,
     decompose_private,
     grid_instance,
     hub_count,
@@ -189,12 +190,19 @@ def test_verify_flags_tampered_runs():
     run = run_interconnect(rep)
     first, second = run.paths
     # Past the first, each change keeps the path count, and the tail and head
-    # checks fail apart.
+    # checks fail apart.  In this representation edges 11 (5-8) and 2 (5-6)
+    # are private edges of one S1S2 path, 3 is the public edge 6-7, which is
+    # all of the second path, and 4 runs from hub 7 to the sink R1.
     tampered = {
         "first only": (first,),
         "listed twice": (first, first),
         "last step dropped": (dataclasses.replace(first, steps=first.steps[:-1]), second),
         "first step dropped": (dataclasses.replace(first, steps=first.steps[1:]), second),
+        "two private edges of one alternating path": (
+            first,
+            Path(steps=((11, False), (2, True), (3, True))),
+        ),
+        "runs on to a sink": (first, Path(steps=((3, True), (4, True)))),
     }
     failures = {
         key: verify_run(rep, dataclasses.replace(run, paths=paths)).failures
@@ -209,6 +217,12 @@ def test_verify_flags_tampered_runs():
         ),
         "last step dropped": ("hub-partition", "heads-on-distinct-R2R1-paths"),
         "first step dropped": ("hub-partition", "tails-on-distinct-S1S2-paths"),
+        "two private edges of one alternating path": (
+            "private-edges-on-distinct-alternating-paths",
+            "hub-partition",
+        ),
+        # Every hub is still on exactly one path; the sink R1 is not a hub.
+        "runs on to a sink": ("hub-partition", "heads-on-distinct-R2R1-paths"),
     }
 
 
