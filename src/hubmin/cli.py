@@ -151,8 +151,9 @@ def _cmd_minimalize(args) -> int:
 def _cmd_represent(args) -> int:
     g, systems = _read_instance(args.input)
     rep = to_representation(g, systems)
-    _write(args.output, serialize_network(rep.graph, list(rep.systems)))
+    # Decompose first: a representation that fails the check writes nothing.
     alt = decompose_private(rep)
+    _write(args.output, serialize_network(rep.graph, list(rep.systems)))
     delta = sum(1 for a in alt if a.kind == "S1S2")
     print(f"hubs: {hub_count(rep.graph)}", file=sys.stderr)
     print(f"delta: {delta}", file=sys.stderr)

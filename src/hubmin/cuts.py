@@ -194,15 +194,12 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
 def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSystem:
     """The k paths of the flow of value k that ``built`` carries."""
     net, edge_arcs = built.net, built.edge_arcs
-    # The flow left to walk, over all arcs: reverse arcs read <= 0.  Opposing
-    # flow on the two directions of each undirected edge is netted out so
-    # the walk below never doubles back across one edge.
+    # The flow left to walk, over all arcs: reverse arcs read <= 0.  Units on
+    # both arcs of an undirected edge u-v need no netting: the edge touches
+    # no terminal, so u's and v's vertex arcs carry those units, and the four
+    # arcs close a unit cycle that no other flow enters.  The walk from s
+    # follows flow only, so it never reaches that cycle.
     remaining = [b - c for b, c in zip(net.base_cap, net.cap)]
-    for arcs in built.arcs_of_edge.values():
-        if len(arcs) == 2:
-            cancel = min(remaining[arcs[0]], remaining[arcs[1]])
-            remaining[arcs[0]] -= cancel
-            remaining[arcs[1]] -= cancel
 
     paths: List[Path] = []
     for _ in range(k):
@@ -395,7 +392,7 @@ class _DeletionQueries:
         if eid in self._needed:
             return False
         undo: List[Tuple[List[int], int, int]] = []
-        ok = all(self._reroute(built, built.arcs_of_edge[eid], undo) for built in self._nets)
+        ok = all(self._reroute(built, eid, undo) for built in self._nets)
         if ok:
             # No flow is left on e's arcs; zero capacity removes them.
             for built in self._nets:
@@ -406,17 +403,18 @@ class _DeletionQueries:
                 cap[arc] = old
         return ok
 
-    def _reroute(self, built: _PairNet, arcs: List[int], undo: list) -> bool:
-        """Move one pair's flow off the edge with these arcs; False if the
-        demand cannot avoid the edge.  Saves every capacity it changes,
-        except when it cancels an opposed unit, which keeps the flow valid."""
+    def _reroute(self, built: _PairNet, eid: int, undo: list) -> bool:
+        """Move one pair's flow off edge ``eid``; False if the demand cannot
+        avoid the edge.  Saves every capacity it changes, except when it
+        cancels an opposed unit, which keeps the flow valid."""
         net = built.net
         cap = net.cap
+        arcs = built.arcs_of_edge[eid]
         carrying = [arc for arc in arcs if net.flow_on(arc) > 0]
         if not carrying:
             return True
         if len(carrying) == 2:
-            edge = self.split.g.edge_by_id[built.edge_arcs[arcs[0]][0]]
+            edge = self.split.g.edge_by_id[eid]
             for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):
                 net.push(arc ^ 1)
             return True

@@ -21,14 +21,10 @@ Coord = Tuple[int, int]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A lattice instance together with its systems and vertex layout."""
+    """A lattice instance together with its path systems, one per pair."""
 
-    c1: int
-    c2: int
     network: Network
     systems: Tuple[PathSystem, ...]
-    lam: Dict[Coord, int]
-    mu: Dict[Coord, int]
 
 
 def _build_lattice(c1: int, c2: int, n: int, merge: bool) -> GridSpec:
@@ -136,13 +132,11 @@ def _build_lattice(c1: int, c2: int, n: int, merge: bool) -> GridSpec:
     else:
         for k in range(n):
             systems.append(make_path_system(g, 2 + k, [to_path(chain_paths[k])]))
-    return GridSpec(
-        c1=c1, c2=c2, network=g, systems=tuple(systems), lam=lam, mu=mu
-    )
+    return GridSpec(network=g, systems=tuple(systems))
 
 
 def grid_instance(c1: int, c2: int) -> GridSpec:
-    """The two-pair lattice with 2*c1*c2 hubs, plus its systems and layout."""
+    """The two-pair lattice with 2*c1*c2 hubs, plus its systems."""
     return _build_lattice(c1, c2, 0, merge=False)
 
 
@@ -152,7 +146,7 @@ def grid_graph(c1: int, c2: int) -> Network:
 
 
 def ones_instance(c1: int, c2: int, n: int) -> GridSpec:
-    """The lattice with n demand-1 pairs threaded in, plus its systems and layout."""
+    """The lattice with n demand-1 pairs threaded in, plus its systems."""
     return _build_lattice(c1, c2, n, merge=False)
 
 
@@ -162,7 +156,7 @@ def ones_graph(c1: int, c2: int, n: int) -> Network:
 
 
 def witness_222_instance() -> GridSpec:
-    """The 12-hub (2,2,2) witness, plus its systems and layout."""
+    """The 12-hub (2,2,2) witness, plus its systems."""
     return _build_lattice(2, 2, 2, merge=True)
 
 

@@ -22,7 +22,6 @@ from .representation import (
     R2S2,
     S1R1,
     S1S2,
-    AlternatingPath,
     Representation,
     decompose_private,
     hub_table,
@@ -33,15 +32,17 @@ Step = Tuple[int, bool]
 
 @dataclass(frozen=True)
 class InterconnectRun:
-    """The result of one full construction run."""
+    """The result of one full construction run: the interconnecting paths
+    and the trace of the steps that built them.
+
+    The alternating paths are the representation's own decomposition
+    (``decompose_private``); the trace holds one ``start`` and one
+    ``forward-stop`` event per iteration, the stop naming the R2R1 path
+    whose exhausted choke ended that iteration's forward walk.
+    """
 
     paths: Tuple[Path, ...]
-    occupied: frozenset
-    chokes: Dict[AlternatingPath, Optional[int]]
-    iteration: int
     trace: Tuple[dict, ...]
-    alternating: Tuple[AlternatingPath, ...]
-    forward_stops: Tuple[int, ...]  # alternating-path index where each iteration stopped
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ class _State:
         self.chokes: List[Optional[int]] = [a.choke for a in self.alt]
         self.paths: List[List[Step]] = []  # the set of interconnecting paths
         self.trace: List[dict] = []
-        self.forward_stops: List[int] = []
         self.delta = sum(1 for a in self.alt if a.kind == S1S2)
         self.budget = 10 * len(self.g.edges) * self.delta
         self.steps_taken = 0
@@ -262,8 +262,6 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
                         at_key: at,
                     }
                 )
-                if ph is _FORWARD:
-                    st.forward_stops.append(index)
                 return path
             a0 = max(unocc, key=position.__getitem__)
             # a0 and the choke are free hubs, and the decks alternate along
@@ -361,22 +359,20 @@ def run_interconnect(rep: Representation, seed: Optional[int] = None) -> Interco
             {"step": "stored", "iteration": iteration, "count": len(st.paths)}
         )
 
-    chokes = dict(zip(st.alt, st.chokes))
     return InterconnectRun(
-        paths=tuple(Path(steps=tuple(p)) for p in st.paths),
-        occupied=frozenset(st.occupied),
-        chokes=chokes,
-        iteration=iteration,
-        trace=tuple(st.trace),
-        alternating=tuple(st.alt),
-        forward_stops=tuple(st.forward_stops),
+        paths=tuple(Path(steps=tuple(p)) for p in st.paths), trace=tuple(st.trace)
     )
 
 
 def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
-    """Re-check the structural guarantees of a finished run."""
+    """Re-check the structural guarantees of a finished run.
+
+    The checks read the run's paths, the representation's decomposition
+    (``decompose_private``) and, for stop-path-growth, the ``path_index`` of
+    the trace's ``forward-stop`` events, one per iteration in order.
+    """
     g = rep.graph
-    alt = run.alternating
+    alt = decompose_private(rep)
     edge_to_alt: Dict[int, int] = {}
     for i, a in enumerate(alt):
         for eid in a.steps:
@@ -437,7 +433,8 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
 
     # The R2R1 path exhausted in iteration t carries at most 2t - 1 hubs.
     ok = True
-    for t, idx in enumerate(run.forward_stops, start=1):
+    stops = [e["path_index"] for e in run.trace if e["step"] == "forward-stop"]
+    for t, idx in enumerate(stops, start=1):
         a = alt[idx]
         if len(a.upper) + len(a.lower) > 2 * t - 1:
             ok = False

@@ -313,7 +313,8 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
     )
 
 
-def check_bound(g: Network, max_free: int = MAX_FREE_EDGES) -> bool:
-    """Does the exhaustive minimum respect the demand-signature bound?"""
-    report = min_hub_subgraph(g, max_free=max_free)
+def check_bound(g: Network) -> bool:
+    """Does the exhaustive minimum, searched within ``MAX_FREE_EDGES`` free
+    edges, respect the demand-signature bound?"""
+    report = min_hub_subgraph(g)
     return report.min_hubs <= signature_bound([p.demand for p in g.pairs])

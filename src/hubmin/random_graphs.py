@@ -11,7 +11,7 @@ change membership.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from .graph_core import Edge, Network, Pair, Path, PathSystem, make_path_system
 
@@ -27,18 +27,22 @@ def _rng(seed_or_rng: RngLike) -> random.Random:
 def random_network(
     seed_or_rng: RngLike,
     demands: Sequence[int],
-    interior: Optional[int] = None,
     reuse: float = 0.5,
     extra: int = 0,
 ) -> Tuple[Network, List[PathSystem]]:
-    """A random in-class network with these demands, plus its systems."""
+    """A random in-class network with these demands, plus its systems.
+
+    The interior pool holds the largest demand plus 0 to 3 vertices, drawn
+    from the generator.  Each step of a path reuses, with probability
+    ``reuse``, an edge that another pair's system already has between the
+    same two vertices, and ``extra`` edges join random pairs of used
+    interior vertices.
+    """
     if not demands or any(d < 1 for d in demands):
         raise ValueError("demands must be a non-empty sequence of positive ints")
     rng = _rng(seed_or_rng)
     k = len(demands)
-    pool_size = interior if interior is not None else max(demands) + rng.randint(0, 3)
-    if pool_size < max(demands):
-        raise ValueError("interior pool smaller than the largest demand")
+    pool_size = max(demands) + rng.randint(0, 3)
     pool = list(range(2 * k, 2 * k + pool_size))
 
     edges: List[Edge] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,8 @@ import pytest
 import hubmin
 from hubmin import grid_graph, grid_instance, minimality, parse_instance, serialize_network
 from hubmin.cli import main
+
+from conftest import FIXTURES
 
 
 def _write_grid(tmp_path, name="grid.json"):
@@ -169,6 +172,20 @@ def test_represent_emits_degree_three_form(tmp_path, capsys):
     for v in g.vertices:
         if not g.is_terminal(v):
             assert g.degree(v) == 3
+
+
+def test_represent_writes_nothing_when_the_decomposition_fails(tmp_path, capsys, monkeypatch):
+    # A random input whose representation keeps an edge on no system.
+    assert main(["generate", "--family", "random", "--demands", "2,2", "--seed", "24",
+                 "--extra", "1"]) == 0
+    data = capsys.readouterr().out.encode()
+    want = "error: decomposition-violation: unused edge in representation\n"
+    out = tmp_path / "rep.json"
+    for argv in (["represent", "-i", "-"], ["represent", "-i", "-", "-o", str(out)]):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", want)
+    assert not out.exists()
 
 
 def test_interconnect_verifies_and_traces(tmp_path, capsys):
@@ -343,17 +360,285 @@ def test_bad_systems_map_to_exit_two(tmp_path, capsys, example_text, edit, where
         assert "agree" not in captured.out
 
 
-def test_cli_output_pins(tmp_path):
-    # The CLI output pins of tests/ci_pins.sh, with `python` on PATH the
-    # interpreter running the tests; CI runs the pins only through this test.
-    root = pathlib.Path(__file__).resolve().parent.parent
-    bindir = os.path.dirname(sys.executable)
-    env = dict(os.environ, PATH=os.pathsep.join([bindir, os.environ.get("PATH", "")]))
-    done = subprocess.run(
-        ["bash", str(root / "tests" / "ci_pins.sh"), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300, check=False,
-    )
-    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
-    lines = done.stdout.splitlines()
-    assert sum(line.startswith("== ") for line in lines) == 13  # every step ran
-    assert sum(line.endswith(": OK") for line in lines) == 28  # every sha256 pin
+def _json_tool(text):
+    """What ``python -m json.tool --indent 2 --sort-keys`` writes for ``text``."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _strip_systems(text):
+    obj = json.loads(text)
+    del obj["systems"]
+    return json.dumps(obj)
+
+
+# The CLI output pins: each step runs the CLI on a generated or fixture input
+# and checks the report lines or the sha256 of what it writes.  A command is
+# (argv, stdin, stdout, stderr): the names are files in the test's directory,
+# None reads nothing or drops the stream, and "{tmp}" and "{fixtures}" in argv
+# expand to the two directories.  An argv that is a function maps the stdin
+# text to the stdout text.  A check is ("line", name, line): the file has that
+# line; ("report", name, lines): its lines but "elapsed: ..." are these;
+# ("same", a, b): the two files are equal; or ("sha256", name, digest).
+CLI_PINS = [
+    (
+        "Oracle on the (2,2,2) witness",
+        [
+            (["generate", "--family", "witness222"], None, "w.json", None),
+            (["oracle", "-i", "-"], "w.json", "w.out", None),
+        ],
+        [("line", "w.out", "minimum hubs: 12")],
+    ),
+    (
+        # Pins the stable report lines (elapsed varies) and the written
+        # subgraph; in the fixture, one pair's cut is 3 and its demand 2.
+        "Oracle on a 13-free-edge random input and a cut above its demand",
+        [
+            (["generate", "--family", "random", "--demands", "2,2", "--seed", "0",
+              "--extra", "8"], None, "rand13.json", None),
+            (["oracle", "-i", "-", "-o", "{tmp}/rand13.min.json"], "rand13.json",
+             "rand13.out", None),
+            (["oracle", "-i", "{fixtures}/oracle_cut_above_demand.json",
+              "-o", "{tmp}/above.min.json"], None, "above.out", None),
+        ],
+        [
+            ("report", "rand13.out",
+             ["minimum hubs: 2", "bound for demands: 8", "minimal subgraphs: 11"]),
+            ("report", "above.out",
+             ["minimum hubs: 2", "bound for demands: 8", "minimal subgraphs: 18"]),
+            ("sha256", "rand13.min.json",
+             "388711ffa4ca200aa3ea0e8d8e0be6a3787b71de610f07ca395472385ac7a1e0"),
+            ("sha256", "above.min.json",
+             "ca2f801fd0dec040f1191740d15241cbc091c9a120cf8aa4be560ee4803416c9"),
+        ],
+    ),
+    (
+        # The largest oracle input the pins hold; stable report lines and the
+        # written subgraph.
+        "Oracle on a 23-edge random input",
+        [
+            (["generate", "--family", "random", "--demands", "2,2", "--seed", "0",
+              "--extra", "10"], None, "rand23.json", None),
+            (["oracle", "-i", "-", "-o", "{tmp}/rand23.min.json"], "rand23.json",
+             "rand23.out", None),
+        ],
+        [
+            ("report", "rand23.out",
+             ["minimum hubs: 2", "bound for demands: 8", "minimal subgraphs: 14"]),
+            ("sha256", "rand23.min.json",
+             "388711ffa4ca200aa3ea0e8d8e0be6a3787b71de610f07ca395472385ac7a1e0"),
+        ],
+    ),
+    (
+        "Minimality of the 12x12 lattice",
+        [
+            (["generate", "--family", "grid", "--c1", "12", "--c2", "12"], None,
+             "grid12.json", None),
+            (["check", "-i", "-"], "grid12.json", "grid12.check", None),
+        ],
+        [("line", "grid12.check", "minimal: True")],
+    ),
+    (
+        # A minimal input on which the cycle search once found a cycle that
+        # no rerouting can use.
+        "Theorem 1 agreement on the consistent-cycle fixture",
+        [(["check", "-i", "{fixtures}/theorem1_cycle.json"], None, "t1.check", None)],
+        [("line", "t1.check", "two-pair characterizations: minimal=True "
+          "non-reroutable=True no-consistent-cycle=True agree=True")],
+    ),
+    (
+        # An independent check that the instance writer is canonical JSON.
+        "Canonical writer matches json.tool",
+        [
+            (["generate", "--family", "grid", "--c1", "16", "--c2", "16"], None,
+             "grid16.json", None),
+            (_json_tool, "grid16.json", "grid16.tool.json", None),
+        ],
+        [("same", "grid16.json", "grid16.tool.json")],
+    ),
+    (
+        # Pins the trace and the report byte for byte; switches occur in both
+        # phases.
+        "Interconnect trace of a shuffled 6x6 lattice",
+        [
+            (["generate", "--family", "grid", "--c1", "6", "--c2", "6"], None,
+             "grid6.json", None),
+            (["interconnect", "-i", "-", "--shuffle", "--seed", "2",
+              "--trace", "{tmp}/t.jsonl"], "grid6.json", "t.out", None),
+        ],
+        [
+            ("sha256", "t.jsonl",
+             "43af0e9279b55342be7bc67ceb90bfc7b8a7f2c541d11d75e705abbc248319a4"),
+            ("sha256", "t.out",
+             "7c126f86cbcece47f7e75ba45e911c1bce8b93015bd528ebd9e066a44c4c19da"),
+        ],
+    ),
+    (
+        # The largest lattice the lattice-represent workload times; pins the
+        # representation's stdout and stderr, the run report and its trace.
+        "Representation and interconnect of the 16x16 lattice",
+        [
+            (["generate", "--family", "grid", "--c1", "16", "--c2", "16"], None,
+             "g16.json", None),
+            (["represent", "-i", "-"], "g16.json", "r16.out", "r16.err"),
+            (["interconnect", "-i", "-", "--trace", "{tmp}/i16.jsonl"], "g16.json",
+             "i16.out", None),
+        ],
+        [
+            ("sha256", "r16.out",
+             "cfd03416c8343ff0c9c609120adfab4235695b41543b0c07d389ba24ba7edd50"),
+            ("sha256", "r16.err",
+             "709d34650196dd1c699eadcff5628507ead142bdbba34df2c924955873b5f356"),
+            ("sha256", "i16.jsonl",
+             "021ff0d49df0abbfe0b2c12e8f452f26efd0ea0ce27c946f23f62dac0ffb341e"),
+            ("sha256", "i16.out",
+             "01b7b98fd24c6b4431bbff210f096368ee6db7f7b3f00700b270825b9b258608"),
+        ],
+    ),
+    (
+        # On a lattice all three rewrites do nothing; on this input the
+        # representation merges a relay, stretches two crossings and swaps
+        # one opposed public edge, and every run check passes.
+        "Representation and interconnect of a minimalized random input",
+        [
+            (["generate", "--family", "random", "--demands", "3,3", "--seed", "35",
+              "--extra", "4"], None, "r.json", None),
+            (["minimalize", "-i", "{tmp}/r.json", "-o", "{tmp}/m.json"], None, None,
+             "m.err"),
+            (["represent", "-i", "{tmp}/m.json"], None, "rep.out", "rep.err"),
+            (["interconnect", "-i", "{tmp}/m.json", "--trace", "{tmp}/t.jsonl"], None,
+             "ic.out", None),
+        ],
+        [
+            ("sha256", "r.json",
+             "e55cfebb5c5c250b366c13a08c10a9516a973cded88b43460deaa17aba2d3891"),
+            ("sha256", "m.json",
+             "7299cc987e147b8538cc0619aad246d1f35e83e45dafa9fb9c664d13fd5e09b1"),
+            ("sha256", "m.err",
+             "1f545b672bbd66a2b5444567ecd08c2d690353e912aca50cfa1c5c482c882a38"),
+            ("sha256", "rep.out",
+             "d4ab454661832e7d91fd993f3633ce89f316e0377acfac0ab68df886db930d88"),
+            ("sha256", "rep.err",
+             "735b2e45fbd358a6bbdf77c945a7aec8b02f9dac16ac7ebe71299d7c3395dc10"),
+            ("sha256", "ic.out",
+             "b4e895ea0b1431a7e246529eee39cc94f745bf364644b77704d4692e624ea50b"),
+            ("sha256", "t.jsonl",
+             "2d504e9f0844c9e01bd4412ad4e060cc0c4f440876bc7f27547ec65cc400ca88"),
+        ],
+    ),
+    (
+        # The systems key is stripped, so represent computes each pair's
+        # system itself, with each flow stopped at the pair's demand; pins
+        # stdout, stderr and the written representation.
+        "Representation of a lattice without systems",
+        [
+            (["generate", "--family", "grid", "--c1", "5", "--c2", "4"], None,
+             "g54.full.json", None),
+            (_strip_systems, "g54.full.json", "g54.json", None),
+            (["represent", "-i", "{tmp}/g54.json", "-o", "{tmp}/g54.rep.json"], None,
+             "g54.out", "g54.err"),
+        ],
+        [
+            ("sha256", "g54.json",
+             "fec652731c963d21f13ccb8c91b3b93ae8c8e6a030dcab4924d8fed16cbe0195"),
+            ("sha256", "g54.out",
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("sha256", "g54.err",
+             "a9d11efdcf18d7dd5876e2a59c29082622c98950cf7b9d41aa552c131bf4272f"),
+            ("sha256", "g54.rep.json",
+             "26a486d6a237ed62414d5b94d2cb137d48118906c3fff4deaf34fa4e12520444"),
+        ],
+    ),
+    (
+        # Covers the CLI's computed systems and the three-pair is_minimal
+        # path; the witness is minimal, so minimalize writes the generated
+        # file back.
+        "Reroutable witness through generate, check and minimalize",
+        [
+            (["generate", "--family", "reroutable"], None, "rr.json", None),
+            (["check", "-i", "{tmp}/rr.json"], None, "rr.check", None),
+            (["minimalize", "-i", "{tmp}/rr.json", "-o", "{tmp}/rr.min.json"], None,
+             None, None),
+        ],
+        [
+            ("sha256", "rr.json",
+             "d6c44c1f478d990d457c647170e0f0afa6d5cf6da05cd25edbfd8797aaf43356"),
+            ("sha256", "rr.check",
+             "26f80350d984d1976d5d98ea0d4ff1e33566fc0912ac026a15945a5a4b393360"),
+            ("sha256", "rr.min.json",
+             "d6c44c1f478d990d457c647170e0f0afa6d5cf6da05cd25edbfd8797aaf43356"),
+        ],
+    ),
+    (
+        # Pins the check report where is_minimal asks more than two pairs
+        # (minimal: True) and where edges are deletable (minimal: False, a
+        # reroutable system).
+        "Minimality checks on a five-pair lattice and a non-minimal random input",
+        [
+            (["generate", "--family", "ones", "--c1", "4", "--c2", "4", "--n", "3"], None,
+             "ones443.json", None),
+            (["check", "-i", "-"], "ones443.json", "ones443.check", None),
+            (["generate", "--family", "random", "--demands", "2,3", "--seed", "2",
+              "--extra", "4"], None, "random23.json", None),
+            (["check", "-i", "-"], "random23.json", "random23.check", None),
+        ],
+        [
+            ("sha256", "ones443.check",
+             "67cd9f91e74bd9e669385f55349e439e9cb7433195b1296ccf8b269fdaa3e72e"),
+            ("sha256", "random23.check",
+             "44f338dc056b245df17cd69c02fc4fe5f156ede3af362535ee19823d52fe74ae"),
+        ],
+    ),
+    (
+        # Pair 0's source has 3 edges for demand 2; every other terminal is
+        # tight (exactly demand edges), so only some terminals settle their
+        # own edges.  The source's spare edge lies on no system, so the
+        # two-pair characterizations need not agree, and here they do not.
+        "Check and minimalize where one source has more edges than its demand",
+        [
+            (["check", "-i", "{fixtures}/loose_source.json"], None, "loose.check", None),
+            (["minimalize", "-i", "{fixtures}/loose_source.json",
+              "-o", "{tmp}/loose.min.json"], None, None, "loose.min.err"),
+        ],
+        [
+            ("sha256", "loose.check",
+             "7cea226d13e22254fecdafa7d78ca698bcc4fa3951a1602b69b0807e5eaca430"),
+            ("sha256", "loose.min.json",
+             "9fb0d36ba684a9535b37675218a0377bbf8e71f18ec770f8252b7984eb5d57a8"),
+            ("sha256", "loose.min.err",
+             "a142ce5801d7c9c635fd6c43163de9c1a5159c0b03e83d970236a33b56bd4db0"),
+        ],
+    ),
+]
+
+
+def test_cli_output_pins(tmp_path, capsys, monkeypatch):
+    steps = pins = 0
+    for title, commands, checks in CLI_PINS:
+        for argv, stdin, stdout, stderr in commands:
+            data = (tmp_path / stdin).read_bytes() if stdin else b""
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            if callable(argv):
+                code = 0
+                sys.stdout.write(argv(data.decode("utf-8")))
+            else:
+                code = main([a.format(tmp=tmp_path, fixtures=FIXTURES) for a in argv])
+            captured = capsys.readouterr()
+            assert code == 0, (title, argv, captured.err)
+            for name, text in ((stdout, captured.out), (stderr, captured.err)):
+                if name:
+                    (tmp_path / name).write_bytes(text.encode("utf-8"))
+        for kind, name, want in checks:
+            data = (tmp_path / name).read_bytes()
+            lines = data.decode("utf-8").splitlines()
+            if kind == "line":
+                assert want in lines, (title, name)
+            elif kind == "report":
+                assert [x for x in lines if not x.startswith("elapsed: ")] == want, (title, name)
+            elif kind == "same":
+                assert data == (tmp_path / want).read_bytes(), (title, name)
+            else:
+                assert hashlib.sha256(data).hexdigest() == want, (title, name)
+                pins += 1
+        steps += 1
+    assert steps == 13  # every step ran
+    assert pins == 28  # every sha256 pin

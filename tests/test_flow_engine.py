@@ -30,6 +30,7 @@ from hubmin import (
     minimalize,
     ones_graph,
     parse_instance,
+    path_vertices,
     random_network,
     serialize_network,
     vertex_disjoint_paths,
@@ -234,14 +235,32 @@ def test_opposed_flow_on_one_edge_is_cancelled(monkeypatch):
     opposed = []
     reroute = cuts._DeletionQueries._reroute
 
-    def watching(self, built, arcs, undo):
+    def watching(self, built, eid, undo):
+        arcs = built.arcs_of_edge[eid]
         opposed.append(len(arcs) == 2 and all(built.net.flow_on(a) > 0 for a in arcs))
-        return reroute(self, built, arcs, undo)
+        return reroute(self, built, eid, undo)
 
     monkeypatch.setattr(cuts._DeletionQueries, "_reroute", watching)
     g = _cycle_instance()
     assert minimalize(g) == _reference_minimalize(g)
     assert any(opposed)
+
+
+def test_decompose_ignores_an_isolated_unit_cycle():
+    # Pair 1 of the lattice with one demand-1 pair threaded in runs through
+    # hubs lam(1,1) and mu(1,1) only; the chain edge gamma-delta is interior
+    # and off its flow.  A unit cycle across that edge reaches no path.
+    g = ones_graph(1, 1, 1)
+    built = cuts._build_pair_net(g, 1)
+    assert built.net.max_flow(built.s, built.t) == 1
+    want = cuts._decompose(g, 1, built, 1)
+    used = {v for p in want.paths for v in path_vertices(g, p)}
+    eid = next(e.id for e in g.edges if not e.directed and not used & {e.u, e.v})
+    e = g.edge_by_id[eid]
+    for arc in (*built.arcs_of_edge[eid], built.vertex_arc[e.u], built.vertex_arc[e.v]):
+        built.net.push(arc)
+    assert all(built.net.flow_on(arc) == 1 for arc in built.arcs_of_edge[eid])
+    assert cuts._decompose(g, 1, built, 1) == want
 
 
 @pytest.mark.parametrize("seed", [None, 3])
@@ -799,10 +818,10 @@ def _large_graphs():
     yield ones_graph(4, 4, 3)
     rng = random.Random(7)
     for _ in range(6):
-        demands = [rng.randint(4, 9) for _ in range(rng.choice([2, 3]))]
-        g, _ = random_network(
-            rng, demands, interior=rng.randint(40, 90), reuse=0.5, extra=rng.randint(40, 200)
-        )
+        # One pair of demand 40 to 90 sizes the interior pool; the paths of
+        # the others run long through it.
+        demands = [rng.randint(40, 90)] + [rng.randint(4, 9) for _ in range(rng.choice([1, 2]))]
+        g, _ = random_network(rng, demands, reuse=0.5, extra=rng.randint(40, 200))
         yield g
     for c in (5, 9):
         g = grid_graph(c, c)

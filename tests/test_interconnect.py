@@ -48,7 +48,8 @@ def test_example_run_is_frozen(example_instance):
         ((2, True), (5, True), (7, True), (9, True), (13, True)),
         ((8, True),),
     ]
-    assert run.forward_stops == (3, 2)
+    stops = [e["path_index"] for e in run.trace if e["step"] == "forward-stop"]
+    assert stops == [3, 2]
     report = verify_run(rep, run)
     assert report.ok and report.passed == ALL_CHECKS
 
@@ -118,7 +119,6 @@ def test_paths_occupy_every_hub_exactly_once():
     visited = [v for p in run.paths for v in path_vertices(g, p)]
     hubs = [v for v in g.vertices if not g.is_terminal(v)]
     assert sorted(visited) == sorted(hubs)
-    assert run.occupied == frozenset(hubs)
 
 
 def test_trace_records_the_construction():
@@ -128,16 +128,7 @@ def test_trace_records_the_construction():
     stored = [t for t in run.trace if t["step"] == "stored"]
     assert len(stored) == len(run.paths)
     assert all("iteration" in t for t in run.trace)
-    assert run.iteration == len(run.paths)
-
-
-def test_chokes_cover_the_anchored_paths():
-    rep = _grid_rep(3, 3)
-    run = run_interconnect(rep)
-    for a in run.alternating:
-        if a.kind in ("S1S2", "R2R1"):
-            assert a in run.chokes
-    assert run.alternating == tuple(decompose_private(rep))
+    assert sum(t["step"] == "start" for t in run.trace) == len(run.paths)
 
 
 def test_corpus_runs_verify():
@@ -147,7 +138,7 @@ def test_corpus_runs_verify():
         run = run_interconnect(rep)
         report = verify_run(rep, run)
         assert report.ok, report.failures
-        delta = sum(1 for a in run.alternating if a.kind == "S1S2")
+        delta = sum(1 for a in decompose_private(rep) if a.kind == "S1S2")
         c1, c2 = h.pairs[0].demand, h.pairs[1].demand
         assert len(run.paths) == delta
         assert int(hub_count(rep.graph)) <= 2 * delta * (c1 + c2 - delta) <= 2 * c1 * c2
@@ -224,6 +215,13 @@ def test_verify_flags_tampered_runs():
         # Every hub is still on exactly one path; the sink R1 is not a hub.
         "runs on to a sink": ("hub-partition", "heads-on-distinct-R2R1-paths"),
     }
+    # The two forward stops swapped: iteration 1 would have exhausted the
+    # R2R1 path with 3 hubs, above 2 * 1 - 1.
+    trace = list(run.trace)
+    i, j = [k for k, e in enumerate(trace) if e["step"] == "forward-stop"]
+    trace[i], trace[j] = trace[j], trace[i]
+    swapped = dataclasses.replace(run, trace=tuple(trace))
+    assert verify_run(rep, swapped).failures == ("stop-path-growth",)
 
 
 def test_switching_is_exercised():

@@ -271,6 +271,34 @@ def test_cycle_found_exactly_for_reroutable_systems():
             assert found == is_reroutable(g, systems, tag), (tag, serialize_network(g))
 
 
+# Draw 459 (0-based) of rng = random.Random(11), each draw demands
+# (rng.randint(1, 4), rng.randint(1, 4)) and random_network(rng, demands,
+# reuse=rng.uniform(0.2, 0.9), extra=rng.randint(0, 4)).  The first closed
+# walk the search finds for tag 1 repeats a vertex, and its inner loop is
+# already a consistent cycle, so the shortcut returns it.
+def test_cycle_search_returns_an_inner_loop(monkeypatch):
+    g, systems = _fixture("theorem1_shortcut_459")
+    simplify = minimality._simplify_closed_walk
+    inner_loops = []
+
+    def counting(g, steps, joins):
+        # The shortcut's test is the only ``joins`` call in the routine, and
+        # a yes returns the inner loop.
+        def watched(a, b):
+            ok = joins(a, b)
+            inner_loops.append(ok)
+            return ok
+
+        return simplify(g, steps, watched)
+
+    monkeypatch.setattr(minimality, "_simplify_closed_walk", counting)
+    cycle = find_consistent_cycle(g, systems, 1)
+    assert sum(inner_loops) == 1
+    assert cycle is not None and len(cycle.steps) == 3
+    _check_cycle(g, systems, cycle)
+    assert is_reroutable(g, systems, 1)
+
+
 # Minimal two-pair inputs on which a cycle search without the used-vertex
 # rule finds a cycle that no rerouting can use: the "theorem1 cycle" input
 # of perfbench/known_failures.json, and three minimalized instances of a

@@ -48,14 +48,6 @@ def test_rng_instance_is_accepted_and_consumed():
     assert serialize_network(a) != serialize_network(b)
 
 
-def test_interior_pool_size_is_respected():
-    g, _ = random_network(3, (2,), interior=5)
-    interiors = [v for v in g.vertices if not g.is_terminal(v)]
-    assert len(interiors) <= 5
-    with pytest.raises(ValueError):
-        random_network(3, (3,), interior=2)
-
-
 def test_extra_edges_do_not_change_membership():
     base, _ = random_network(11, (2, 2), extra=0)
     bigger, _ = random_network(11, (2, 2), extra=4)
