@@ -289,14 +289,27 @@ def classify_edges(g: Network, systems: Sequence[PathSystem]) -> Dict[int, str]:
 
 _MISSING = object()
 
+# Each record kind's fields, in the order they are checked.
+_EDGE_FIELDS = (("id", int), ("u", int), ("v", int), ("directed", bool))
+_PAIR_FIELDS = (("source", int), ("sink", int), ("demand", int))
+_STEP_FIELDS = (("edge", int), ("forward", bool))
 
-def _field_error(where: str, key: str, value, kind: type) -> ParseError:
-    """The error for field ``key`` of the object at ``where``: absent (``value``
-    is ``_MISSING``), or not of type ``kind``."""
-    if value is _MISSING:
-        return ParseError(where, f"missing key '{key}'")
-    noun = "boolean" if kind is bool else "integer"
-    return ParseError(f"{where}.{key}", f"expected {noun}, got {value!r}")
+
+def _record(item, fields, where: str, *at) -> list:
+    """The values of ``fields`` in the JSON object ``item``, each of its exact
+    type; an error is located at ``where % at`` (or at one of its fields)."""
+    if type(item) is not dict:
+        raise ParseError(where % at, "must be an object")
+    values = []
+    for key, kind in fields:
+        value = item.get(key, _MISSING)
+        if type(value) is not kind:
+            if value is _MISSING:
+                raise ParseError(where % at, f"missing key '{key}'")
+            noun = "boolean" if kind is bool else "integer"
+            raise ParseError(f"{where % at}.{key}", f"expected {noun}, got {value!r}")
+        values.append(value)
+    return values
 
 
 def _top_list(obj: dict, key: str) -> list:
@@ -310,22 +323,25 @@ def _top_list(obj: dict, key: str) -> list:
 def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
     """Parse a network plus its optional path systems from JSON text.
 
-    A network that breaks a construction invariant raises ``ParseError`` at
-    ``network``.  When present, ``systems`` must hold one valid system per
-    pair, each with exactly ``demand`` paths; a system that breaks this
-    raises ``ParseError`` at ``systems[i]`` (or at ``systems`` for a
-    missing one).
+    Any failure of ``json.loads`` (bad syntax, nesting too deep to decode,
+    an integer literal past the interpreter's digit limit) raises
+    ``ParseError`` at ``json``.  A network that breaks a construction
+    invariant raises ``ParseError`` at ``network``.  When present,
+    ``systems`` must hold one valid system per pair, each with exactly
+    ``demand`` paths; a system that breaks this raises ``ParseError`` at
+    ``systems[i]`` (or at ``systems`` for a missing one).
 
     Fields are checked in one pass, in document order: vertices, then each
     edge's ``id``, ``u``, ``v``, ``directed``, each pair's ``source``,
-    ``sink``, ``demand``, then the systems.  ``json.loads`` makes no
+    ``sink``, ``demand``, then the systems.  Edges, pairs and steps are read
+    by one record reader from their field tables.  ``json.loads`` makes no
     subclass of ``dict``, ``list`` or ``int`` other than ``bool``, so exact
     type tests suffice, and a bool is never an integer here.  The error
     location is formatted only when raising.
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError("json", str(exc)) from exc
     if type(obj) is not dict:
         raise ParseError("json", "top level must be an object")
@@ -334,40 +350,14 @@ def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
     for i, v in enumerate(raw_vertices):
         if type(v) is not int:
             raise ParseError(f"vertices[{i}]", f"expected integer, got {v!r}")
-
-    edges = []
-    for i, item in enumerate(_top_list(obj, "edges")):
-        if type(item) is not dict:
-            raise ParseError(f"edges[{i}]", "must be an object")
-        eid = item.get("id", _MISSING)
-        if type(eid) is not int:
-            raise _field_error(f"edges[{i}]", "id", eid, int)
-        u = item.get("u", _MISSING)
-        if type(u) is not int:
-            raise _field_error(f"edges[{i}]", "u", u, int)
-        v = item.get("v", _MISSING)
-        if type(v) is not int:
-            raise _field_error(f"edges[{i}]", "v", v, int)
-        directed = item.get("directed", _MISSING)
-        if type(directed) is not bool:
-            raise _field_error(f"edges[{i}]", "directed", directed, bool)
-        edges.append(Edge(eid, u, v, directed))
-
-    pairs = []
-    for i, item in enumerate(_top_list(obj, "pairs")):
-        if type(item) is not dict:
-            raise ParseError(f"pairs[{i}]", "must be an object")
-        source = item.get("source", _MISSING)
-        if type(source) is not int:
-            raise _field_error(f"pairs[{i}]", "source", source, int)
-        sink = item.get("sink", _MISSING)
-        if type(sink) is not int:
-            raise _field_error(f"pairs[{i}]", "sink", sink, int)
-        demand = item.get("demand", _MISSING)
-        if type(demand) is not int:
-            raise _field_error(f"pairs[{i}]", "demand", demand, int)
-        pairs.append(Pair(source, sink, demand))
-
+    edges = [
+        Edge(*_record(item, _EDGE_FIELDS, "edges[%d]", i))
+        for i, item in enumerate(_top_list(obj, "edges"))
+    ]
+    pairs = [
+        Pair(*_record(item, _PAIR_FIELDS, "pairs[%d]", i))
+        for i, item in enumerate(_top_list(obj, "pairs"))
+    ]
     try:
         g = Network(vertices=tuple(raw_vertices), edges=tuple(edges), pairs=tuple(pairs))
     except InvariantError as exc:
@@ -386,17 +376,10 @@ def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
         for pi, raw_steps in enumerate(raw_paths):
             if type(raw_steps) is not list:
                 raise ParseError(f"systems[{si}][{pi}]", "must be a list of steps")
-            steps = []
-            for ti, step in enumerate(raw_steps):
-                if type(step) is not dict:
-                    raise ParseError(f"systems[{si}][{pi}][{ti}]", "must be an object")
-                eid = step.get("edge", _MISSING)
-                if type(eid) is not int:
-                    raise _field_error(f"systems[{si}][{pi}][{ti}]", "edge", eid, int)
-                forward = step.get("forward", _MISSING)
-                if type(forward) is not bool:
-                    raise _field_error(f"systems[{si}][{pi}][{ti}]", "forward", forward, bool)
-                steps.append((eid, forward))
+            steps = [
+                tuple(_record(step, _STEP_FIELDS, "systems[%d][%d][%d]", si, pi, ti))
+                for ti, step in enumerate(raw_steps)
+            ]
             paths.append(Path(steps=tuple(steps)))
         if si >= len(g.pairs):
             raise ParseError(f"systems[{si}]", "more systems than pairs")

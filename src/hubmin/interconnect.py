@@ -370,6 +370,10 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
     The checks read the run's paths, the representation's decomposition
     (``decompose_private``) and, for stop-path-growth, the ``path_index`` of
     the trace's ``forward-stop`` events, one per iteration in order.
+    Stop-path-growth fails unless the trace holds exactly one
+    ``forward-stop`` per interconnecting path, each naming an R2R1 path by
+    an index into the decomposition, and the path stopped at in iteration
+    t has at most 2t - 1 hubs.
     """
     g = rep.graph
     alt = decompose_private(rep)
@@ -431,12 +435,13 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
     # Hub-count bound chain.
     record("hub-count-bound", hub_count(g) <= 2 * delta * (c1 + c2 - delta) <= 2 * c1 * c2)
 
-    # The R2R1 path exhausted in iteration t carries at most 2t - 1 hubs.
-    ok = True
+    # One forward stop per path; the R2R1 path exhausted in iteration t
+    # carries at most 2t - 1 hubs.
     stops = [e["path_index"] for e in run.trace if e["step"] == "forward-stop"]
+    ok = len(stops) == len(run.paths)
     for t, idx in enumerate(stops, start=1):
-        a = alt[idx]
-        if len(a.upper) + len(a.lower) > 2 * t - 1:
+        a = alt[idx] if 0 <= idx < len(alt) else None
+        if a is None or a.kind != R2R1 or len(a.upper) + len(a.lower) > 2 * t - 1:
             ok = False
     record("stop-path-growth", ok)
 

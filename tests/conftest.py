@@ -14,6 +14,12 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 Instance = Tuple[Network, List[PathSystem]]
 
+# JSON texts that ``json.loads`` rejects outside ``JSONDecodeError``: nesting
+# too deep to decode (RecursionError) and an integer literal past the
+# interpreter's digit limit (ValueError).
+DEEP_NESTING = "[" * 200_000
+LONG_INTEGER = '{"vertices": [' + "7" * 5000 + "]}"
+
 
 def two_pair_corpus(
     seed: int, count: int, max_demand: int = 3, extra: int = 0

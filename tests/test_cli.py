@@ -13,10 +13,17 @@ import sys
 import pytest
 
 import hubmin
-from hubmin import grid_graph, grid_instance, minimality, parse_instance, serialize_network
+from hubmin import (
+    acceptance,
+    grid_graph,
+    grid_instance,
+    minimality,
+    parse_instance,
+    serialize_network,
+)
 from hubmin.cli import main
 
-from conftest import FIXTURES
+from conftest import DEEP_NESTING, FIXTURES, LONG_INTEGER
 
 
 def _write_grid(tmp_path, name="grid.json"):
@@ -244,6 +251,18 @@ def test_malformed_json_maps_to_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_json_on_stdin_maps_to_exit_two(capsys, monkeypatch):
+    # The message text differs between Python versions, so only its place
+    # is pinned.
+    for text in (DEEP_NESTING, LONG_INTEGER):
+        stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["check", "-i", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: json: ")
+        assert "Traceback" not in err
+
+
 def test_invalid_network_maps_to_exit_two(tmp_path, capsys, example_text):
     obj = json.loads(example_text)
     obj["edges"][0]["u"] = 999
@@ -331,6 +350,28 @@ def test_verify_all_passes(capsys):
     assert main(["verify-all"]) == 0
     out = capsys.readouterr().out
     assert "9/9 claims verified" in out
+
+
+def test_verify_all_reports_failing_and_crashing_claims(capsys, monkeypatch):
+    def crash(seed):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(
+        acceptance,
+        "CLAIMS",
+        [
+            ("A", "holds", lambda seed: (True, "fine")),
+            ("B", "fails", lambda seed: (False, "off by one")),
+            ("C", "crashes", crash),
+        ],
+    )
+    assert main(["verify-all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "A  pass  holds",
+        "B  FAIL  fails (off by one)",
+        "C  FAIL  crashes (ValueError: boom)",
+        "1/3 claims verified",
+    ]
 
 
 def _broken_fixture(tmp_path, example_text, edit):

@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hubmin import (
@@ -38,6 +38,8 @@ from hubmin import (
     vertex_disjoint_paths,
     witness_222_instance,
 )
+
+from conftest import DEEP_NESTING, LONG_INTEGER
 
 
 def _net(vertices, edges, pairs):
@@ -717,6 +719,8 @@ def _locations(obj, out):
         _INSTANCE.map(json.dumps), st.text(max_size=30), _ODD.map(json.dumps)
     )
 )
+@example(text=DEEP_NESTING)
+@example(text=LONG_INTEGER)
 def test_parse_instance_raises_only_parse_errors(text):
     try:
         parse_instance(text)

@@ -200,7 +200,8 @@ def test_verify_flags_tampered_runs():
         for key, paths in tampered.items()
     }
     assert failures == {
-        "first only": ("path-count", "hub-partition"),
+        # The trace still holds two forward stops for the one path.
+        "first only": ("path-count", "hub-partition", "stop-path-growth"),
         "listed twice": (
             "hub-partition",
             "tails-on-distinct-S1S2-paths",
@@ -220,8 +221,26 @@ def test_verify_flags_tampered_runs():
     trace = list(run.trace)
     i, j = [k for k, e in enumerate(trace) if e["step"] == "forward-stop"]
     trace[i], trace[j] = trace[j], trace[i]
-    swapped = dataclasses.replace(run, trace=tuple(trace))
-    assert verify_run(rep, swapped).failures == ("stop-path-growth",)
+
+    # Stops must also name R2R1 paths of the decomposition, one per path: 99
+    # is past its end, -1 is no index, and index 0 is an S1S2 path with 1 hub.
+    def stops_at(index):
+        return tuple(
+            dict(e, path_index=index) if e["step"] == "forward-stop" else e for e in run.trace
+        )
+
+    traces = {
+        "swapped": tuple(trace),
+        "past the end": stops_at(99),
+        "negative": stops_at(-1),
+        "an S1S2 path": stops_at(0),
+        "no stops": tuple(e for e in run.trace if e["step"] != "forward-stop"),
+    }
+    failures = {
+        key: verify_run(rep, dataclasses.replace(run, trace=trace)).failures
+        for key, trace in traces.items()
+    }
+    assert failures == dict.fromkeys(traces, ("stop-path-growth",))
 
 
 def test_switching_is_exercised():
