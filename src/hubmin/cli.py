@@ -4,7 +4,8 @@ Subcommands cover the library surface: generate known families, check class
 membership and minimality, minimalize, build representations, run the
 interconnecting-path construction, run the exhaustive oracle, and verify the
 library's claim catalog.  All outputs are byte-deterministic given the same
-inputs and seed (default seed: 7).
+inputs and seed (default seed: 7), except the ``elapsed:`` line of
+``oracle``, which reports wall time.
 
 Exit codes: 0 success, 1 invariant or check failure, 2 input/parse error.
 """

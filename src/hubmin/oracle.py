@@ -8,10 +8,15 @@ network compiler with ``minimalize``.  A deletion set reuses its parent's
 flow for a pair when that flow avoids every deleted edge, and otherwise
 runs a max flow from zero; it never reroutes or augments a warm flow and
 reads no residual components, so it stays independent of
-``cuts._DeletionQueries``, which it cross-checks.  For the same reason
-its max flows always run one unit past the demand: the search
-deliberately does not use Menger's bound at tight terminals (see
-``cuts``), which would let a flow of value ``demand`` settle a pair.
+``cuts._DeletionQueries``, which it cross-checks.
+
+Menger's bound decides some single deletions with no flow: each of a
+pair's paths leaves its source and enters its sink by an edge of its own,
+so deleting an edge at a terminal with exactly ``demand`` edges leaves the
+pair's cut below its demand.  The oracle codes that count itself
+(``_degree_settled``) rather than sharing ``cuts``' tight-terminal code.
+The bound never settles exactness: every max flow runs one unit past the
+demand, so a flow of value ``demand`` never settles a pair as exact.
 
 The search state is plain integers: a deletion set, the edges of a pair's
 flow and the keys of the exact-set table are bit masks, one bit per edge
@@ -237,21 +242,48 @@ class _Search:
             for v in ends:
                 degree[v] += 1
 
+    def maximal_exact_sets(self) -> List[int]:
+        """The exact deletion sets that no free edge extends to another
+        exact set: those whose subgraphs are minimal."""
+        exact_hubs = self.exact_hubs
+        free_bits = [bit for bit, _ in self.free]
+        out = []
+        for s in exact_hubs:
+            for bit in free_bits:
+                if not s & bit and (s | bit) in exact_hubs:
+                    break
+            else:
+                out.append(s)
+        return out
 
-def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport:
-    """Exhaustive search for a spanning subgraph in class with fewest hubs.
 
-    Edges whose single removal already destroys feasibility can never be
-    deleted; the search branches only on the rest, pruning any deletion set
-    that drops some pair's cut below its demand.  Deletion sets are bit
-    masks over the edges in id order.  Each pair's net is compiled once,
-    and each deletion set inherits its parent's witnesses (see
-    ``_CompiledPairs``); the single deletions inherit the input's.  The hub
-    count follows the deletions down the search.  Only the returned
-    subgraph is built as a ``Network``, and one ``in_class`` call checks
-    its cuts once more.
-    """
-    start = time.perf_counter()
+def _degree_settled(g: Network) -> Dict[int, int]:
+    """Edge id -> a pair whose cut falls below its demand once that edge
+    alone is deleted, as Menger's bound shows: the edge meets one of the
+    pair's terminals, and that terminal has exactly ``demand`` edges."""
+    settled: Dict[int, int] = {}
+    for i, pair in enumerate(g.pairs):
+        for t in (pair.source, pair.sink):
+            if g.degree(t) == pair.demand:
+                for eid in g.incident[t]:
+                    settled[eid] = i
+    return settled
+
+
+_DELETED_DIGIT = str.maketrans("0", "2")
+
+
+def _survivor_key(survivors: int) -> str:
+    """A string that orders survivor masks as their sorted position lists
+    order: character p is "1" when position p survives and "2" when it is
+    deleted, up to the last survivor, so a list that is a prefix of
+    another sorts first.  No survivors give ""."""
+    return format(survivors, "b")[::-1].translate(_DELETED_DIGIT) if survivors else ""
+
+
+def _search(g: Network, max_free: int) -> Tuple[List[int], _Search]:
+    """``g``'s edge ids in order, and the finished search over its deletion
+    sets; raises as ``min_hub_subgraph`` does."""
     edge_ids = sorted(g.edge_by_id)
     nets = _CompiledPairs(g, edge_ids)
     root_feasible, root_exact, root_witnesses = nets.profile(0)
@@ -259,7 +291,11 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
         raise InvariantError(
             "no-in-class-subgraph", "a cut is already below its demand"
         )
-    singles = [nets.profile(1 << p, root_witnesses) for p in range(len(edge_ids))]
+    settled = _degree_settled(g)
+    singles = [
+        (False, False, ()) if eid in settled else nets.profile(1 << p, root_witnesses)
+        for p, eid in enumerate(edge_ids)
+    ]
     free = [p for p, (feasible, _, _) in enumerate(singles) if feasible]
     if len(free) > max_free:
         raise InvariantError(
@@ -274,29 +310,41 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
     ]
     search = _Search(nets, free_ends, [singles[p] for p in free], degree)
     root_hubs = hub_count(g)
-    exact_hubs = search.exact_hubs
     if root_exact:
-        exact_hubs[0] = root_hubs
+        search.exact_hubs[0] = root_hubs
     search.extend(0, 0, root_witnesses, root_hubs)
-    if not exact_hubs:
+    if not search.exact_hubs:
         raise InvariantError(
             "no-in-class-subgraph", "no deletion set reaches exact cuts"
         )
+    return edge_ids, search
 
-    free_bits = [bit for bit, _ in free_ends]
-    num_minimal = 0
-    for s in exact_hubs:
-        for bit in free_bits:
-            if not s & bit and (s | bit) in exact_hubs:
-                break
-        else:
-            num_minimal += 1
 
+def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport:
+    """Exhaustive search for a spanning subgraph in class with fewest hubs.
+
+    Edges whose single removal already destroys feasibility can never be
+    deleted; the search branches only on the rest, pruning any deletion set
+    that drops some pair's cut below its demand.  A single deletion at a
+    terminal with exactly its pair's demand of edges is decided by that
+    count alone; every other one is decided by the pairs' flows.  Deletion
+    sets are bit masks over the edges in id order.  Each pair's net is
+    compiled once, and each deletion set inherits its parent's witnesses
+    (see ``_CompiledPairs``); the single deletions inherit the input's.
+    The hub count follows the deletions down the search.  Each maximal
+    exact deletion set leaves one minimal subgraph.  Only the returned
+    subgraph is built as a ``Network``, and one ``in_class`` call checks
+    its cuts once more.
+    """
+    start = time.perf_counter()
+    edge_ids, search = _search(g, max_free)
+    exact_hubs = search.exact_hubs
     # Fewest hubs first, then the smallest sorted list of surviving edges.
     min_hubs = min(exact_hubs.values())
+    full = (1 << len(edge_ids)) - 1
     best = min(
         (s for s, hubs in exact_hubs.items() if hubs == min_hubs),
-        key=lambda s: [eid for p, eid in enumerate(edge_ids) if not s >> p & 1],
+        key=lambda s: _survivor_key(full ^ s),
     )
     best_graph = delete_edges(g, [eid for p, eid in enumerate(edge_ids) if best >> p & 1])
     if not in_class(best_graph):
@@ -308,7 +356,7 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
     return OracleReport(
         min_hub_subgraph=best_graph,
         min_hubs=hub_count(best_graph),
-        num_minimal_subgraphs=num_minimal,
+        num_minimal_subgraphs=len(search.maximal_exact_sets()),
         elapsed=time.perf_counter() - start,
     )
 

@@ -28,11 +28,15 @@ from hubmin import (
     ones_graph,
     random_network,
     reroutable_witness,
+    run_interconnect,
     signature_bound,
+    to_representation,
+    verify_run,
     vertex_disjoint_paths,
     witness_222,
 )
 from hubmin._flownet import FlowNet
+from hubmin.oracle import MAX_FREE_EDGES, _degree_settled, _search, _survivor_key
 
 from conftest import two_pair_corpus
 
@@ -318,6 +322,76 @@ def test_oracle_on_a_fifteen_free_edge_census_host():
     assert (report.min_hubs, report.num_minimal_subgraphs, report.min_hub_subgraph) == want
 
 
+# Hosts of the two-pair census: demands, interior size, and the pinned
+# (minimal subgraphs, largest hub count among them).
+CENSUS = {
+    ((1, 1), 2): (16, 2),
+    ((1, 1), 3): (177, 2),
+    ((1, 2), 2): (4, 2),
+    ((1, 2), 3): (123, 3),
+    ((2, 2), 2): (1, 2),
+    ((2, 2), 3): (81, 3),
+}
+
+
+def test_two_pair_census_of_small_hosts():
+    # Every minimal subgraph of a host is a maximal exact deletion set of the
+    # oracle's search.  Each must be minimal and pass the whole pipeline.
+    for (demands, n), pinned in CENSUS.items():
+        g = _census_host(demands, n)
+        edge_ids, search = _search(g, MAX_FREE_EDGES)
+        maximal = search.maximal_exact_sets()
+        assert len(maximal) == min_hub_subgraph(g).num_minimal_subgraphs
+        subgraphs = [
+            delete_edges(g, [eid for p, eid in enumerate(edge_ids) if s >> p & 1])
+            for s in maximal
+        ]
+        for s, sub in zip(maximal, subgraphs):
+            assert int(hub_count(sub)) == search.exact_hubs[s], (demands, n)
+            assert is_minimal(sub), (demands, n, s)
+            rep = to_representation(sub)
+            report = verify_run(rep, run_interconnect(rep))
+            assert report.ok, (demands, n, s, report.failures)
+        most = max(int(hub_count(sub)) for sub in subgraphs)
+        assert (len(maximal), most) == pinned, (demands, n)
+
+
+def test_degree_settled_deletions_leave_a_cut_short():
+    # Menger's bound, checked against fresh flows: deleting an edge the rule
+    # settles drops that pair's cut below its demand.
+    hosts = [_census_host(demands, n) for demands, n in CENSUS]
+    settled_direct = 0
+    total = 0
+    for g in _differential_corpus() + hosts:
+        for eid, i in _degree_settled(g).items():
+            pair = g.pairs[i]
+            assert min_vertex_cut(delete_edges(g, [eid]), i).value < pair.demand, (g, eid)
+            e = g.edge_by_id[eid]
+            settled_direct += (e.u, e.v) == (pair.source, pair.sink)
+            total += 1
+    assert total > 0
+    # Some tight terminal carries a direct source->sink edge.
+    assert settled_direct > 0
+
+
+def test_survivor_key_orders_as_sorted_survivor_lists():
+    def ids(mask):
+        return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+    rng = random.Random(24)
+    for size in (1, 2, 3, 5, 12, 20):
+        full = (1 << size) - 1
+        masks = [0, full] + [1 << p for p in range(size)]
+        masks += [rng.getrandbits(size) for _ in range(200)]
+        for _ in range(1000):
+            a, b = rng.choice(masks), rng.choice(masks)
+            assert (_survivor_key(a) < _survivor_key(b)) == (ids(a) < ids(b)), (a, b)
+            assert (_survivor_key(a) == _survivor_key(b)) == (a == b), (a, b)
+    # Nothing left (every edge deleted) sorts before any survivor.
+    assert _survivor_key(0) == ""
+    assert _survivor_key(0) < _survivor_key(1) < _survivor_key(3) < _survivor_key(2)
+
+
 def test_oracle_compiles_each_pair_once(monkeypatch):
     counts = {"networks": 0}
     compiled = []
@@ -364,10 +438,19 @@ def test_oracle_decides_each_deletion_set_once(monkeypatch):
 
     monkeypatch.setattr(hubmin.oracle._CompiledPairs, "profile", recording)
     rng = random.Random(78)
-    answered = 0
+    answered = settled = profiled = 0
     for k in range(10):
         demands = [(2, 2), (2, 2, 2), (1, 3)][k % 3]
         g, _ = random_network(rng, list(demands), reuse=0.5, extra=k % 6)
+        # Edges at a terminal with exactly its pair's demand of edges.
+        tight = {
+            eid
+            for pair in g.pairs
+            for t in (pair.source, pair.sink)
+            if len(g.incident[t]) == pair.demand
+            for eid in g.incident[t]
+        }
+        singles = [1 << p for p, eid in enumerate(sorted(g.edge_by_id)) if eid not in tight]
         seen.clear()
         try:
             min_hub_subgraph(g)
@@ -375,10 +458,15 @@ def test_oracle_decides_each_deletion_set_once(monkeypatch):
         except InvariantError as err:
             assert err.code == "size-guard-exceeded", k
         assert len(set(seen)) == len(seen), k
-        # The input check and every single deletion come first, in id
-        # order: bit p of a mask is the edge at position p in id order.
-        assert seen[: 1 + len(g.edges)] == [0] + [1 << p for p in range(len(g.edges))]
+        # The input check comes first, then every single deletion that no
+        # terminal's degree settles, in id order: bit p of a mask is the
+        # edge at position p in id order.  No other set is a single edge.
+        assert seen[: 1 + len(singles)] == [0] + singles, k
+        assert sum(m & (m - 1) == 0 for m in seen) == 1 + len(singles), k
+        settled += len(tight)
+        profiled += len(singles)
     assert answered >= 5
+    assert settled > 0 and profiled > 0
 
 
 def test_oracle_reuses_inherited_witnesses(monkeypatch):
