@@ -9,7 +9,7 @@ results are deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 INF = 10**9
 
@@ -20,10 +20,19 @@ _ROOT = -2
 class FlowNet:
     """Arc-list flow network in which every augmentation carries one unit.
 
-    Every residual s->t path crosses an arc with one unit of residual
-    capacity: a unit vertex arc, a direct source->sink edge arc, or a
-    reverse arc, which carries at most one unit (see
-    ``cuts._SplitNetwork.pair_net``).  So every bottleneck is 1.
+    Three invariants of the nets ``cuts._SplitNetwork.pair_net`` builds
+    hold for every flow they carry:
+
+    - Every arc joins the in-node and the out-node halves of split
+      vertices, one each; s is an out-node and t an in-node.
+    - Every residual s->t path crosses an arc with one unit of residual
+      capacity: a unit vertex arc, a direct source->sink edge arc, or a
+      reverse arc, which carries at most one unit.  So every bottleneck is
+      1.
+    - Every node other than s with an arc into t has one unit of residual
+      capacity on its entering arcs, in total: it is an out-node, fed by a
+      unit vertex arc, and each unit it sends on reopens one reverse arc
+      into it.
 
     ``to`` and ``adj`` are held, not copied, so several nets can share one
     topology; ``base_cap`` is the net's own, and ``cap`` starts as a copy of
@@ -46,12 +55,17 @@ class FlowNet:
         self.cap[arc] -= 1
         self.cap[arc ^ 1] += 1
 
-    def _bfs_parent(self, s: int, t: int) -> Optional[List[int]]:
+    def _bfs_parent(self, s: int, t: int) -> Optional[Tuple[List[int], List[int]]]:
         """Shortest residual s->t search.
 
-        Returns the parent array (``parent[node]`` is the arc that reached
-        ``node``; only the entries along the found path are meaningful to
-        callers) or None when ``t`` is unreachable.
+        Returns ``(parent, queue)``, or None when ``t`` is unreachable.
+        ``parent[node]`` is the arc that reached ``node``; it is meaningful
+        for the nodes of ``queue``, every node reached before ``t``, in the
+        order reached, and for ``t``.  Adjacency lists are scanned in order,
+        so each node's parent chain is its lexicographically first shortest
+        path (compared arc by arc at the node where two paths part, by
+        adjacency position), and ``queue`` lists the nodes of each depth in
+        the order of those paths.
         """
         adj, cap, to = self.adj, self.cap, self.to
         parent = [_UNSEEN] * len(adj)
@@ -66,22 +80,49 @@ class FlowNet:
                     if parent[nxt] == _UNSEEN:
                         parent[nxt] = arc
                         if nxt == t:
-                            return parent
+                            return parent, queue
                         queue.append(nxt)
         return None
 
     def max_flow(self, s: int, t: int, limit: int = INF) -> int:
-        """Edmonds-Karp augmentation until no path remains or ``limit`` reached.
+        """Edmonds-Karp augmentation until no path remains or ``limit`` is
+        reached, with one search per round.
 
-        Every bottleneck is 1 (class docstring), so each path found is
-        walked once, to push its unit.
+        Each unit goes along the path a search per unit would return: the
+        first shortest residual path (``_bfs_parent``).  So the flow is
+        Edmonds-Karp's, unit for unit.  A round searches once and pushes
+        the path found, of length L.  Then it takes the other tails of
+        positive arcs into t that the search reached, in queue order, and
+        while the next one's tree path has capacity left on every arc,
+        pushes a unit along that path and the tail's first positive arc
+        into t.  The round ends at the first tail whose tree path is
+        broken, or at ``limit``.
+
+        Why the next search would return that same path P (the invariants
+        are the class docstring's):
+        - t lies at odd depth L and every tail, an out-node, at even depth.
+          The search reached no node deeper than L, so each tail it
+          reached lies at depth L - 1, and P has length L.  When L = 1, s
+          is the only node at depth 0, so no other tail was reached.
+        - Pushing along paths of length L opens only reverse arcs, each
+          leading one depth up the round's search.  So a residual path of
+          length L runs one depth down at every arc, and its first L - 1
+          arcs are a path of the search to a tail at depth L - 1.
+        - A tail used in the round is spent: its one unit of entering
+          capacity now lies on the reverse of its arc into t, which leads
+          up.
+        - So the next search's path ends at a tail no earlier in queue
+          order than P's, and a tree path is the first path of its length
+          to its node.  The next path therefore comes no earlier than P,
+          and P is a residual path of length L, so the two are one.
         """
-        cap, to = self.cap, self.to
+        adj, cap, to = self.adj, self.cap, self.to
         total = 0
         while total < limit:
-            parent = self._bfs_parent(s, t)
-            if parent is None:
+            found = self._bfs_parent(s, t)
+            if found is None:
                 break
+            parent, queue = found
             node = t
             while node != s:
                 arc = parent[node]
@@ -89,6 +130,38 @@ class FlowNet:
                 cap[arc ^ 1] += 1
                 node = to[arc ^ 1]
             total += 1
+            if total == limit:
+                break
+            first = to[parent[t] ^ 1]
+            # Arc b leaves t exactly when arc b ^ 1 enters it, from to[b].
+            tails = []
+            for b in adj[t]:
+                if cap[b ^ 1] > 0:
+                    v = to[b]
+                    if v != first and parent[v] != _UNSEEN:
+                        tails.append(v)
+            if len(tails) > 1:
+                tails.sort(key=queue.index)
+            for v in tails:
+                path = []
+                node = v
+                while node != s and cap[parent[node]] > 0:
+                    arc = parent[node]
+                    path.append(arc)
+                    node = to[arc ^ 1]
+                if node != s:
+                    break
+                # No push has touched v's arcs into t, so one is positive.
+                for arc in adj[v]:
+                    if to[arc] == t and cap[arc] > 0:
+                        break
+                path.append(arc)
+                for arc in path:
+                    cap[arc] -= 1
+                    cap[arc ^ 1] += 1
+                total += 1
+                if total == limit:
+                    break
         return total
 
     def residual_reachable(self, s: int) -> List[bool]:
@@ -108,9 +181,10 @@ class FlowNet:
 
     def residual_path(self, s: int, t: int) -> Optional[List[int]]:
         """Arc ids of one shortest residual s->t path, s first, or None."""
-        parent = self._bfs_parent(s, t)
-        if parent is None:
+        found = self._bfs_parent(s, t)
+        if found is None:
             return None
+        parent = found[0]
         arcs: List[int] = []
         node = t
         while node != s:

@@ -26,8 +26,11 @@ an edge at the sink, and each such edge arc carries at most one unit (see
 edges, each carrying at most one unit, carry a flow of value d only when
 every one of them carries a unit.  So a flow of value ``demand`` already
 proves the cut exact there, and no edge at a tight terminal can be deleted
-without leaving the class.  The oracle's search and ``is_reroutable`` do
-not use the bound, so they stay independent cross-checks of it.
+without leaving the class.  ``is_reroutable`` does not use the bound.
+The oracle settles single deletions at tight terminals by it, from its own
+count of terminal edges (``oracle._degree_settled``); its exactness checks
+and its search over larger deletion sets run max flows instead, so they
+stay independent cross-checks of the bound.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ network against a net compiled for one pair at a time; the labels against
 networkx's components; ``in_class``, where a tight terminal stops a flow
 at the demand, and ``min_vertex_cut`` and the paths of
 ``vertex_disjoint_paths`` against networkx max-flow, the last two on
-vertex-split graphs far beyond the brute-force oracle's size guards.
+vertex-split graphs far beyond the brute-force oracle's size guards; and
+``FlowNet.max_flow``, which searches once per round, against Edmonds-Karp
+with one search per unit, flow for flow.
 """
 
 from __future__ import annotations
@@ -395,17 +397,35 @@ def test_is_minimal_on_a_lattice_runs_no_search_beyond_its_max_flows(monkeypatch
         return parent
 
     monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
-    # Every terminal is tight, so each max flow makes one search per unit
-    # and none that fails: 7 + 7, and 3 + 3 + 1 + 1.  On the ones graph the
-    # labels of pairs 0 and 1 find every edge off the tight terminals
-    # needed, so pairs 2 and 3 are never labelled.
-    for g, units in ((grid_graph(7, 7), 14), (ones_graph(3, 3, 2), 8)):
+    # Every terminal is tight, so each max flow stops at its demand and
+    # makes no search that fails, one search per round: 1 + 1 on the
+    # lattice, whose 7 paths per pair all have one length, and 2 + 2 + 1 + 1
+    # on the ones graph (one search per unit would make 7 + 7 and
+    # 3 + 3 + 1 + 1).  On the ones graph the labels of pairs 0 and 1 find
+    # every edge off the tight terminals needed, so pairs 2 and 3 are never
+    # labelled.
+    for g, rounds in ((grid_graph(7, 7), 2), (ones_graph(3, 3, 2), 6)):
         labelled.clear()
         searches.clear()
         assert is_minimal(g)
-        assert searches == [True] * units
+        assert searches == [True] * rounds
         assert len(labelled) == 2
         assert len({id(net) for net in labelled}) == len(labelled)
+
+
+def test_is_minimal_on_the_largest_lattice_searches_once_per_pair(monkeypatch):
+    # 16 paths per pair, all found from the first search's tree.
+    searches = []
+    bfs_parent = FlowNet._bfs_parent
+
+    def counting(self, s, t):
+        found = bfs_parent(self, s, t)
+        searches.append(found is not None)
+        return found
+
+    monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
+    assert is_minimal(grid_graph(16, 16))
+    assert searches == [True, True]
 
 
 def _reroutable_inputs():
@@ -438,15 +458,16 @@ def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
     monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
     deletable = 0
     failing = 0
+    rounds = []
     for g, systems in cases:
-        # The max flows of one _DeletionQueries: one search per unit, and
+        # The max flows of one _DeletionQueries: one search per round, and
         # one that fails for each pair where neither terminal is tight.
         loose = [p for p in g.pairs if p.demand not in (g.degree(p.source), g.degree(p.sink))]
         failing += len(loose)
-        max_flows = sum(p.demand for p in g.pairs) + len(loose)
         searches.clear()
         assert not is_minimal(g)
-        assert len(searches) == max_flows
+        max_flows = len(searches)
+        rounds.append(max_flows)
         for i in range(2):
             searches.clear()
             deletable += len(deletable_private_edges(g, systems, i))
@@ -459,6 +480,8 @@ def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
         assert queries.deletable(eids) == expected != []
         assert not searches
     assert deletable and failing == 1
+    # A search per unit would make [5, 4, 4, 7, 5, 7, 4, 2, 5, 5, 5, 4, 3].
+    assert rounds == [3, 4, 4, 5, 4, 3, 3, 2, 3, 2, 3, 3, 3]
 
 
 def test_minimalize_builds_no_labels(monkeypatch):
@@ -883,3 +906,139 @@ def test_vertex_disjoint_paths_match_networkx_on_large_graphs():
                 seen_interior |= interior
                 seen_edges |= edges
     assert max(sizes) >= 450
+
+
+def _per_unit_search(net: FlowNet, s: int, t: int):
+    """Breadth-first search of the residual net, each node's arcs in order:
+    the arc that first reached each node, or None when t is unreachable."""
+    parent = {s: None}
+    queue = [s]
+    for node in queue:
+        for arc in net.adj[node]:
+            nxt = net.to[arc]
+            if net.cap[arc] > 0 and nxt not in parent:
+                parent[nxt] = arc
+                if nxt == t:
+                    return parent
+                queue.append(nxt)
+    return None
+
+
+def _per_unit_max_flow(net: FlowNet, s: int, t: int, limit: int = INF) -> int:
+    """Edmonds-Karp with one search per unit, the loop ``FlowNet.max_flow``
+    runs in rounds, kept as its referee."""
+    total = 0
+    while total < limit:
+        parent = _per_unit_search(net, s, t)
+        if parent is None:
+            break
+        node = t
+        while node != s:
+            arc = parent[node]
+            net.cap[arc] -= 1
+            net.cap[arc ^ 1] += 1
+            node = net.to[arc ^ 1]
+        total += 1
+    return total
+
+
+def _refereed_max_flow(max_flow, net: FlowNet, s: int, t: int, limit: int = INF) -> int:
+    """``max_flow(net, ...)``, checked against the referee run from the same
+    flow: both must give the same value and leave the same capacities."""
+    twin = FlowNet(net.to, net.adj, net.base_cap)
+    twin.cap = list(net.cap)
+    want = _per_unit_max_flow(twin, s, t, limit)
+    value = max_flow(net, s, t, limit)
+    assert (value, net.cap) == (want, twin.cap)
+    return value
+
+
+def _parallel_direct_instance() -> Network:
+    """``grid_graph(2, 3)`` with two parallel direct source->sink edges on
+    pair 0 and one on pair 1."""
+    return _with_direct_edge(_with_direct_edge(_with_direct_edge(grid_graph(2, 3), 0), 0), 1)
+
+
+def _shared_unit_instance() -> Network:
+    """Pair 0 -> 1 (demand 2): the search reaches the sink through 2 and 4,
+    then tails 5 and 6 in that order, whose tree paths share vertex 3's
+    unit arc, while the sink's arcs list 6 before 5.  The second path must
+    run through 5."""
+    ends = [
+        (0, 2, True), (0, 3, True), (2, 4, False), (3, 5, False),
+        (3, 6, False), (4, 1, True), (6, 1, True), (5, 1, True),
+    ]
+    return _network([Pair(0, 1, 2)], ends)
+
+
+def _pipeline_corpus():
+    """Draws of the random-pipeline benchmark's recipe: every demand pair
+    up to 6, every extra-edge count up to 6."""
+    rng = random.Random(1)
+    out = []
+    for c1 in range(1, 7):
+        for c2 in range(1, 7):
+            reuses = [0.3 + 0.5 * (j + rng.random()) / 7 for j in range(7)]
+            rng.shuffle(reuses)
+            for extra, reuse in enumerate(reuses):
+                out.append(random_network(rng, [c1, c2], reuse=reuse, extra=extra)[0])
+    return out
+
+
+def _oracle_corpus(count: int):
+    """The first draws of the oracle-exhaustive benchmark's recipe, before
+    it sorts them by their number of singly deletable edges."""
+    rng = random.Random(1)
+    demands = ((2, 2), (1, 3), (2, 3), (3, 3), (2, 2, 2), (1, 2, 2))
+    return [
+        random_network(
+            rng, list(demands[k % len(demands)]), reuse=rng.uniform(0.3, 0.8), extra=rng.randint(0, 6)
+        )[0]
+        for k in range(count)
+    ]
+
+
+def test_max_flow_matches_a_search_per_unit_on_the_lattices():
+    graphs = [grid_graph(c1, c2) for c1 in range(1, 17) for c2 in range(1, 17)]
+    graphs += [
+        ones_graph(c1, c2, n) for c1 in range(1, 5) for c2 in range(1, 5) for n in range(1, 4)
+    ]
+    for g in graphs:
+        split = cuts._compile_network(g)
+        for i in range(len(g.pairs)):
+            built = split.pair_net(i)
+            _refereed_max_flow(FlowNet.max_flow, built.net, built.s, built.t)
+
+
+def test_max_flow_matches_a_search_per_unit_on_the_corpora():
+    graphs = _pipeline_corpus() + _oracle_corpus(120) + CORPUS
+    graphs += [_parallel_direct_instance(), _shared_unit_instance()]
+    for g in graphs:
+        split = cuts._compile_network(g)
+        for i, pair in enumerate(g.pairs):
+            for limit in (pair.demand, pair.demand + 1, INF):
+                built = split.pair_net(i)
+                _refereed_max_flow(FlowNet.max_flow, built.net, built.s, built.t, limit)
+
+
+def test_library_flows_match_a_search_per_unit(monkeypatch):
+    # Every max flow the library runs, from the flow its net carries: the
+    # oracle's, whose deleted arcs are zeroed, and the continuation of each
+    # flow past its demand in _cuts_and_systems.
+    max_flow = FlowNet.max_flow
+    starts = []
+
+    def refereed(net, s, t, limit=INF):
+        carrying = any(net.cap[1::2])
+        starts.append("carrying" if carrying else "zeroed" if net.cap != net.base_cap else "fresh")
+        return _refereed_max_flow(max_flow, net, s, t, limit)
+
+    monkeypatch.setattr(FlowNet, "max_flow", refereed)
+    direct = _parallel_direct_instance()
+    for g in _pipeline_corpus()[::4] + CORPUS + [direct]:
+        cuts._cuts_and_systems(g)
+    for g in _oracle_corpus(60):
+        if len(g.edges) <= 16:
+            min_hub_subgraph(g)
+    assert {"carrying", "zeroed", "fresh"} <= set(starts)
+    assert starts.count("zeroed") >= 100

@@ -477,7 +477,8 @@ def test_to_representation_compiles_once_without_systems(monkeypatch):
 
 
 def test_to_representation_stops_each_flow_at_the_demand(monkeypatch):
-    # Three augmenting searches per pair, and no failing search past them.
+    # One search per pair finds all three paths, and no failing search
+    # follows (one search per unit would make three per pair).
     searches = []
     bfs_parent = FlowNet._bfs_parent
     monkeypatch.setattr(
@@ -485,7 +486,7 @@ def test_to_representation_stops_each_flow_at_the_demand(monkeypatch):
     )
     g = grid_graph(3, 3)
     rep = to_representation(g)
-    assert len(searches) == 6
+    assert len(searches) == 2
     assert [s.paths for s in rep.systems] == [
         vertex_disjoint_paths(g, i, p.demand).paths for i, p in enumerate(g.pairs)
     ]
