@@ -17,6 +17,23 @@ and answers "is the network still in class without edge e?" from the
 strongly connected components of each flow's residual graph, or by
 rerouting that flow around e, instead of rebuilding the nets.
 
+One module-level slot keeps the compile of the network queried last
+(``_split``), keyed by identity: it holds the network itself, so no other
+network can match it.  The slot is per thread, so threads share no flow.
+Every query here and in ``minimality`` but the oracle's search starts
+from the slot, so a pipeline that asks several questions of one network
+compiles it once.  For each pair the split also keeps the net that
+carries the flow stopped at the pair's demand, once a caller has run it
+(``_SplitNetwork.demand_flow``).  A caller that only decomposes that flow
+reads the kept net.  A caller that goes on to change the flow takes the
+net over: the split forgets it, so no net is shared with a caller that
+changes it and none is copied.  A caller that finds no kept net builds
+its own, so a network queried once does no extra work.  Reusing a kept
+flow changes no answer: ``FlowNet.max_flow`` pushes Edmonds-Karp's paths
+unit for unit, each the first shortest residual path from the flow
+before it, so a flow stopped at the demand and then continued is the
+flow of one run from zero.
+
 Menger's bound at a terminal: a pair's cut is at most the number of edges
 at its source, and likewise at its sink.  Every unit of a pair's flow
 leaves out(source) along an edge at the source and enters in(sink) along
@@ -35,7 +52,8 @@ stay independent cross-checks of the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._flownet import INF, FlowNet, strongly_connected_components
@@ -77,7 +95,9 @@ class _SplitNetwork:
     """Every vertex of ``g`` split into an in/out half (see ``_compile_network``).
 
     ``to``/``adj`` are the arc lists every pair's ``FlowNet`` shares; the
-    maps are those of ``_PairNet``.
+    maps are those of ``_PairNet``.  ``demand_nets`` maps a pair index to
+    the net kept for it, carrying the flow stopped at the pair's demand,
+    and the flow's value (see ``demand_flow``).
     """
 
     g: Network
@@ -86,6 +106,7 @@ class _SplitNetwork:
     vertex_arc: Dict[int, int]
     edge_arcs: Dict[int, Tuple[int, bool]]
     arcs_of_edge: Dict[int, List[int]]
+    demand_nets: Dict[int, Tuple[_PairNet, int]] = field(default_factory=dict)
 
     def pair_net(self, pair_index: int) -> _PairNet:
         """The net of one pair: s = out(source), t = in(sink).
@@ -114,6 +135,23 @@ class _SplitNetwork:
             edge_arcs=self.edge_arcs,
             arcs_of_edge=self.arcs_of_edge,
         )
+
+    def demand_flow(self, pair_index: int, take: bool = False) -> Tuple[_PairNet, int]:
+        """The pair's net carrying the flow stopped at its demand, and the
+        flow's value: the kept net, or a new one run to the demand.
+
+        The net stays kept for later callers, which must not change its
+        flow.  With ``take`` the caller takes it over and the split forgets
+        it (module docstring).
+        """
+        kept = self.demand_nets.pop(pair_index, None)
+        if kept is None:
+            built = self.pair_net(pair_index)
+            demand = self.g.pairs[pair_index].demand
+            kept = (built, built.net.max_flow(built.s, built.t, limit=demand))
+        if not take:
+            self.demand_nets[pair_index] = kept
+        return kept
 
 
 def _compile_network(g: Network) -> _SplitNetwork:
@@ -160,16 +198,37 @@ def _compile_network(g: Network) -> _SplitNetwork:
     return _SplitNetwork(g, to, adj, in_node, edge_arcs, arcs_of_edge)
 
 
+# ``_slot.split``: this thread's split of the network queried last (module
+# docstring).
+_slot = threading.local()
+
+
+def _split(g: Network) -> _SplitNetwork:
+    """The slot's split of ``g``; on a miss, ``g`` is compiled into the slot."""
+    split = getattr(_slot, "split", None)
+    if split is None or split.g is not g:
+        # The old split goes first, so two are never held at once.
+        _slot.split = None
+        split = _slot.split = _compile_network(g)
+    return split
+
+
 def _build_pair_net(g: Network, pair_index: int) -> _PairNet:
-    """Compile ``g`` for a single pair (see ``_SplitNetwork.pair_net``)."""
-    return _compile_network(g).pair_net(pair_index)
+    """A net with no flow for one pair of ``g``, from the slot's split (see
+    ``_SplitNetwork.pair_net``)."""
+    return _split(g).pair_net(pair_index)
 
 
 def min_vertex_cut(g: Network, pair_index: int) -> CutResult:
-    """Exact minimum interior-vertex cut between the pair's terminals."""
-    built = _build_pair_net(g, pair_index)
+    """Exact minimum interior-vertex cut between the pair's terminals.
+
+    The flow runs on from a kept demand flow, which it takes over (module
+    docstring), or from zero in a net of its own.
+    """
+    kept = _split(g).demand_nets.pop(pair_index, None)
+    built, value = kept if kept is not None else (_build_pair_net(g, pair_index), 0)
     net = built.net
-    value = net.max_flow(built.s, built.t)
+    value += net.max_flow(built.s, built.t)
     reachable = net.residual_reachable(built.s)
     # The pair's own terminals drop out: nothing reaches in(source), and t
     # is unreachable once the flow is maximum.
@@ -185,11 +244,16 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     """k pairwise vertex-disjoint source->sink paths, or None if fewer exist.
 
     The integral flow is decomposed deterministically, lowest arc id first.
+    At ``k == demand`` it is the pair's kept demand flow (module docstring).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    built = _build_pair_net(g, pair_index)
-    if built.net.max_flow(built.s, built.t, limit=k) < k:
+    if k == g.pairs[pair_index].demand:
+        built, value = _split(g).demand_flow(pair_index)
+    else:
+        built = _build_pair_net(g, pair_index)
+        value = built.net.max_flow(built.s, built.t, limit=k)
+    if value < k:
         return None
     return _decompose(g, pair_index, built, k)
 
@@ -222,15 +286,15 @@ def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSyst
     return make_path_system(g, pair_index, paths)
 
 
-def _demand_flows(g: Network) -> List[Tuple[_PairNet, int, Optional[PathSystem]]]:
-    """Every pair's net from one compile of ``g``, carrying a flow stopped
-    at the pair's demand, with the flow's value and, when that is the
-    demand, the system it decomposes into (else None)."""
-    split = _compile_network(g)
+def _demand_flows(g: Network, take: bool) -> List[Tuple[_PairNet, int, Optional[PathSystem]]]:
+    """Every pair's net from the slot's split of ``g``, carrying the flow
+    stopped at the pair's demand, with the flow's value and, when that is
+    the demand, the system it decomposes into (else None).  ``take`` as in
+    ``_SplitNetwork.demand_flow``."""
+    split = _split(g)
     out = []
     for i, pair in enumerate(g.pairs):
-        built = split.pair_net(i)
-        value = built.net.max_flow(built.s, built.t, limit=pair.demand)
+        built, value = split.demand_flow(i, take)
         system = _decompose(g, i, built, value) if value == pair.demand else None
         out.append((built, value, system))
     return out
@@ -238,18 +302,17 @@ def _demand_flows(g: Network) -> List[Tuple[_PairNet, int, Optional[PathSystem]]
 
 def _full_systems(g: Network) -> List[Optional[PathSystem]]:
     """Every pair's full system, ``vertex_disjoint_paths(g, i, demand)``, or
-    None when the cut is below the demand, from one compile of ``g``.  Each
-    flow stops at the demand.  Raises nothing of its own; callers word their
-    own errors."""
-    return [system for _, _, system in _demand_flows(g)]
+    None when the cut is below the demand, from the pairs' kept demand
+    flows.  Raises nothing of its own; callers word their own errors."""
+    return [system for _, _, system in _demand_flows(g, take=False)]
 
 
 def _cuts_and_systems(g: Network) -> List[Tuple[int, Optional[PathSystem]]]:
     """Every pair's cut value and full system (see ``_full_systems``): past
     the demand, the flow runs on to the cut value, along the augmentations
-    of one maximum flow."""
+    of one maximum flow, in the net taken over from the split."""
     out = []
-    for built, value, system in _demand_flows(g):
+    for built, value, system in _demand_flows(g, take=True):
         if system is not None:
             value += built.net.max_flow(built.s, built.t)
         out.append((value, system))
@@ -268,14 +331,23 @@ def _exact_flows(split: _SplitNetwork) -> Optional[List[_PairNet]]:
     A flow stops one unit past the demand, or at the demand when the pair
     has a tight terminal: its d edges, each carrying at most one unit,
     bound the cut by d, so a flow of value d proves the cut exact (module
-    docstring).  Both limits run the same first d augmentations.
+    docstring).  Both limits run the same first d augmentations, so a kept
+    demand flow, which the nets are taken over from, needs at most one more
+    unit; a kept flow below the demand is already maximum.
     """
     g = split.g
     nets = []
     for i, pair in enumerate(g.pairs):
-        built = split.pair_net(i)
         limit = pair.demand if _tight_terminals(g, pair) else pair.demand + 1
-        if built.net.max_flow(built.s, built.t, limit=limit) != pair.demand:
+        kept = split.demand_nets.pop(i, None)
+        if kept is None:
+            built = split.pair_net(i)
+            value = built.net.max_flow(built.s, built.t, limit=limit)
+        else:
+            built, value = kept
+            if value == pair.demand < limit:
+                value += built.net.max_flow(built.s, built.t, limit=1)
+        if value != pair.demand:
             return None
         nets.append(built)
     return nets
@@ -283,17 +355,18 @@ def _exact_flows(split: _SplitNetwork) -> Optional[List[_PairNet]]:
 
 def in_class(g: Network) -> bool:
     """True iff every pair's minimum vertex cut equals its demand exactly."""
-    return _exact_flows(_compile_network(g)) is not None
+    return _exact_flows(_split(g)) is not None
 
 
 class _DeletionQueries:
     """Answers "does ``g`` stay in class without edge e?" from warm max flows.
 
-    The network is compiled once (``split``), and each pair's net carries
-    the max flow of value ``demand`` left by ``_exact_flows`` (a network out
-    of class raises ``not-in-class``).  An edge arc carries at most one unit.
-    Deleting edges never raises a cut, so the network stays in class
-    without e exactly when every pair still reaches its demand avoiding e.
+    The network's split comes from the slot (``split``), and each pair's
+    net carries the max flow of value ``demand`` left by ``_exact_flows``
+    (a network out of class raises ``not-in-class``).  An edge arc carries
+    at most one unit.  Deleting edges never raises a cut, so the network
+    stays in class without e exactly when every pair still reaches its
+    demand avoiding e.
 
     ``deletable`` answers many read-only queries at once, with no search;
     ``stays_in_class`` answers one query by rerouting, and deletes the edge
@@ -304,7 +377,7 @@ class _DeletionQueries:
     """
 
     def __init__(self, g: Network):
-        self.split = _compile_network(g)
+        self.split = _split(g)
         nets = _exact_flows(self.split)
         if nets is None:
             raise InvariantError("not-in-class")

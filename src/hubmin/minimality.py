@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._flownet import strongly_connected_components
-from .cuts import _DeletionQueries, _SplitNetwork, _compile_network
+from .cuts import _DeletionQueries, _SplitNetwork, _split
 from .cuts import in_class  # noqa: F401  (still importable here; perfbench's tests look it up)
 from .graph_core import (
     InvariantError,
@@ -187,7 +187,7 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
     and an augmenting path closes into one of them (see ``_is_reroutable``):
     the components alone decide, with no source->sink search.
     """
-    return _is_reroutable(_compile_network(g), systems, pair_index)
+    return _is_reroutable(_split(g), systems, pair_index)
 
 
 def _is_reroutable(
@@ -284,8 +284,9 @@ def theorem1_agreement(g: Network, systems: Sequence[PathSystem]) -> Theorem1Rep
             "two-pairs-required",
             f"the three-way equivalence holds only for two pairs, got {len(g.pairs)}",
         )
-    # is_minimal and both is_reroutable checks share one compile of g; each
-    # takes nets with capacities of its own from it.
+    # is_minimal and both is_reroutable checks share the slot's compile of
+    # g.  The deletion queries take over the kept demand flows; each
+    # is_reroutable check loads the given system into a net of its own.
     queries = _DeletionQueries(g)
     minimal = _no_deletable_edge(queries)
     non_reroutable = not (

@@ -8,7 +8,7 @@ from typing import List, Tuple
 
 import pytest
 
-from hubmin import Network, PathSystem, parse_instance, random_network
+from hubmin import Network, PathSystem, cuts, parse_instance, random_network
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,6 +38,14 @@ def two_pair_corpus(
         )
         out.append((g, systems))
     return out
+
+
+@pytest.fixture(autouse=True)
+def empty_compile_slot():
+    """Start every test with no network in ``cuts``' compile slot, so that
+    counts of compiles, nets and flows do not depend on which test ran
+    before."""
+    cuts._slot.split = None
 
 
 @pytest.fixture(scope="session")

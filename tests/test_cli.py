@@ -100,8 +100,9 @@ def test_check_builds_deletion_queries_once(tmp_path, capsys, monkeypatch):
     assert len(builds) == 1
 
 
-def test_check_compiles_the_network_at_most_twice(tmp_path, capsys, monkeypatch):
-    # One compile gives the cut lines and the systems, one the T1 check.
+def test_check_compiles_the_network_once(tmp_path, capsys, monkeypatch):
+    # One compile gives the cut lines, the systems and the T1 check: the
+    # agreement report finds the network in cuts' compile slot.
     compiles = []
     compile_network = hubmin.cuts._compile_network
 
@@ -110,13 +111,12 @@ def test_check_compiles_the_network_at_most_twice(tmp_path, capsys, monkeypatch)
         return compile_network(g)
 
     monkeypatch.setattr(hubmin.cuts, "_compile_network", counting)
-    monkeypatch.setattr(minimality, "_compile_network", counting)
     path = tmp_path / "grid.json"
     path.write_text(serialize_network(grid_graph(3, 3)))
     assert main(["check", "-i", str(path)]) == 0
     out = capsys.readouterr().out
     assert "minimal: True" in out and "agree=True" in out
-    assert len(compiles) <= 2
+    assert len(compiles) == 1
 
 
 def test_minimalize_reports_out_of_class_input(tmp_path, capsys):

@@ -11,19 +11,25 @@ at the demand, and ``min_vertex_cut`` and the paths of
 ``vertex_disjoint_paths`` against networkx max-flow, the last two on
 vertex-split graphs far beyond the brute-force oracle's size guards; and
 ``FlowNet.max_flow``, which searches once per round, against Edmonds-Karp
-with one search per unit, flow for flow.
+with one search per unit, flow for flow; and every answer that ``cuts``'
+compile slot serves, in several call orders, against a fresh compile.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import threading
+import weakref
 
 import pytest
 
 from hubmin import (
     Edge,
+    InvariantError,
     Network,
     Pair,
+    PathSystem,
     delete_edges,
     grid_graph,
     in_class,
@@ -1042,3 +1048,232 @@ def test_library_flows_match_a_search_per_unit(monkeypatch):
             min_hub_subgraph(g)
     assert {"carrying", "zeroed", "fresh"} <= set(starts)
     assert starts.count("zeroed") >= 100
+
+
+# ---------------------------------------------------------------------------
+# cuts' compile slot: every answer served from the slot's compile and its
+# kept demand flows equals the answer from a fresh compile.
+# ---------------------------------------------------------------------------
+
+
+def _slot_corpus():
+    """Every lattice up to 8x8, the ``ones_graph`` family, 40 seeded
+    two-pair draws (demands 1..6, 0..6 extra edges) raw and minimalized,
+    and networks out of class."""
+    graphs = [grid_graph(c1, c2) for c1 in range(1, 9) for c2 in range(1, 9)]
+    graphs += [
+        ones_graph(c1, c2, n) for c1 in range(1, 4) for c2 in range(1, 4) for n in (1, 2, 3)
+    ]
+    rng = random.Random(2026)
+    for _ in range(40):
+        demands = [rng.randint(1, 6), rng.randint(1, 6)]
+        g, _ = random_network(rng, demands, reuse=rng.uniform(0.3, 0.8), extra=rng.randint(0, 6))
+        graphs += [g, minimalize(g)]
+    graphs += [delete_edges(grid_graph(2, 2), [0]), _cut_above_demand_instance()]
+    graphs += [delete_edges(grid_graph(4, 4), sorted(grid_graph(4, 4).edge_by_id)[::5])]
+    return graphs
+
+
+SLOT_CORPUS = _slot_corpus()
+
+
+def _answer(g: Network, result):
+    """``result`` with every path system in it serialized, for comparison."""
+    if isinstance(result, list):
+        return [_answer(g, item) for item in result]
+    if isinstance(result, tuple):
+        return tuple(_answer(g, item) for item in result)
+    if isinstance(result, PathSystem):
+        return serialize_network(g, [result])
+    return result
+
+
+def _call(g: Network, query):
+    """``query``'s answer on ``g``, or the error it raises."""
+    name, *args = query
+    try:
+        if name == "cut":
+            return min_vertex_cut(g, *args)
+        if name == "paths":
+            return _answer(g, vertex_disjoint_paths(g, *args))
+        if name == "minimal":
+            return is_minimal(g)
+        if name == "in_class":
+            return in_class(g)
+        if name == "full":
+            return _answer(g, cuts._full_systems(g))
+        if name == "cuts_and_systems":
+            return _answer(g, cuts._cuts_and_systems(g))
+        if name == "agreement":
+            systems = cuts._full_systems(g) if args[0] == "own" else args[0]
+            return theorem1_agreement(g, systems)
+        if name == "reroutable":
+            return is_reroutable(g, cuts._full_systems(g), args[0])
+        if name == "minimalize":
+            return serialize_network(minimalize(g))
+    except InvariantError as err:
+        return ("raises", str(err))
+    raise AssertionError(name)
+
+
+def _slot_orders(g: Network):
+    """Call orders on one network, each of which leaves the slot holding it
+    between calls."""
+    pairs = range(len(g.pairs))
+    demands = [p.demand for p in g.pairs]
+    orders = [
+        [("cut", i) for i in pairs] + [("paths", i, d) for i, d in enumerate(demands)],
+        [("paths", i, d) for i, d in enumerate(demands)] + [("cut", i) for i in pairs],
+        [("paths", 0, demands[0]), ("minimal",), ("paths", 0, demands[0]), ("minimal",)],
+        [("minimal",), ("minimal",), ("in_class",), ("full",)],
+        [("full",), ("in_class",), ("full",), ("cuts_and_systems",), ("full",)],
+        [("paths", i, k) for i, d in enumerate(demands) for k in (d - 1, d, d + 1, d) if k >= 1],
+        [("full",), ("minimalize",), ("paths", 0, demands[0]), ("cut", 0)]
+        + [("paths", 0, demands[0])],
+    ]
+    if len(g.pairs) == 2 and in_class(g):
+        systems = cuts._full_systems(g)
+        orders += [
+            [("cuts_and_systems",), ("agreement", systems), ("minimal",)],
+            [("paths", 0, demands[0]), ("paths", 1, demands[1]), ("agreement", "own")],
+            [("full",), ("reroutable", 0), ("reroutable", 1), ("agreement", "own"), ("cut", 1)],
+        ]
+    return orders
+
+
+def test_answers_through_the_slot_match_fresh_compiles():
+    orders = 0
+    kept = 0
+    for g in SLOT_CORPUS:
+        for order in _slot_orders(g):
+            # Each call alone, on a fresh compile of g.
+            fresh = []
+            for query in order:
+                cuts._slot.split = None
+                fresh.append(_call(g, query))
+            # The same calls in a row, each reading what the ones before
+            # left in the slot.
+            cuts._slot.split = None
+            for query, want in zip(order, fresh):
+                kept += bool(cuts._slot.split is not None and cuts._slot.split.demand_nets)
+                assert _call(g, query) == want, (serialize_network(g), order, query)
+                assert cuts._slot.split.g is g
+            orders += 1
+    assert any(not in_class(g) for g in SLOT_CORPUS)
+    assert orders > 1000 and kept > 1000
+
+
+def test_cuts_through_the_slot_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in SLOT_CORPUS[::3]:
+        systems = cuts._full_systems(g)
+        for i in range(len(g.pairs)):
+            # The cut takes over the demand flow that _full_systems kept.
+            assert cuts._slot.split.demand_nets.get(i) is not None
+            cut = min_vertex_cut(g, i)
+            assert cut.value == _nx_cut(nx, g, i), serialize_network(g)
+            assert _nx_separates(nx, g, i, cut.separator)
+            assert (systems[i] is None) == (cut.value < g.pairs[i].demand)
+
+
+def test_a_kept_demand_flow_needs_at_most_one_more_unit(monkeypatch):
+    # Pair 0 of the loose instance has no tight terminal: membership takes
+    # over the kept flow of value 1 and runs one more unit, which finds no
+    # path; pair 1's sink is tight, so its kept flow decides with no flow.
+    limits = []
+    max_flow = FlowNet.max_flow
+
+    def recording(net, s, t, limit=INF):
+        limits.append(limit)
+        return max_flow(net, s, t, limit)
+
+    monkeypatch.setattr(FlowNet, "max_flow", recording)
+    g = _loose_instance()
+    cuts._full_systems(g)
+    assert limits == [1, 1]
+    limits.clear()
+    assert in_class(g) and not cuts._slot.split.demand_nets
+    assert limits == [1]
+    # Nothing is kept now, so the next check runs both flows itself.
+    limits.clear()
+    assert in_class(g)
+    assert limits == [2, 1]
+
+
+def test_the_slot_keeps_only_the_network_queried_last():
+    a, _ = random_network(11, (3, 2), extra=4)
+    b, _ = random_network(12, (2, 3), extra=4)
+    vertex_disjoint_paths(a, 0, a.pairs[0].demand)
+    assert cuts._slot.split.g is a
+    ref = weakref.ref(a)
+    for i, pair in enumerate(b.pairs):
+        vertex_disjoint_paths(b, i, pair.demand)
+    del a
+    gc.collect()
+    assert ref() is None
+    # The last network, its compile and one net per pair.
+    assert cuts._slot.split.g is b and sorted(cuts._slot.split.demand_nets) == [0, 1]
+
+
+def test_paths_below_the_demand_come_from_a_flow_of_their_own():
+    # A kept demand flow cannot serve k < demand: its first k paths often
+    # differ from those of a flow stopped at k.
+    differ = 0
+    for g in SLOT_CORPUS:
+        for i, pair in enumerate(g.pairs):
+            for k in range(1, pair.demand):
+                split = cuts._compile_network(g)
+                own, kept = split.pair_net(i), split.pair_net(i)
+                if own.net.max_flow(own.s, own.t, limit=k) < k:
+                    continue
+                kept.net.max_flow(kept.s, kept.t, limit=pair.demand)
+                want = cuts._decompose(g, i, own, k)
+                vertex_disjoint_paths(g, i, pair.demand)
+                assert vertex_disjoint_paths(g, i, k) == want, serialize_network(g)
+                differ += cuts._decompose(g, i, kept, k) != want
+    assert differ > 50
+
+
+def test_threads_share_no_kept_flow(monkeypatch):
+    # A reader in one thread holds its kept demand flow while another
+    # thread runs a cut on the same network, which takes over what its own
+    # slot keeps and runs it on.  Pair 0's demand is one below its cut,
+    # and the first paths of the maximum flow differ from those of the
+    # demand flow, so a flow shared between the threads would change the
+    # reader's answer.
+    raw, _ = random_network(0, (3, 2), extra=3)
+    first = raw.pairs[0]
+    g = Network(
+        vertices=raw.vertices,
+        edges=raw.edges,
+        pairs=(Pair(first.source, first.sink, first.demand - 1), raw.pairs[1]),
+    )
+    demand = g.pairs[0].demand
+    want_paths = vertex_disjoint_paths(g, 0, demand)
+    want_cut = min_vertex_cut(g, 0)
+    assert want_cut.value > demand
+    shared = cuts._compile_network(g).pair_net(0)
+    shared.net.max_flow(shared.s, shared.t)
+    assert cuts._decompose(g, 0, shared, demand) != want_paths
+
+    holding, released = threading.Event(), threading.Event()
+    decompose = cuts._decompose
+
+    def waiting(*args):
+        if threading.current_thread() is reader:
+            holding.set()
+            released.wait(timeout=60)
+        return decompose(*args)
+
+    monkeypatch.setattr(cuts, "_decompose", waiting)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(vertex_disjoint_paths(g, 0, demand)))
+    reader.start()
+    try:
+        assert holding.wait(timeout=60)
+        cut = min_vertex_cut(g, 0)
+    finally:
+        released.set()
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [want_paths] and cut == want_cut

@@ -27,6 +27,7 @@ from hubmin import (
     vertex_disjoint_paths,
 )
 from hubmin import cuts, minimality
+from hubmin._flownet import INF, FlowNet
 
 from conftest import FIXTURES, two_pair_corpus
 
@@ -92,7 +93,6 @@ def _count_compiles(monkeypatch):
         return pair_net(self, i, *args, **kwargs)
 
     monkeypatch.setattr(cuts, "_compile_network", counting_compile)
-    monkeypatch.setattr(minimality, "_compile_network", counting_compile)
     monkeypatch.setattr(cuts._SplitNetwork, "pair_net", counting_pair_net)
     return compiles, pair_nets
 
@@ -100,14 +100,15 @@ def _count_compiles(monkeypatch):
 def test_membership_check_reuses_the_deletion_nets(monkeypatch):
     # One compile and one flow net per pair: the deletion queries' own max
     # flows decide membership, and an out-of-class network still reads
-    # "not-in-class".
+    # "not-in-class".  A second query of the same network reuses the
+    # compile in the slot and builds only its own nets.
     compiles, built = _count_compiles(monkeypatch)
     g, _ = random_network(5, (2, 2), extra=3)
-    for run in (is_minimal, minimalize):
+    for run, compiled in ((is_minimal, [g]), (minimalize, [])):
         compiles.clear()
         built.clear()
         run(g)
-        assert compiles == [g]
+        assert compiles == compiled
         assert built == [0, 1]
     compiles.clear()
     built.clear()
@@ -139,6 +140,36 @@ def test_agreement_compiles_the_network_once(monkeypatch):
         assert report.non_reroutable == (
             not (is_reroutable(g, systems, 0) or is_reroutable(g, systems, 1))
         )
+        # The separate calls find g's compile in the slot.
+        assert compiles == [g]
+
+
+def test_pipeline_step_compiles_the_minimal_network_once(monkeypatch):
+    # The pipeline's step after minimalize: both full systems, then the T1
+    # report on the same network.  One compile, and one net and one max
+    # flow per pair for the demand flows: the deletion queries take the
+    # kept flows over, and every terminal of a minimal network is tight, so
+    # no flow runs on.  Each is_reroutable check builds a net of its own.
+    compiles, built = _count_compiles(monkeypatch)
+    limits = []
+    max_flow = FlowNet.max_flow
+
+    def recording(net, s, t, limit=INF):
+        limits.append(limit)
+        return max_flow(net, s, t, limit)
+
+    monkeypatch.setattr(FlowNet, "max_flow", recording)
+    for g, _ in two_pair_corpus(seed=58, count=12, max_demand=5, extra=4):
+        m = minimalize(g)
+        compiles.clear()
+        built.clear()
+        limits.clear()
+        systems = [vertex_disjoint_paths(m, i, pair.demand) for i, pair in enumerate(m.pairs)]
+        report = theorem1_agreement(m, systems)
+        assert report.minimal and report.agree
+        assert compiles == [m]
+        assert built == [0, 1, 0, 1]
+        assert limits == [pair.demand for pair in m.pairs]
 
 
 # ---------------------------------------------------------------------------
