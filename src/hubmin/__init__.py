@@ -31,11 +31,9 @@ from .graph_core import (
     PathSystem,
     classify_edges,
     delete_edges,
-    export_dot,
     hub_count,
     make_path_system,
     parse_instance,
-    parse_network,
     path_vertices,
     serialize_network,
 )
@@ -50,7 +48,7 @@ from .minimality import (
     minimalize,
     theorem1_agreement,
 )
-from .oracle import OracleReport, check_bound, enumerate_path_systems, min_hub_subgraph
+from .oracle import OracleReport, enumerate_path_systems, min_hub_subgraph
 from .random_graphs import random_network
 from .representation import (
     AlternatingPath,
@@ -81,13 +79,11 @@ __all__ = [
     "Representation",
     "Theorem1Report",
     "VerifyReport",
-    "check_bound",
     "classify_edges",
     "decompose_private",
     "delete_edges",
     "deletable_private_edges",
     "enumerate_path_systems",
-    "export_dot",
     "find_consistent_cycle",
     "finiteness_bound",
     "grid_graph",
@@ -104,7 +100,6 @@ __all__ = [
     "ones_graph",
     "ones_instance",
     "parse_instance",
-    "parse_network",
     "path_vertices",
     "random_network",
     "remove_relays",

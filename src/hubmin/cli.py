@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import acceptance
-from .cuts import _cuts_and_systems, _full_systems
+from .cuts import _full_systems, min_vertex_cut
 from .extremal import (
     grid_instance,
     ones_instance,
@@ -37,7 +37,7 @@ from .interconnect import run_interconnect, verify_run
 from .minimality import is_minimal, minimalize, theorem1_agreement
 from .oracle import MAX_FREE_EDGES, min_hub_subgraph
 from .random_graphs import random_network
-from .representation import decompose_private, to_representation
+from .representation import S1S2, decompose_private, to_representation
 
 DEFAULT_SEED = 7
 
@@ -103,10 +103,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check(args) -> int:
     g, systems = _read_instance(args.input)
-    flows = _cuts_and_systems(g)
+    # Each cut runs on from the demand flow that the full systems leave in
+    # cuts' slot, so the network is compiled once and no cut starts from zero.
+    full = _full_systems(g)
     lines = []
     member = True
-    for i, (pair, (value, _)) in enumerate(zip(g.pairs, flows)):
+    for i, pair in enumerate(g.pairs):
+        value = min_vertex_cut(g, i).value
         mark = "==" if value == pair.demand else "!="
         if value != pair.demand:
             member = False
@@ -116,7 +119,7 @@ def _cmd_check(args) -> int:
     if member:
         if len(g.pairs) == 2:
             # The agreement report's deletion-minimality verdict is is_minimal's.
-            report = theorem1_agreement(g, systems or [system for _, system in flows])
+            report = theorem1_agreement(g, systems or full)
             lines.append(f"minimal: {report.minimal}")
             lines.append(
                 "two-pair characterizations: "
@@ -155,7 +158,7 @@ def _cmd_represent(args) -> int:
     # Decompose first: a representation that fails the check writes nothing.
     alt = decompose_private(rep)
     _write(args.output, serialize_network(rep.graph, list(rep.systems)))
-    delta = sum(1 for a in alt if a.kind == "S1S2")
+    delta = sum(1 for a in alt if a.kind == S1S2)
     print(f"hubs: {hub_count(rep.graph)}", file=sys.stderr)
     print(f"delta: {delta}", file=sys.stderr)
     for a in alt:

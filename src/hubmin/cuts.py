@@ -25,10 +25,11 @@ from the slot, so a pipeline that asks several questions of one network
 compiles it once.  For each pair the split also keeps the net that
 carries the flow stopped at the pair's demand, once a caller has run it
 (``_SplitNetwork.demand_flow``).  A caller that only decomposes that flow
-reads the kept net.  A caller that goes on to change the flow takes the
-net over: the split forgets it, so no net is shared with a caller that
-changes it and none is copied.  A caller that finds no kept net builds
-its own, so a network queried once does no extra work.  Reusing a kept
+reads the kept net and leaves it kept.  The two callers that go on to
+change the flow, ``min_vertex_cut`` and ``_exact_flows``, pop the net:
+the split forgets it, so no net is shared with a caller that changes it
+and none is copied.  A caller that finds no kept net builds its own, so
+a network queried once does no extra work.  Reusing a kept
 flow changes no answer: ``FlowNet.max_flow`` pushes Edmonds-Karp's paths
 unit for unit, each the first shortest residual path from the flow
 before it, so a flow stopped at the demand and then continued is the
@@ -136,21 +137,16 @@ class _SplitNetwork:
             arcs_of_edge=self.arcs_of_edge,
         )
 
-    def demand_flow(self, pair_index: int, take: bool = False) -> Tuple[_PairNet, int]:
+    def demand_flow(self, pair_index: int) -> Tuple[_PairNet, int]:
         """The pair's net carrying the flow stopped at its demand, and the
-        flow's value: the kept net, or a new one run to the demand.
-
-        The net stays kept for later callers, which must not change its
-        flow.  With ``take`` the caller takes it over and the split forgets
-        it (module docstring).
-        """
-        kept = self.demand_nets.pop(pair_index, None)
+        flow's value: the kept net, or a new one run to the demand and kept.
+        The caller must not change its flow (module docstring)."""
+        kept = self.demand_nets.get(pair_index)
         if kept is None:
             built = self.pair_net(pair_index)
             demand = self.g.pairs[pair_index].demand
-            kept = (built, built.net.max_flow(built.s, built.t, limit=demand))
-        if not take:
-            self.demand_nets[pair_index] = kept
+            value = built.net.max_flow(built.s, built.t, limit=demand)
+            kept = self.demand_nets[pair_index] = (built, value)
         return kept
 
 
@@ -286,37 +282,11 @@ def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSyst
     return make_path_system(g, pair_index, paths)
 
 
-def _demand_flows(g: Network, take: bool) -> List[Tuple[_PairNet, int, Optional[PathSystem]]]:
-    """Every pair's net from the slot's split of ``g``, carrying the flow
-    stopped at the pair's demand, with the flow's value and, when that is
-    the demand, the system it decomposes into (else None).  ``take`` as in
-    ``_SplitNetwork.demand_flow``."""
-    split = _split(g)
-    out = []
-    for i, pair in enumerate(g.pairs):
-        built, value = split.demand_flow(i, take)
-        system = _decompose(g, i, built, value) if value == pair.demand else None
-        out.append((built, value, system))
-    return out
-
-
 def _full_systems(g: Network) -> List[Optional[PathSystem]]:
     """Every pair's full system, ``vertex_disjoint_paths(g, i, demand)``, or
     None when the cut is below the demand, from the pairs' kept demand
     flows.  Raises nothing of its own; callers word their own errors."""
-    return [system for _, _, system in _demand_flows(g, take=False)]
-
-
-def _cuts_and_systems(g: Network) -> List[Tuple[int, Optional[PathSystem]]]:
-    """Every pair's cut value and full system (see ``_full_systems``): past
-    the demand, the flow runs on to the cut value, along the augmentations
-    of one maximum flow, in the net taken over from the split."""
-    out = []
-    for built, value, system in _demand_flows(g, take=True):
-        if system is not None:
-            value += built.net.max_flow(built.s, built.t)
-        out.append((value, system))
-    return out
+    return [vertex_disjoint_paths(g, i, pair.demand) for i, pair in enumerate(g.pairs)]
 
 
 def _tight_terminals(g: Network, pair: Pair) -> List[int]:
@@ -361,9 +331,9 @@ def in_class(g: Network) -> bool:
 class _DeletionQueries:
     """Answers "does ``g`` stay in class without edge e?" from warm max flows.
 
-    The network's split comes from the slot (``split``), and each pair's
-    net carries the max flow of value ``demand`` left by ``_exact_flows``
-    (a network out of class raises ``not-in-class``).  An edge arc carries
+    The network's split comes from the slot, and each pair's net carries
+    the max flow of value ``demand`` left by ``_exact_flows`` (a network
+    out of class raises ``not-in-class``).  An edge arc carries
     at most one unit.  Deleting edges never raises a cut, so the network
     stays in class without e exactly when every pair still reaches its
     demand avoiding e.
@@ -377,8 +347,8 @@ class _DeletionQueries:
     """
 
     def __init__(self, g: Network):
-        self.split = _split(g)
-        nets = _exact_flows(self.split)
+        self.g = g
+        nets = _exact_flows(_split(g))
         if nets is None:
             raise InvariantError("not-in-class")
         self._nets: List[_PairNet] = nets
@@ -490,7 +460,7 @@ class _DeletionQueries:
         if not carrying:
             return True
         if len(carrying) == 2:
-            edge = self.split.g.edge_by_id[eid]
+            edge = self.g.edge_by_id[eid]
             for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):
                 net.push(arc ^ 1)
             return True

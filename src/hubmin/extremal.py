@@ -215,25 +215,27 @@ def _bound(demands: Tuple[int, ...]) -> int:
     return n1 + n2 + (k - 1) * n1 * (demands[-1] + n2)
 
 
+def _check_demands(demands: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``demands`` is non-empty and positive."""
+    if not demands:
+        raise ValueError("demands must be non-empty")
+    if any(d < 1 for d in demands):
+        raise ValueError("demands must be positive")
+
+
 def finiteness_bound(demands: Sequence[int]) -> int:
     """An explicit upper bound on the maximum hub count for these demands.
 
     Exact for one and two pairs; for more pairs it grows by peeling off the
     last demand and re-bounding every (k-1)-subset that keeps it.
     """
-    if not demands:
-        raise ValueError("demands must be non-empty")
-    if any(d < 1 for d in demands):
-        raise ValueError("demands must be positive")
+    _check_demands(demands)
     return _bound(tuple(demands))
 
 
 def signature_bound(demands: Sequence[int]) -> int:
     """The sharpest known hub-count bound for this demand multiset."""
-    if not demands:
-        raise ValueError("demands must be non-empty")
-    if any(d < 1 for d in demands):
-        raise ValueError("demands must be positive")
+    _check_demands(demands)
     if len(demands) == 1:
         return 0
     if len(demands) == 2:

@@ -397,11 +397,6 @@ def parse_instance(text: str) -> Tuple[Network, Optional[List[PathSystem]]]:
     return g, systems
 
 
-def parse_network(text: str) -> Network:
-    """Parse a network from JSON text (systems, if present, are validated)."""
-    return parse_instance(text)[0]
-
-
 def _json_list(items: List[str], pad: str) -> str:
     """A JSON list of already-written items whose opening bracket sits at
     indent ``pad``, laid out as ``json.dumps(..., indent=2)`` lays it out."""
@@ -455,28 +450,3 @@ def serialize_network(g: Network, systems: Optional[Sequence[PathSystem]] = None
         "\n}\n",
     )
     return "".join(parts)
-
-
-def export_dot(g: Network, systems: Optional[Sequence[PathSystem]] = None) -> str:
-    """GraphViz text; with systems, public edges bold, phi solid, psi dashed."""
-    tags = classify_edges(g, systems) if systems is not None else None
-    styles = {
-        PUBLIC: "style=bold",
-        PHI: "style=solid",
-        PSI: "style=dashed",
-        UNUSED: "style=dotted, color=gray",
-    }
-    lines = ["digraph network {"]
-    terminals = g.terminal_set
-    for v in sorted(g.vertices):
-        shape = "box" if v in terminals else "circle"
-        lines.append(f'  {v} [shape={shape}];')
-    for e in sorted(g.edges, key=lambda e: e.id):
-        attrs = [f'label="{e.id}"']
-        if not e.directed:
-            attrs.append("dir=none")
-        if tags is not None:
-            attrs.append(styles[tags[e.id]])
-        lines.append(f'  {e.u} -> {e.v} [{", ".join(attrs)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

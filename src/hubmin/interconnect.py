@@ -19,7 +19,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .graph_core import InvariantError, Path, hub_count, path_vertices
 from .representation import (
     R2R1,
-    R2S2,
     S1R1,
     S1S2,
     Representation,

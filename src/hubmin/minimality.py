@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._flownet import strongly_connected_components
-from .cuts import _DeletionQueries, _SplitNetwork, _split
+from .cuts import _DeletionQueries, _split
 from .cuts import in_class  # noqa: F401  (still importable here; perfbench's tests look it up)
 from .graph_core import (
     InvariantError,
@@ -178,22 +178,14 @@ def find_consistent_cycle(
 def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) -> bool:
     """True iff a different set of demand-many vertex-disjoint paths exists.
 
-    The given system is loaded as a flow on the pair's vertex-split net.  A
-    different system exists exactly when the residual graph has an
-    augmenting source->sink path or a directed cycle through at least one
-    cancellation arc; a cancellation arc lies on a cycle iff its endpoints
-    share a strongly connected component.  Each edge arc carries at most
-    one unit in any flow, so the flow's unit residual view has those cycles,
-    and an augmenting path closes into one of them (see ``_is_reroutable``):
-    the components alone decide, with no source->sink search.
-    """
-    return _is_reroutable(_split(g), systems, pair_index)
-
-
-def _is_reroutable(
-    split: _SplitNetwork, systems: Sequence[PathSystem], pair_index: int
-) -> bool:
-    """``is_reroutable`` on a compiled network, in a net of its own.
+    The given system is loaded as a flow on the pair's vertex-split net, a
+    net of its own from the slot's compile of ``g``.  A different system
+    exists exactly when the residual graph has an augmenting source->sink
+    path or a directed cycle through at least one cancellation arc; a
+    cancellation arc lies on a cycle iff its endpoints share a strongly
+    connected component.  Each edge arc carries at most one unit in any
+    flow, so the flow's unit residual view has those cycles, and the
+    components alone decide, with no source->sink search.
 
     Only the system's edge arcs are tested for a shared component; its used
     vertices' arcs are pushed to load the flow, but their tests never
@@ -211,10 +203,9 @@ def _is_reroutable(
     every edge arc of that path has both ends in one component, and the
     test below answers yes.
     """
-    g = split.g
     system = systems[pair_index]
     pair = g.pairs[pair_index]
-    built = split.pair_net(pair_index)
+    built = _split(g).pair_net(pair_index)
     net = built.net
 
     # The edge arcs that carry the system's flow, then the vertex arcs of
@@ -235,12 +226,7 @@ def _is_reroutable(
 
 def is_minimal(g: Network) -> bool:
     """True iff no single edge can be deleted without leaving the class."""
-    return _no_deletable_edge(_DeletionQueries(g))
-
-
-def _no_deletable_edge(queries: _DeletionQueries) -> bool:
-    """Whether every edge of the queried network is needed."""
-    return not queries.deletable(queries.split.g.edge_by_id)
+    return not _DeletionQueries(g).deletable(g.edge_by_id)
 
 
 def minimalize(g: Network, seed: Optional[int] = None) -> Network:
@@ -287,12 +273,8 @@ def theorem1_agreement(g: Network, systems: Sequence[PathSystem]) -> Theorem1Rep
     # is_minimal and both is_reroutable checks share the slot's compile of
     # g.  The deletion queries take over the kept demand flows; each
     # is_reroutable check loads the given system into a net of its own.
-    queries = _DeletionQueries(g)
-    minimal = _no_deletable_edge(queries)
-    non_reroutable = not (
-        _is_reroutable(queries.split, systems, 0)
-        or _is_reroutable(queries.split, systems, 1)
-    )
+    minimal = is_minimal(g)
+    non_reroutable = not (is_reroutable(g, systems, 0) or is_reroutable(g, systems, 1))
     no_cycle = (
         find_consistent_cycle(g, systems, 0) is None
         and find_consistent_cycle(g, systems, 1) is None

@@ -33,7 +33,6 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cuts import _compile_network, in_class, min_vertex_cut
-from .extremal import signature_bound
 from .graph_core import (
     InvariantError,
     Network,
@@ -359,10 +358,3 @@ def min_hub_subgraph(g: Network, max_free: int = MAX_FREE_EDGES) -> OracleReport
         num_minimal_subgraphs=len(search.maximal_exact_sets()),
         elapsed=time.perf_counter() - start,
     )
-
-
-def check_bound(g: Network) -> bool:
-    """Does the exhaustive minimum, searched within ``MAX_FREE_EDGES`` free
-    edges, respect the demand-signature bound?"""
-    report = min_hub_subgraph(g)
-    return report.min_hubs <= signature_bound([p.demand for p in g.pairs])

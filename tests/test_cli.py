@@ -21,6 +21,7 @@ from hubmin import (
     parse_instance,
     serialize_network,
 )
+from hubmin._flownet import INF, FlowNet
 from hubmin.cli import main
 
 from conftest import DEEP_NESTING, FIXTURES, LONG_INTEGER
@@ -102,21 +103,31 @@ def test_check_builds_deletion_queries_once(tmp_path, capsys, monkeypatch):
 
 def test_check_compiles_the_network_once(tmp_path, capsys, monkeypatch):
     # One compile gives the cut lines, the systems and the T1 check: the
-    # agreement report finds the network in cuts' compile slot.
-    compiles = []
+    # agreement report finds the network in cuts' compile slot.  Each cut
+    # runs on from the demand flow that the full systems kept (limit INF,
+    # no second flow to the demand); membership, which finds no kept flow
+    # left, runs its own to the tight terminals' demand.
+    compiles, limits = [], []
     compile_network = hubmin.cuts._compile_network
+    max_flow = FlowNet.max_flow
 
     def counting(g):
         compiles.append(g)
         return compile_network(g)
 
+    def recording(net, s, t, limit=INF):
+        limits.append(limit)
+        return max_flow(net, s, t, limit)
+
     monkeypatch.setattr(hubmin.cuts, "_compile_network", counting)
+    monkeypatch.setattr(FlowNet, "max_flow", recording)
     path = tmp_path / "grid.json"
     path.write_text(serialize_network(grid_graph(3, 3)))
     assert main(["check", "-i", str(path)]) == 0
     out = capsys.readouterr().out
     assert "minimal: True" in out and "agree=True" in out
     assert len(compiles) == 1
+    assert limits == [3, 3, INF, INF, 3, 3]
 
 
 def test_minimalize_reports_out_of_class_input(tmp_path, capsys):

@@ -595,7 +595,7 @@ def test_is_reroutable_above_the_demand_matches_enumeration(monkeypatch):
     fixture, _ = parse_instance((FIXTURES / "oracle_cut_above_demand.json").read_text())
     graphs = [fixture, _cut_above_demand_instance()]
     graphs += [delete_edges(g, [eid]) for g in list(graphs) for eid in sorted(g.edge_by_id)]
-    cases = [(g, cuts._cuts_and_systems(g)) for g in graphs]
+    cases = [(g, _cuts_and_systems(g)) for g in graphs]
     searches = []
     bfs_parent = FlowNet._bfs_parent
 
@@ -639,15 +639,27 @@ def test_labels_match_networkx_components():
             assert {frozenset(c) for c in got.values()} == want
 
 
+def _cuts_and_systems(g: Network):
+    """Every pair's cut value and full system, read as ``hubmin check``
+    reads them: the full systems, then each cut run on from the demand
+    flow that they keep."""
+    systems = cuts._full_systems(g)
+    return [(min_vertex_cut(g, i).value, system) for i, system in enumerate(systems)]
+
+
 def test_cuts_and_systems_match_the_single_pair_calls():
     graphs = CORPUS + [_cycle_instance(), ones_graph(3, 3, 2)]
     graphs += [delete_edges(grid_graph(4, 4), sorted(grid_graph(4, 4).edge_by_id)[::5])]
     for g in graphs:
-        systems = cuts._full_systems(g)
-        for i, (value, system) in enumerate(cuts._cuts_and_systems(g)):
-            assert value == min_vertex_cut(g, i).value
-            assert system == vertex_disjoint_paths(g, i, g.pairs[i].demand)
-            assert systems[i] == system
+        # A cut before the paths reads no kept flow, and the paths keep
+        # theirs only after it.
+        cuts._slot.split = None
+        want = [
+            (min_vertex_cut(g, i).value, vertex_disjoint_paths(g, i, pair.demand))
+            for i, pair in enumerate(g.pairs)
+        ]
+        cuts._slot.split = None
+        assert _cuts_and_systems(g) == want
 
 
 def test_in_class_compiles_once(monkeypatch):
@@ -1030,7 +1042,7 @@ def test_max_flow_matches_a_search_per_unit_on_the_corpora():
 def test_library_flows_match_a_search_per_unit(monkeypatch):
     # Every max flow the library runs, from the flow its net carries: the
     # oracle's, whose deleted arcs are zeroed, and the continuation of each
-    # flow past its demand in _cuts_and_systems.
+    # kept demand flow in min_vertex_cut.
     max_flow = FlowNet.max_flow
     starts = []
 
@@ -1042,7 +1054,7 @@ def test_library_flows_match_a_search_per_unit(monkeypatch):
     monkeypatch.setattr(FlowNet, "max_flow", refereed)
     direct = _parallel_direct_instance()
     for g in _pipeline_corpus()[::4] + CORPUS + [direct]:
-        cuts._cuts_and_systems(g)
+        _cuts_and_systems(g)
     for g in _oracle_corpus(60):
         if len(g.edges) <= 16:
             min_hub_subgraph(g)
@@ -1103,7 +1115,7 @@ def _call(g: Network, query):
         if name == "full":
             return _answer(g, cuts._full_systems(g))
         if name == "cuts_and_systems":
-            return _answer(g, cuts._cuts_and_systems(g))
+            return _answer(g, _cuts_and_systems(g))
         if name == "agreement":
             systems = cuts._full_systems(g) if args[0] == "own" else args[0]
             return theorem1_agreement(g, systems)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hubmin
 from hubmin import (
     Edge,
     InvariantError,
@@ -20,7 +21,6 @@ from hubmin import (
     PathSystem,
     classify_edges,
     delete_edges,
-    export_dot,
     grid_graph,
     grid_instance,
     hub_count,
@@ -28,7 +28,6 @@ from hubmin import (
     minimalize,
     ones_instance,
     parse_instance,
-    parse_network,
     path_vertices,
     random_network,
     reroutable_witness,
@@ -618,20 +617,14 @@ def test_parse_reports_network_invariants_as_parse_errors(example_text):
     assert err.value.__cause__.code == "duplicate-vertex"
 
 
-def test_parse_network_ignores_but_validates_systems(example_text):
-    g = parse_network(example_text)
-    assert len(g.edges) == 16 and len(g.vertices) == 12
-
-
-def test_export_dot_marks_tags_and_directions(example_instance):
-    g, systems = example_instance
-    dot = export_dot(g, systems)
-    assert dot.startswith("digraph network {")
-    assert "style=bold" in dot and "style=dashed" in dot
-    assert "dir=none" in dot
-    assert "shape=box" in dot and "shape=circle" in dot
-    plain = export_dot(g)
-    assert "style=bold" not in plain
+def test_public_surface_resolves_and_drops_the_removed_helpers():
+    # Every exported name resolves, once; the helpers that nothing in the
+    # library read are gone from the package.
+    assert len(hubmin.__all__) == len(set(hubmin.__all__))
+    for name in hubmin.__all__:
+        assert hasattr(hubmin, name), name
+    for name in ("export_dot", "parse_network", "check_bound"):
+        assert not hasattr(hubmin, name), name
 
 
 @settings(max_examples=60, deadline=None)
