@@ -82,22 +82,20 @@ def _ints(minimum: int, what: str, many: bool = False):
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "grid":
-        spec = grid_instance(args.c1, args.c2)
-        text = serialize_network(spec.network, list(spec.systems))
-    elif args.family == "ones":
-        spec = ones_instance(args.c1, args.c2, args.n)
-        text = serialize_network(spec.network, list(spec.systems))
-    elif args.family == "witness222":
-        spec = witness_222_instance()
-        text = serialize_network(spec.network, list(spec.systems))
+    specs = {
+        "grid": lambda: grid_instance(args.c1, args.c2),
+        "ones": lambda: ones_instance(args.c1, args.c2, args.n),
+        "witness222": witness_222_instance,
+    }
+    if args.family in specs:
+        spec = specs[args.family]()
+        g, systems = spec.network, list(spec.systems)
     elif args.family == "reroutable":
         g = reroutable_witness()
-        text = serialize_network(g, _full_systems(g))
+        systems = _full_systems(g)
     else:  # random
         g, systems = random_network(args.seed, args.demands, extra=args.extra)
-        text = serialize_network(g, systems)
-    _write(args.output, text)
+    _write(args.output, serialize_network(g, systems))
     return 0
 
 

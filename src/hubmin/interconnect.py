@@ -122,11 +122,9 @@ class _State:
         self.steps_taken = 0
         # Start candidates in the order ``pick_start`` offers them.
         self.starts = sorted(v for a in self.alt if a.kind == S1S2 for v in a.lower)
-        # The stored paths as ``check_disjoint`` last passed them: id -> (the
-        # path, its vertices), and each of their vertices -> the path's id.
-        # Holding the path keeps its id from being reused.
-        self._checked: Dict[int, Tuple[List[Step], List[int]]] = {}
-        self._owner: Dict[int, int] = {}
+        # Each vertex of a stored path -> that path; the stored paths change
+        # only through ``store`` and ``remove``.
+        self.owner: Dict[int, List[Step]] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -169,58 +167,30 @@ class _State:
             )
         return self.alt[index].steps[max(i, j)]
 
-    def path_with_edge(self, eid: int) -> int:
-        for i, p in enumerate(self.paths):
-            if any(e == eid for e, _ in p):
-                return i
-        raise InvariantError("algorithm-stuck", f"edge {eid} on no interconnecting path")
+    def path_with_edge(self, eid: int) -> List[Step]:
+        p = self.owner.get(self.ends[eid][0])
+        if p is None or all(e != eid for e, _ in p):
+            raise InvariantError("algorithm-stuck", f"edge {eid} on no interconnecting path")
+        return p
 
-    def path_with_tail(self, v: int) -> int:
-        for i, p in enumerate(self.paths):
-            if self.ends[p[0][0]][0] == v:
-                return i
-        raise InvariantError("algorithm-stuck", f"no interconnecting path starts at {v}")
-
-    def check_disjoint(self, extra: Optional[List[Step]] = None) -> None:
-        """All stored paths (plus the current one) are simple and disjoint.
-
-        Raises what a scan of the paths in order, ``extra`` last, raises at
-        the first path that is not simple or meets an earlier one.  Paths
-        that passed the last call are known to be simple and disjoint, so
-        only the paths stored since are walked, and they are checked against
-        the owners of the vertices they reach.  A shared edge puts both its
-        ends on both paths, so disjoint vertices are disjoint edges too.
-        ``extra`` is checked and not recorded.
-        """
-        first: Dict[int, int] = {}  # id -> the first position of that path
-        for i, p in enumerate(self.paths):
-            first.setdefault(id(p), i)
-        for key in [k for k in self._checked if k not in first]:
-            for v in self._checked.pop(key)[1]:
-                del self._owner[v]
-        groups = self.paths if extra is None else self.paths + [extra]
-        fresh: Dict[int, int] = {}  # vertex -> position of the new path on it
-        walked: List[Tuple[List[Step], List[int]]] = []
-        clash = len(groups)  # the first position that meets an earlier path
-        for i, p in enumerate(groups):
-            if i >= clash:
-                break
-            if id(p) in self._checked and first[id(p)] == i:
-                continue
-            verts = path_vertices(self.g, Path(steps=tuple(p)))
-            if not (fresh.keys().isdisjoint(verts) and self._owner.keys().isdisjoint(verts)):
-                met = [fresh[v] for v in verts if v in fresh]
-                met += [first[self._owner[v]] for v in verts if v in self._owner]
-                clash = min(clash, max(i, min(met)))
-            fresh.update(dict.fromkeys(verts, i))
-            walked.append((p, verts))
-        if clash < len(groups):
+    def check(self, p: List[Step]) -> List[int]:
+        """The vertices of a simple natural-order path that meets no stored
+        path.  A shared edge puts both its ends on both paths, so disjoint
+        vertices are disjoint edges too."""
+        verts = path_vertices(self.g, Path(steps=tuple(p)))
+        if not self.owner.keys().isdisjoint(verts):
             raise InvariantError("algorithm-stuck", "interconnecting paths share a vertex")
-        if extra is not None:
-            walked.pop()
-        for p, verts in walked:
-            self._checked[id(p)] = (p, verts)
-            self._owner.update(dict.fromkeys(verts, id(p)))
+        return verts
+
+    def store(self, p: List[Step]) -> None:
+        self.owner.update(dict.fromkeys(self.check(p), p))
+        self.paths.append(p)
+
+    def remove(self, p: List[Step]) -> None:
+        # Stored paths are disjoint, so the only stored path equal to p is p.
+        self.paths.remove(p)
+        for v in path_vertices(self.g, Path(steps=tuple(p))):
+            del self.owner[v]
 
     def pick_start(self) -> Optional[int]:
         candidates = [v for v in self.starts if v not in self.occupied]
@@ -288,11 +258,11 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
                 involved = [
                     st.path_with_edge(st.edge_between(index, a[i], b[i])) for i in range(d)
                 ]
-                if len(set(involved)) != d:
+                if any(p is q for i, p in enumerate(involved) for q in involved[i + 1 :]):
                     raise InvariantError("algorithm-stuck", "switch edges share a path")
-                olds = [ph.turn(st.paths[i]) for i in involved]
-                for i in sorted(involved, reverse=True):
-                    del st.paths[i]
+                for p in involved:
+                    st.remove(p)
+                olds = [ph.turn(p) for p in involved]
                 rebuilt = [
                     st.upto(olds[i + 1], a[i + 1], end)
                     + [natural(st.edge_between(index, a[i + 1], b[i]))]
@@ -304,11 +274,12 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
                     + [natural(st.edge_between(index, at, b[-1]))]
                     + st.onward(olds[-1], b[-1], end)
                 )
-                st.paths.extend(ph.turn(p) for p in rebuilt)
                 path = st.upto(olds[0], a[0], end) + [
                     natural(st.edge_between(index, a[0], b0))
                 ]
-                st.check_disjoint(extra=ph.turn(path))
+                for p in rebuilt:
+                    st.store(ph.turn(p))
+                st.check(ph.turn(path))
         else:
             # One rule for both phases: the four kinds split into S1 and R2 paths.
             e = st.private_at[at][st.take[index]]
@@ -345,15 +316,18 @@ def run_interconnect(rep: Representation, seed: Optional[int] = None) -> Interco
         st.trace.append({"step": "start", "iteration": iteration, "v": v, "u": u})
         path = _walk(st, _FORWARD, [st.natural(f)], u, iteration)
 
-        # Store the finished path, pull back the one that starts at v and
-        # extend it at its tail.
-        st.paths.append(path)
-        path = st.paths.pop(st.path_with_tail(v))
+        # Pull back the path that starts at v and extend it at its tail.  A
+        # switch may have stored it in place of the forward path, which is
+        # then stored instead.
+        pulled = st.owner.get(v)
+        if pulled is not None:
+            st.remove(pulled)
+            st.store(path)
+            path = pulled
         st.trace.append({"step": "pullback", "iteration": iteration, "w": v})
         path = _BACKWARD.turn(_walk(st, _BACKWARD, _BACKWARD.turn(path), v, iteration))
 
-        st.paths.append(path)
-        st.check_disjoint()
+        st.store(path)
         st.trace.append(
             {"step": "stored", "iteration": iteration, "count": len(st.paths)}
         )

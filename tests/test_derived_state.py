@@ -3,8 +3,9 @@
 A frozen digest pins every output of the rewrite steps, the decomposition
 and the interconnecting-path runs on a seeded corpus, so rewriting how the
 layer computes them cannot change what it computes.  The other tests check
-the copies ``decompose_private`` hands out and that the interconnect's
-incremental disjointness check raises what a scan of every path raises.
+the copies ``decompose_private`` hands out and the interconnect's owner
+map: each path is checked as it is stored, and storing raises what a scan
+of the stored paths raises.
 """
 
 from __future__ import annotations
@@ -166,78 +167,91 @@ def test_failed_decomposition_raises_on_every_call(example_instance):
         assert err.value.code == "decomposition-violation"
 
 
-def test_check_disjoint_rejects_overlapping_paths(example_instance):
+def _stored(rep, paths):
+    """A fresh walk state with ``paths`` stored in order."""
+    st = _State(rep, None)
+    for p in paths:
+        st.store(list(p))
+    return st
+
+
+def _assert_owned(st):
+    """``owner`` maps exactly the stored paths' vertices, each to the very
+    list that holds it."""
+    want = {v: p for p in st.paths for v in path_vertices(st.g, Path(steps=tuple(p)))}
+    assert st.owner.keys() == want.keys()
+    assert all(st.owner[v] is p for v, p in want.items())
+
+
+def test_storing_rejects_a_path_that_overlaps_a_stored_one(example_instance):
     rep = _example_rep(example_instance)
     run = run_interconnect(rep)
-    st = _State(rep, None)
-    st.paths = [list(p.steps) for p in run.paths]
-    st.check_disjoint()
+    st = _stored(rep, [p.steps for p in run.paths])
+    stored = list(st.paths)
     first = list(run.paths[0].steps)
-    # The same path twice, then a shorter path through the same vertices.
-    for extra in (first, first[:1]):
-        with pytest.raises(InvariantError) as err:
-            st.check_disjoint(extra=extra)
-        assert err.value.code == "algorithm-stuck"
-    # A path seen before is still checked against the others.
-    st.paths.append(first)
-    with pytest.raises(InvariantError):
-        st.check_disjoint()
+    # The same path again, then a shorter path through the same vertices;
+    # checked or stored, each raises and leaves the state as it was.
+    for p in (first, first[:1]):
+        for act in (st.check, st.store):
+            with pytest.raises(InvariantError) as err:
+                act(list(p))
+            assert str(err.value) == "algorithm-stuck: interconnecting paths share a vertex"
+            assert st.paths == stored
+            _assert_owned(st)
 
 
-def test_check_disjoint_rejects_paths_that_share_only_a_vertex(example_instance):
+def test_storing_rejects_a_path_that_shares_only_a_vertex(example_instance):
     rep = _example_rep(example_instance)
     g = rep.graph
     path = list(run_interconnect(rep).paths[0].steps)
     on_path = {eid for eid, _ in path}
     hub = g.edge_by_id[path[0][0]].ends(path[0][1])[1]  # the first step's head
     eid = next(e for e in g.incident[hub] if e not in on_path)
-    st = _State(rep, None)
-    st.paths = [path]
+    st = _stored(rep, [path])
     with pytest.raises(InvariantError) as err:
-        st.check_disjoint(extra=[(eid, hub_table(rep).direction[eid])])
+        st.store([(eid, hub_table(rep).direction[eid])])
     assert str(err.value) == "algorithm-stuck: interconnecting paths share a vertex"
 
 
-def test_check_disjoint_still_validates_new_paths(example_instance):
+def test_storing_validates_the_path(example_instance):
     rep = _example_rep(example_instance)
-    st = _State(rep, None)
-    with pytest.raises(InvariantError) as err:
-        st.check_disjoint(extra=[(0, True), (0, True)])
-    assert err.value.code == "broken-path"
+    first = list(run_interconnect(rep).paths[0].steps)
+    eid, forward = first[-1]
+    cases = {
+        "broken-path": [(0, True), (0, True)],
+        "path-revisits-vertex": first + [(eid, not forward)],
+        "empty-path": [],
+    }
+    for code, p in cases.items():
+        st = _State(rep, None)
+        for act in (st.check, st.store):
+            with pytest.raises(InvariantError) as err:
+                act(p)
+            assert err.value.code == code
+        assert st.paths == [] and st.owner == {}
 
 
-def _scan_outcome(g, paths, extra):
-    """What a check of every path in order, ``extra`` last, raises, if anything."""
-    seen_v: set = set()
-    seen_e: set = set()
+def _scan_outcome(g, paths):
+    """What a check of every path in order raises at the first path that is
+    not simple or meets an earlier one, if anything."""
+    seen: set = set()
     try:
-        for p in paths + ([extra] if extra is not None else []):
+        for p in paths:
             verts = set(path_vertices(g, Path(steps=tuple(p))))
-            if not seen_v.isdisjoint(verts):
+            if not seen.isdisjoint(verts):
                 raise InvariantError("algorithm-stuck", "interconnecting paths share a vertex")
-            eids = {e for e, _ in p}
-            if not seen_e.isdisjoint(eids):
-                raise InvariantError("algorithm-stuck", "interconnecting paths share an edge")
-            seen_v |= verts
-            seen_e |= eids
+            seen |= verts
     except InvariantError as err:
         return str(err)
     return None
 
 
-def _check_outcome(st, extra):
-    try:
-        st.check_disjoint(extra=extra)
-    except InvariantError as err:
-        return str(err)
-    return None
-
-
-def test_check_disjoint_matches_a_full_scan():
-    # Random edits of the stored paths, as a run and a faulty run could make
-    # them, each followed by a check and, after most failed checks, undone;
-    # the incremental check raises what a scan of every path raises, at every
-    # call, failed calls included.
+def test_store_remove_and_check_match_a_scan():
+    # Random stores, removals and checks of pieces of the paths of 4x4
+    # lattice runs: storing or checking a path raises what a scan of the
+    # stored paths in order, that path last, raises; the stored paths keep
+    # the order of the stores and removals that passed, and ``owner`` maps
+    # their vertices.
     spec = grid_instance(4, 4)
     rep = to_representation(spec.network, spec.systems)
     runs = [[list(p.steps) for p in run_interconnect(rep, seed=s).paths] for s in range(4)]
@@ -259,84 +273,88 @@ def test_check_disjoint_matches_a_full_scan():
 
     rng = random.Random(12)
     outcomes: Counter = Counter()
+    removals = 0
     for _ in range(60):
-        st = _State(rep, None)
-        st.paths = [list(p) for p in rng.choice(runs)]
-        walking = None
+        st = _stored(rep, rng.choice(runs))
+        model = list(st.paths)
         for _ in range(12):
-            before = list(st.paths)
-            op = rng.randrange(6)
-            if op == 0 and st.paths:  # rebuild a stored path from a piece of itself
-                i = rng.randrange(len(st.paths))
-                st.paths[i] = piece(rng, st.paths[i])
-            elif op == 1 and st.paths:  # ... or of any path of any run
-                st.paths[rng.randrange(len(st.paths))] = piece(rng, rng.choice(pool))
-            elif op == 2 and st.paths:
-                del st.paths[rng.randrange(len(st.paths))]
-            elif op == 3:
-                st.paths.insert(rng.randrange(len(st.paths) + 1), piece(rng, rng.choice(pool)))
-            elif op == 4 and st.paths:  # the same list object twice
-                st.paths.append(rng.choice(st.paths))
-            elif op == 5 and walking is not None:
-                # As a walk does: extend the path last checked as ``extra`` in
-                # place, then store it.
-                walking.extend(piece(rng, rng.choice(pool))[:2])
-                st.paths.append(walking)
-            extra = None
-            if rng.random() < 0.5:
-                extra = rng.choice(st.paths) if st.paths and rng.random() < 0.2 else piece(
-                    rng, rng.choice(pool)
-                )
-            want = _scan_outcome(rep.graph, st.paths, extra)
-            assert _check_outcome(st, extra) == want
-            outcomes[want] += 1
-            walking = extra if all(extra is not p for p in st.paths) else None
-            if want is not None and rng.random() < 0.7:
-                st.paths = before  # undo the edit, keeping the path objects
+            if model and rng.random() < 0.3:
+                p = rng.choice(model)
+                st.remove(p)
+                model.remove(p)
+                removals += 1
+            else:
+                p = piece(rng, rng.choice(pool))
+                store = rng.random() < 0.5
+                want = _scan_outcome(rep.graph, model + [p])
+                try:
+                    (st.store if store else st.check)(p)
+                    got = None
+                except InvariantError as err:
+                    got = str(err)
+                assert got == want
+                outcomes[want] += 1
+                if store and want is None:
+                    model.append(p)
+            assert len(st.paths) == len(model)
+            assert all(p is q for p, q in zip(st.paths, model))
+            _assert_owned(st)
+    assert removals >= 100
     assert outcomes[None] >= 100
     assert outcomes["algorithm-stuck: interconnecting paths share a vertex"] >= 100
     assert {"path-revisits-vertex", "empty-path"} <= set(outcomes)
     assert any(str(key).startswith("broken-path") for key in outcomes)
 
 
-def test_check_disjoint_rejects_a_rebuilt_path_on_an_untouched_one(example_instance):
+def test_removing_a_path_frees_its_vertices(example_instance):
     rep = _example_rep(example_instance)
     run = run_interconnect(rep)
-    for rebuilt, untouched in ((0, 1), (1, 0)):
-        st = _State(rep, None)
-        st.paths = [list(p.steps) for p in run.paths]
-        st.check_disjoint()
-        # A new path in place of one stored path, on the first edge of the other.
-        st.paths[rebuilt] = st.paths[untouched][:1]
+    for removed, kept in ((0, 1), (1, 0)):
+        st = _stored(rep, [p.steps for p in run.paths])
+        gone, other = st.paths[removed], st.paths[kept]
+        st.remove(gone)
+        assert st.paths == [other]
+        _assert_owned(st)
+        # A path on the first edge of the kept path still meets it ...
         with pytest.raises(InvariantError) as err:
-            st.check_disjoint()
+            st.store(other[:1])
         assert str(err.value) == "algorithm-stuck: interconnecting paths share a vertex"
+        # ... and the removed path can be stored again, last.
+        st.store(gone)
+        assert st.paths == [other, gone]
+        _assert_owned(st)
 
 
-def test_check_disjoint_raises_the_first_failure_in_order(example_instance):
-    rep = _example_rep(example_instance)
-    st = _State(rep, None)
-    st.paths = [list(p.steps) for p in run_interconnect(rep).paths]
-    st.check_disjoint()
-    known = st.paths[1]
-    eid, forward = known[0]
-    # A new path on the checked path's first edge comes before it, and one
-    # that doubles back comes between them: a scan in order meets the second
-    # before the checked path it would find shared.
-    st.paths = [known[:1], [(eid, forward), (eid, not forward)], known]
-    with pytest.raises(InvariantError) as err:
-        st.check_disjoint()
-    assert str(err.value) == "path-revisits-vertex"
-    del st.paths[1]
-    with pytest.raises(InvariantError) as err:
-        st.check_disjoint()
-    assert str(err.value) == "algorithm-stuck: interconnecting paths share a vertex"
+def test_owner_maps_the_paths_of_every_run(monkeypatch):
+    # After every run on the frozen corpus and on the 4x4 lattice, ``owner``
+    # holds exactly the vertices of the run's paths, each mapped to the list
+    # that holds it.
+    states = []
+    init = _State.__init__
+
+    def capturing_init(st, *args):
+        init(st, *args)
+        states.append(st)
+
+    monkeypatch.setattr(_State, "__init__", capturing_init)
+    spec = grid_instance(4, 4)
+    lattice = to_representation(spec.network, spec.systems)
+    runs = [(lattice, seed) for seed in range(4)]
+    for _, g, systems in _corpus():
+        rep = to_representation(g, systems)
+        runs += [(rep, None), (rep, 7)]
+    for rep, seed in runs:
+        states.clear()
+        run = run_interconnect(rep, seed=seed)
+        (st,) = states
+        assert run.paths == tuple(Path(steps=tuple(p)) for p in st.paths)
+        _assert_owned(st)
 
 
-def test_check_disjoint_raises_at_the_switch_that_rebuilds_a_bad_path(monkeypatch):
+def test_storing_raises_at_the_switch_that_rebuilds_a_bad_path(monkeypatch):
     # The first path a switch rebuilds (in the forward phase of the third
     # iteration on the 4x4 lattice with seed 1, d = 2) doubles back on its
-    # last step; the check after that switch raises.
+    # last step; storing it at that switch raises.
     spec = grid_instance(4, 4)
     rep = to_representation(spec.network, spec.systems)
     states = []
@@ -364,6 +382,42 @@ def test_check_disjoint_raises_at_the_switch_that_rebuilds_a_bad_path(monkeypatc
         "x0": 29,
         "y0": 30,
         "d": 2,
+    }
+
+
+def test_the_walking_path_is_checked_at_the_switch(monkeypatch):
+    # The path a switch hands back to the walk (in the forward phase of the
+    # third iteration on the 4x4 lattice with seed 0, d = 1) runs back and
+    # forth along one step; it is checked, and not stored, at that switch.
+    spec = grid_instance(4, 4)
+    rep = to_representation(spec.network, spec.systems)
+    states = []
+    upto = _State.upto
+
+    def back_and_forth(st, steps, v, end):
+        out = upto(st, steps, v, end)
+        if not states:
+            states.append(st)
+            eid, forward = out[-1]
+            out = out + [(eid, not forward), (eid, forward)]
+        return out
+
+    monkeypatch.setattr(_State, "upto", back_and_forth)
+    with pytest.raises(InvariantError) as err:
+        run_interconnect(rep, seed=0)
+    assert str(err.value) == "path-revisits-vertex"
+    (st,) = states
+    assert len(st.paths) == 2
+    _assert_owned(st)
+    assert len(st.trace) == 16
+    assert st.trace[-1] == {
+        "step": "forward-switch",
+        "iteration": 3,
+        "path_index": 4,
+        "u": 11,
+        "x0": 23,
+        "y0": 24,
+        "d": 1,
     }
 
 
