@@ -61,7 +61,7 @@ from ._flownet import INF, FlowNet, strongly_connected_components
 from .graph_core import InvariantError, Network, Pair, Path, PathSystem, make_path_system
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutResult:
     """Cut value and one minimum separator of interior vertices."""
 

@@ -19,7 +19,7 @@ from .graph_core import Edge, Network, Pair, Path, PathSystem, make_path_system
 Coord = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridSpec:
     """A lattice instance together with its path systems, one per pair."""
 
@@ -119,9 +119,12 @@ def _build_lattice(c1: int, c2: int, n: int, merge: bool) -> GridSpec:
 
     g = Network(vertices=tuple(vertices), edges=tuple(edges), pairs=tuple(pairs))
 
-    # Every edge was added in the direction its path walks it.
+    # Every edge was added in the direction its path walks it.  Each edge has
+    # one step tuple, shared by every path through it.
+    step = [(eid, True) for eid in range(len(edges))]
+
     def to_path(step_ids: List[int]) -> Path:
-        return Path(steps=tuple((eid, True) for eid in step_ids))
+        return Path(steps=tuple([step[eid] for eid in step_ids]))
 
     systems = [
         make_path_system(g, 0, [to_path(row) for row in phi_steps]),

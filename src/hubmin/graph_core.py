@@ -35,7 +35,7 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """One edge; ``directed`` is True exactly for terminal-incident edges (u -> v)."""
 
@@ -56,7 +56,7 @@ class Edge:
         return (self.u, self.v) if forward else (self.v, self.u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair:
     """A source/sink terminal pair and its demand (required connectivity)."""
 
@@ -65,6 +65,9 @@ class Pair:
     demand: int
 
 
+# Not slotted, unlike the other records: callers may hold a weakref to a
+# network, and a slotted dataclass takes one only through ``weakref_slot``,
+# which Python 3.10 lacks.
 @dataclass(frozen=True)
 class Network:
     """A multigraph with undirected interior edges and directed terminal edges."""
@@ -101,6 +104,7 @@ class Network:
             sources.add(p.source)
             sinks.add(p.sink)
 
+        terminals = sources | sinks
         by_id: Dict[int, Edge] = {}
         inc: Dict[int, List[int]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -110,18 +114,18 @@ class Network:
                 raise InvariantError("unknown-vertex", f"edge {e.id}")
             if e.u == e.v:
                 raise InvariantError("self-loop", f"edge {e.id}")
-            touches_terminal = False
-            for end in (e.u, e.v):
-                if end in sources:
-                    touches_terminal = True
-                    # A source tolerates only directed edges leaving it.
-                    if not e.directed or e.v == end:
-                        raise InvariantError("source-incoming-edge", f"edge {e.id} at {end}")
-                if end in sinks:
-                    touches_terminal = True
-                    if not e.directed or e.u == end:
-                        raise InvariantError("sink-outgoing-edge", f"edge {e.id} at {end}")
-            if e.directed and not touches_terminal:
+            if e.u in terminals or e.v in terminals:
+                for end in (e.u, e.v):
+                    if end in sources:
+                        # A source tolerates only directed edges leaving it.
+                        if not e.directed or e.v == end:
+                            raise InvariantError(
+                                "source-incoming-edge", f"edge {e.id} at {end}"
+                            )
+                    if end in sinks:
+                        if not e.directed or e.u == end:
+                            raise InvariantError("sink-outgoing-edge", f"edge {e.id} at {end}")
+            elif e.directed:
                 raise InvariantError("interior-directed-edge", f"edge {e.id}")
             by_id[e.id] = e
             inc[e.u].append(e.id)
@@ -133,7 +137,7 @@ class Network:
         )
         object.__setattr__(self, "source_set", frozenset(sources))
         object.__setattr__(self, "sink_set", frozenset(sinks))
-        object.__setattr__(self, "terminal_set", frozenset(sources | sinks))
+        object.__setattr__(self, "terminal_set", frozenset(terminals))
 
     def degree(self, v: int) -> int:
         return len(self.incident.get(v, ()))
@@ -162,7 +166,7 @@ def hub_count(g: Network) -> int:
     return len([v for v, eids in g.incident.items() if len(eids) > 2 and v not in terminals])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A simple path as (edge_id, forward) steps; forward means u -> v."""
 
@@ -205,7 +209,7 @@ def path_vertices(g: Network, path: Path) -> List[int]:
     return seq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSystem:
     """Vertex-disjoint source->sink paths for one pair, with induced orientation.
 

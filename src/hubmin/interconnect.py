@@ -13,6 +13,7 @@ structural guarantees after the fact.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -29,7 +30,7 @@ from .representation import (
 Step = Tuple[int, bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterconnectRun:
     """The result of one full construction run: the interconnecting paths
     and the trace of the steps that built them.
@@ -44,7 +45,7 @@ class InterconnectRun:
     trace: Tuple[dict, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyReport:
     """Outcome of verify_run: named checks with pass/fail."""
 
@@ -214,15 +215,22 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
     public = f"{name}-public"
     at_key, a_key, b_key = ph.keys
     charge, occupy, natural = st.charge, st.occupy, st.natural
-    ends, public_at = st.ends, st.public_at
-    path_index, position = st.path_index, st.position
+    # Each step counts and occupies in locals, and calls ``charge`` or
+    # ``occupy`` only to raise, so each message is built in one place.
+    budget, taken, occupied = st.budget, st.steps_taken, st.occupied
+    direction, ends, public_at, private_at = st.direction, st.ends, st.public_at, st.private_at
+    path_index, position, take = st.path_index, st.position, st.take
     while True:
-        charge(name)
+        taken += 1
+        if taken > budget:
+            st.steps_taken = taken - 1
+            charge(name)
         index = path_index[at]
         alt = st.alt[index]
         if alt.kind == stop and at == st.chokes[index]:
-            unocc = [h for h in getattr(alt, ph.free) if h not in st.occupied]
+            unocc = [h for h in getattr(alt, ph.free) if h not in occupied]
             if not unocc:
+                st.steps_taken = taken
                 st.trace.append(
                     {
                         "step": f"{name}-stop",
@@ -282,16 +290,24 @@ def _walk(st: _State, ph: _Phase, path: List[Step], at: int, iteration: int) -> 
                 st.check(ph.turn(path))
         else:
             # One rule for both phases: the four kinds split into S1 and R2 paths.
-            e = st.private_at[at][st.take[index]]
-            occupy(ends[e][end])
-            path.append(natural(e))
+            e = private_at[at][take[index]]
+            v = ends[e][end]
+            if v in occupied:
+                occupy(v)
+            occupied.add(v)
+            path.append((e, direction[e]))
 
         # Hop across the public edge at the reached vertex.
-        charge(public)
+        taken += 1
+        if taken > budget:
+            st.steps_taken = taken - 1
+            charge(public)
         f = public_at[ends[path[-1][0]][end]]
         at = ends[f][end]
-        occupy(at)
-        path.append(natural(f))
+        if at in occupied:
+            occupy(at)
+        occupied.add(at)
+        path.append((f, direction[f]))
 
 
 def run_interconnect(rep: Representation, seed: Optional[int] = None) -> InterconnectRun:
@@ -350,16 +366,10 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
     """
     g = rep.graph
     alt = decompose_private(rep)
-    edge_to_alt: Dict[int, int] = {}
-    for i, a in enumerate(alt):
-        for eid in a.steps:
-            edge_to_alt[eid] = i
-    vertex_role: Dict[int, Tuple[int, str]] = {}
-    for i, a in enumerate(alt):
-        for x in a.upper:
-            vertex_role[x] = (i, "upper")
-        for y in a.lower:
-            vertex_role[y] = (i, "lower")
+    edge_to_alt = {eid: i for i, a in enumerate(alt) for eid in a.steps}
+    # The decomposition puts every hub on one deck of one alternating path.
+    upper_of = {x: i for i, a in enumerate(alt) for x in a.upper}
+    lower_of = {y: i for i, a in enumerate(alt) for y in a.lower}
 
     c1, c2 = g.pairs[0].demand, g.pairs[1].demand
     delta = sum(1 for a in alt if a.kind == S1S2)
@@ -383,27 +393,25 @@ def verify_run(rep: Representation, run: InterconnectRun) -> VerifyReport:
 
     # The paths partition the hubs.
     seqs = [path_vertices(g, p) for p in run.paths]
-    hubs = [v for v in g.vertices if not g.is_terminal(v)]
-    count: Dict[int, int] = {v: 0 for v in hubs}
-    ok = True
-    for seq in seqs:
-        for v in seq:
-            if v not in count:
-                ok = False
-            else:
-                count[v] += 1
-    record("hub-partition", ok and all(c == 1 for c in count.values()))
+    terminals = g.terminal_set
+    visits = Counter(v for seq in seqs for v in seq)
+    record(
+        "hub-partition",
+        terminals.isdisjoint(visits)
+        and len(visits) == len(g.vertices) - len(terminals)
+        and all(c == 1 for c in visits.values()),
+    )
 
-    def on_distinct(ends: List[int], side: str, kind: str) -> bool:
-        """Every end is a `side` vertex of a `kind` path, one end per path."""
-        roles = [vertex_role.get(v) for v in ends]
-        return all(
-            r is not None and r[1] == side and alt[r[0]].kind == kind for r in roles
-        ) and len({r[0] for r in roles}) == len(roles)
+    def on_distinct(ends: List[int], deck: Dict[int, int], kind: str) -> bool:
+        """Every end is on ``deck`` of a `kind` path, one end per path."""
+        indices = [deck.get(v) for v in ends]
+        if None in indices:
+            return False
+        return all(alt[i].kind == kind for i in indices) and len(set(indices)) == len(indices)
 
     # Tails at distinct S1S2 lowers; heads at distinct R2R1 uppers.
-    record("tails-on-distinct-S1S2-paths", on_distinct([q[0] for q in seqs], "lower", S1S2))
-    record("heads-on-distinct-R2R1-paths", on_distinct([q[-1] for q in seqs], "upper", R2R1))
+    record("tails-on-distinct-S1S2-paths", on_distinct([q[0] for q in seqs], lower_of, S1S2))
+    record("heads-on-distinct-R2R1-paths", on_distinct([q[-1] for q in seqs], upper_of, R2R1))
 
     # Hub-count bound chain.
     record("hub-count-bound", hub_count(g) <= 2 * delta * (c1 + c2 - delta) <= 2 * c1 * c2)

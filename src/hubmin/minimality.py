@@ -28,7 +28,7 @@ from .graph_core import (
 Step = Tuple[int, bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistentCycle:
     """A directed cycle compatible with one system's natural orientation.
 
@@ -245,7 +245,7 @@ def minimalize(g: Network, seed: Optional[int] = None) -> Network:
     return delete_edges(g, [eid for eid in order if queries.stays_in_class(eid)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theorem1Report:
     """The three two-pair minimality characterizations, plus agreement."""
 

@@ -48,7 +48,7 @@ MAX_INTERIOR_FOR_ENUMERATION = 20
 MAX_FREE_EDGES = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleReport:
     """Result of the exhaustive minimum-hub search."""
 

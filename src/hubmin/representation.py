@@ -37,6 +37,8 @@ R2S2 = "R2S2"
 R2R1 = "R2R1"
 
 
+# Not slotted, unlike the other records: ``cached_property`` stores its
+# value in the instance ``__dict__``.
 @dataclass(frozen=True)
 class Representation:
     """A degree-3, naturally oriented minimal two-pair network.
@@ -55,7 +57,7 @@ class Representation:
         return _decompose(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlternatingPath:
     """A maximal private-edge path, anchored at its S1- or R2-side end.
 
@@ -521,9 +523,17 @@ def _decompose(rep: Representation) -> Tuple[Tuple[AlternatingPath, ...], HubTab
         direction[eid] = forward
         ends[eid] = (u, v) if forward else (v, u)
         if u not in terminals:
-            private_at.setdefault(u, []).append(eid)
+            listed = private_at.get(u)
+            if listed is None:
+                private_at[u] = [eid]
+            else:
+                listed.append(eid)
         if v not in terminals:
-            private_at.setdefault(v, []).append(eid)
+            listed = private_at.get(v)
+            if listed is None:
+                private_at[v] = [eid]
+            else:
+                listed.append(eid)
     for v, eids in private_at.items():
         if len(eids) != 2:
             raise InvariantError(

@@ -92,6 +92,18 @@ def test_ones_and_witness_instances_carry_valid_systems():
             make_path_system(g, i, system.paths)
 
 
+def test_lattice_systems_share_one_step_per_edge():
+    # A public edge's step is one tuple, held by a path of each system.
+    for spec in (grid_instance(3, 4), ones_instance(2, 3, 2), witness_222_instance()):
+        first: dict = {}
+        for system in spec.systems:
+            for path in system.paths:
+                for step in path.steps:
+                    assert first.setdefault(step[0], step) is step
+        public = spec.systems[0].edge_ids() & spec.systems[1].edge_ids()
+        assert len(public) == spec.network.pairs[0].demand * spec.network.pairs[1].demand
+
+
 def test_ones_graph_is_minimal():
     for c1, c2, n in ((2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 2)):
         assert is_minimal(ones_graph(c1, c2, n))

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from hubmin import (
+    InvariantError,
     Path,
     decompose_private,
     grid_instance,
@@ -22,6 +23,8 @@ from hubmin import (
     verify_run,
     vertex_disjoint_paths,
 )
+
+from hubmin.interconnect import _BACKWARD, _FORWARD, _State, _walk
 
 from conftest import FIXTURES, two_pair_corpus
 
@@ -275,3 +278,67 @@ def test_switching_is_exercised():
                 if t["step"] in ("forward-switch", "backward-switch")
             )
     assert switches > 0, "no run exercised the switching machinery"
+
+
+def _first_hop(ph):
+    """A fresh walk state on the 3x3 lattice, a hub ``at`` where a ``ph`` walk
+    takes a private edge to a hub, and the two vertices its first step
+    occupies: that hub, then the far end of its public edge."""
+    st = _State(_grid_rep(3, 3), None)
+    for i, alt in enumerate(st.alt):
+        for at in getattr(alt, ph.free):
+            v = st.ends[st.private_at[at][st.take[i]]][ph.end]
+            if (alt.kind != ph.stop or at != st.chokes[i]) and v in st.public_at:
+                return st, at, v, st.ends[st.public_at[v]][ph.end]
+    raise AssertionError("no hub to walk from")
+
+
+@pytest.mark.parametrize("ph", [_FORWARD, _BACKWARD], ids=lambda ph: ph.name)
+@pytest.mark.parametrize("hop", [0, 1], ids=["private", "public"])
+def test_walk_rejects_an_occupied_vertex(ph, hop):
+    st, at, *reached = _first_hop(ph)
+    st.occupied.add(reached[hop])
+    with pytest.raises(InvariantError) as info:
+        _walk(st, ph, [], at, 1)
+    assert str(info.value) == f"algorithm-stuck: vertex {reached[hop]} occupied twice"
+
+
+@pytest.mark.parametrize("ph", [_FORWARD, _BACKWARD], ids=lambda ph: ph.name)
+@pytest.mark.parametrize("budget, step", [(0, ""), (1, "-public")])
+def test_walk_stops_when_the_step_budget_is_spent(ph, budget, step):
+    st, at, *_ = _first_hop(ph)
+    st.budget = budget
+    with pytest.raises(InvariantError) as info:
+        _walk(st, ph, [], at, 1)
+    assert str(info.value) == (
+        f"algorithm-stuck: step budget {budget} exhausted at {ph.name}{step}"
+    )
+
+
+def test_a_run_takes_one_step_per_hub_plus_one_per_path(monkeypatch):
+    # Each start occupies two hubs, each stop none, and every other step one;
+    # an iteration has one start and two stops.  So a run takes as many
+    # steps as the representation has hubs plus the run has paths, and a
+    # budget one short stops it at its last step, the final backward stop.
+    budget = None
+    init = _State.__init__
+
+    def init_with_budget(st, *args):
+        init(st, *args)
+        if budget is not None:
+            st.budget = budget
+
+    monkeypatch.setattr(_State, "__init__", init_with_budget)
+    runs = [
+        (_grid_rep(c1, c2), seed) for c1, c2 in ((3, 3), (4, 3), (4, 4)) for seed in (None, 0, 1)
+    ]
+    runs += [(to_representation(minimalize(g)), None) for g, _ in two_pair_corpus(401, 6, extra=1)]
+    for rep, seed in runs:
+        budget = None
+        run = run_interconnect(rep, seed=seed)
+        budget = int(hub_count(rep.graph)) + len(run.paths)
+        assert run_interconnect(rep, seed=seed) == run
+        budget -= 1
+        with pytest.raises(InvariantError) as info:
+            run_interconnect(rep, seed=seed)
+        assert str(info.value) == f"algorithm-stuck: step budget {budget} exhausted at backward"
