@@ -202,8 +202,11 @@ def strongly_connected_components(net: FlowNet) -> List[int]:
     forward arc (even id) that carries no flow, ``cap == base_cap > 0``.
     When every forward arc carries at most one unit, this is the residual
     graph of the same flow with all forward capacities cut to 1.  Iterative
-    Tarjan, scanning ``adj`` in order with the arc filter inline; component
-    ids are arbitrary.
+    Tarjan: roots in node order, each node's ``adj`` scanned in order with
+    the arc filter inline.  Every frame of the DFS path keeps one iterator
+    over its node's arcs, so a node's scan resumes where its last child was
+    entered and reads each arc once; the path and its iterators are lists,
+    so a deep DFS needs no recursion.  Component ids are arbitrary.
     """
     adj, to, cap, base_cap = net.adj, net.to, net.cap, net.base_cap
     n = len(adj)
@@ -211,7 +214,6 @@ def strongly_connected_components(net: FlowNet) -> List[int]:
     lowlink = [0] * n
     # comp[node] < 0 while a visited node is still on the Tarjan stack.
     comp = [-1] * n
-    next_pos = [0] * n
     stack: List[int] = []
     counter = 0
     comp_count = 0
@@ -222,29 +224,28 @@ def strongly_connected_components(net: FlowNet) -> List[int]:
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
+        # The DFS path, and beside it each node's iterator over its arcs.
         work = [root]
+        arcs_left = [iter(adj[root])]
         while work:
             node = work[-1]
-            arcs = adj[node]
-            pos = next_pos[node]
-            while pos < len(arcs):
-                arc = arcs[pos]
-                pos += 1
+            for arc in arcs_left[-1]:
                 c = cap[arc]
                 if c <= 0 or (not arc & 1 and c != base_cap[arc]):
                     continue
                 nxt = to[arc]
                 if index[nxt] < 0:
-                    next_pos[node] = pos
                     index[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
                     work.append(nxt)
+                    arcs_left.append(iter(adj[nxt]))
                     break
                 if comp[nxt] < 0 and index[nxt] < lowlink[node]:
                     lowlink[node] = index[nxt]
             else:
                 work.pop()
+                arcs_left.pop()
                 low = lowlink[node]
                 if work and low < lowlink[work[-1]]:
                     lowlink[work[-1]] = low

@@ -365,13 +365,14 @@ class _DeletionQueries:
         carry a unit in every flow of value d, so each is needed (module
         docstring).
 
-        Then each pair makes one pass over the edges still left.  An edge
-        survives the pass when the pair's flow f avoids it, or when both
-        directions of an undirected edge carry a unit: f then runs the unit
-        cycle through both endpoints, and cancelling it leaves a flow of
-        value ``demand`` that avoids the edge.  Otherwise exactly one arc a
-        of the edge carries a unit, and the pair's strongly connected
-        components decide.  They are those of the *unit residual view* of f
+        Then each pair makes one pass over the edges still left, reading
+        each edge's one or two arcs in place.  An edge survives the pass
+        when the pair's flow f avoids it, or when both directions of an
+        undirected edge carry a unit: f then runs the unit cycle through
+        both endpoints, and cancelling it leaves a flow of value ``demand``
+        that avoids the edge.  Otherwise exactly one arc a of the edge
+        carries a unit, and the pair's strongly connected components
+        decide.  They are those of the *unit residual view* of f
         (``strongly_connected_components``): reverse arcs with remaining
         capacity, and forward arcs that carry no flow.  A pair labels its
         net at most once per call, on the first edge that needs it, and no
@@ -407,11 +408,17 @@ class _DeletionQueries:
             labels: Optional[List[int]] = None
             kept = []
             for eid in left:
-                carrying = [arc for arc in arcs_of_edge[eid] if cap[arc] < base_cap[arc]]
-                if len(carrying) == 1:
+                arcs = arcs_of_edge[eid]
+                a = arcs[0]
+                carries = cap[a] < base_cap[a]
+                if len(arcs) == 2:
+                    b = arcs[1]
+                    if cap[b] < base_cap[b]:
+                        # Only b carries, or both do and the edge survives.
+                        a, carries = b, not carries
+                if carries:
                     if labels is None:
                         labels = strongly_connected_components(net)
-                    a = carrying[0]
                     if labels[to[a ^ 1]] != labels[to[a]]:
                         continue
                 kept.append(eid)

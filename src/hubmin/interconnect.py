@@ -44,6 +44,10 @@ class InterconnectRun:
     paths: Tuple[Path, ...]
     trace: Tuple[dict, ...]
 
+    # The trace's dicts cannot hash, so the run declares itself unhashable
+    # rather than take the hash that frozen=True generates.
+    __hash__ = None
+
 
 @dataclass(frozen=True, slots=True)
 class VerifyReport:

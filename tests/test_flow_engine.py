@@ -43,7 +43,7 @@ from hubmin import (
     serialize_network,
     vertex_disjoint_paths,
 )
-from hubmin import cuts
+from hubmin import cuts, minimality
 from hubmin._flownet import INF, FlowNet, strongly_connected_components
 from hubmin.minimality import deletable_private_edges, is_reroutable, theorem1_agreement
 from hubmin.oracle import enumerate_path_systems, min_hub_subgraph
@@ -97,12 +97,53 @@ def _detour_instance() -> Network:
     return Network(vertices=(0, 1, 2, 3), edges=edges, pairs=(Pair(0, 1, 1),))
 
 
+def _network(pairs, ends) -> Network:
+    """A network with one edge per ``(u, v, directed)`` triple, ids in
+    order, on the vertices the edges touch."""
+    edges = tuple(Edge(i, u, v, directed) for i, (u, v, directed) in enumerate(ends))
+    vertices = tuple(sorted({v for e in edges for v in (e.u, e.v)}))
+    return Network(vertices=vertices, edges=edges, pairs=tuple(pairs))
+
+
+# Pair 0 (0 -> 1, demand 1) runs through vertex 6, with two edges at its
+# source and three at its sink.  One of them comes from pair 1's source 2,
+# and no flow can use it, so that source too has more edges than its
+# demand; pair 1's sink 3 is tight.
+_LOOSE_ENDS = [
+    (0, 4, True), (0, 5, True), (4, 6, False), (5, 6, False),
+    (6, 7, False), (6, 8, False), (7, 1, True), (8, 1, True),
+    (2, 1, True), (2, 6, True), (6, 9, False), (9, 3, True),
+]
+
+
+def _loose_instance() -> Network:
+    return _network([Pair(0, 1, 1), Pair(2, 3, 1)], _LOOSE_ENDS)
+
+
+def _opposed_demand_instance() -> Network:
+    """One pair 0 -> 1 (demand 2) whose demand flow itself carries opposed
+    units on the undirected edge 3 - 4.  The first path, the only shortest,
+    runs 0-2-3-4-5-1.  The second, from 0 along 6..9 to 5, can only leave
+    in(5) backward to out(4), and its shortest way on is edge 4 -> 3 and
+    back along 2 -> 3 to out(2), then 10..13 to 1.  So both arcs of 3 - 4
+    carry a unit, and the flow runs the unit cycle through 3 and 4."""
+    ends = [
+        (0, 2, True), (2, 3, False), (3, 4, False), (4, 5, False), (5, 1, True),
+        (0, 6, True), (6, 7, False), (7, 8, False), (8, 9, False), (9, 5, False),
+        (2, 10, False), (10, 11, False), (11, 12, False), (12, 13, False), (13, 1, True),
+    ]
+    return _network([Pair(0, 1, 2)], ends)
+
+
 def _label_corpus():
     """In-class networks for the label checks: the seeded corpus (two and
     three pairs, parallel and direct source->sink edges), its minimalized
     networks, where most answers are no, the opposed-flow instance, the
-    lattices up to 8x8 and ``ones_graph``s."""
+    loose instance, whose directed terminal edges reach the label pass, the
+    instance whose demand flow carries opposed units, the lattices up to
+    8x8 and ``ones_graph``s."""
     graphs = CORPUS + [minimalize(g) for g in CORPUS] + [_cycle_instance()]
+    graphs += [_loose_instance(), _opposed_demand_instance()]
     graphs += [grid_graph(c1, c2) for c1 in range(1, 9) for c2 in range(c1, 9)]
     graphs += [ones_graph(2, 2, 1), ones_graph(3, 3, 2), ones_graph(2, 4, 3), ones_graph(4, 4, 3)]
     return graphs
@@ -189,6 +230,34 @@ def test_single_deletion_query_matches_rebuild(monkeypatch):
         _assert_flows_valid(queries, g)
     # Read-only queries on the minimal networks are decided by labels.
     assert labelled
+
+
+def test_label_corpus_meets_every_per_edge_case():
+    # deletable reads each edge's arcs in place; every case of that read
+    # (which arcs carry a unit) meets the first pair's pass, on an edge off
+    # the tight terminals, somewhere in the corpus that
+    # test_single_deletion_query_matches_rebuild referees: a directed edge
+    # that carries, an undirected edge with only its forward, only its
+    # backward, both or neither of its arcs carrying.
+    seen = set()
+    for g in LABEL_CORPUS:
+        queries = cuts._DeletionQueries(g)
+        built = queries._nets[0]
+        for eid, arcs in built.arcs_of_edge.items():
+            if eid not in queries._needed:
+                seen.add(tuple(built.net.cap[a] < built.net.base_cap[a] for a in arcs))
+    assert seen >= {(True,), (True, False), (False, True), (True, True), (False, False)}
+
+
+def test_an_edge_with_opposed_units_is_deletable_without_labels(monkeypatch):
+    # Both arcs of edge 2 (3 - 4) carry a unit of the demand flow; the unit
+    # cycle they close settles the edge, and the pair is never labelled.
+    labelled = _count_labellings(monkeypatch)
+    queries = cuts._DeletionQueries(_opposed_demand_instance())
+    built = queries._nets[0]
+    assert [built.net.flow_on(arc) for arc in built.arcs_of_edge[2]] == [1, 1]
+    assert queries.deletable([2]) == [2]
+    assert not labelled
 
 
 def _assert_flows_valid(queries, g: Network) -> None:
@@ -503,29 +572,6 @@ def test_minimalize_builds_no_labels(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _network(pairs, ends) -> Network:
-    """A network with one edge per ``(u, v, directed)`` triple, ids in
-    order, on the vertices the edges touch."""
-    edges = tuple(Edge(i, u, v, directed) for i, (u, v, directed) in enumerate(ends))
-    vertices = tuple(sorted({v for e in edges for v in (e.u, e.v)}))
-    return Network(vertices=vertices, edges=edges, pairs=tuple(pairs))
-
-
-# Pair 0 (0 -> 1, demand 1) runs through vertex 6, with two edges at its
-# source and three at its sink.  One of them comes from pair 1's source 2,
-# and no flow can use it, so that source too has more edges than its
-# demand; pair 1's sink 3 is tight.
-_LOOSE_ENDS = [
-    (0, 4, True), (0, 5, True), (4, 6, False), (5, 6, False),
-    (6, 7, False), (6, 8, False), (7, 1, True), (8, 1, True),
-    (2, 1, True), (2, 6, True), (6, 9, False), (9, 3, True),
-]
-
-
-def _loose_instance() -> Network:
-    return _network([Pair(0, 1, 1), Pair(2, 3, 1)], _LOOSE_ENDS)
-
-
 def _cut_above_demand_instance() -> Network:
     """The loose instance plus a second route for pair 0 (0 -> 10 -> 1):
     its cut is 2 against a demand of 1, with no tight terminal."""
@@ -617,26 +663,66 @@ def test_is_reroutable_above_the_demand_matches_enumeration(monkeypatch):
     assert above >= 20
 
 
-def test_labels_match_networkx_components():
+def _components(labels):
+    """The node sets that share a label."""
+    got = {}
+    for node, label in enumerate(labels):
+        got.setdefault(label, set()).add(node)
+    return {frozenset(c) for c in got.values()}
+
+
+def _nx_view_components(nx, net: FlowNet):
+    """networkx's components of the unit residual view of ``net``'s flow."""
+    view = nx.DiGraph()
+    view.add_nodes_from(range(len(net.adj)))
+    for arc, c in enumerate(net.cap):
+        if c > 0 and (arc % 2 or c == net.base_cap[arc]):
+            view.add_edge(net.to[arc ^ 1], net.to[arc])
+    return {frozenset(c) for c in nx.strongly_connected_components(view)}
+
+
+def test_labels_match_networkx_components(monkeypatch):
+    # Every pair of every label-corpus network, on two flows: its demand
+    # flow, and its full system loaded as is_reroutable loads it.
     nx = pytest.importorskip("networkx")
-    graphs = [grid_graph(3, 4), ones_graph(3, 3, 2), _cycle_instance()] + CORPUS[:12]
-    for g in graphs:
+    loaded = []
+
+    def recording(net):
+        loaded.append(net)
+        return strongly_connected_components(net)
+
+    monkeypatch.setattr(minimality, "strongly_connected_components", recording)
+    for g in LABEL_CORPUS:
         split = cuts._compile_network(g)
+        systems = cuts._full_systems(g)
         for i, pair in enumerate(g.pairs):
             built = split.pair_net(i)
-            net = built.net
-            net.max_flow(built.s, built.t, limit=pair.demand)
-            view = nx.DiGraph()
-            view.add_nodes_from(range(len(net.adj)))
-            for arc, c in enumerate(net.cap):
-                if c > 0 and (arc % 2 or c == net.base_cap[arc]):
-                    view.add_edge(net.to[arc ^ 1], net.to[arc])
-            labels = strongly_connected_components(net)
-            want = {frozenset(c) for c in nx.strongly_connected_components(view)}
-            got = {}
-            for node, label in enumerate(labels):
-                got.setdefault(label, set()).add(node)
-            assert {frozenset(c) for c in got.values()} == want
+            built.net.max_flow(built.s, built.t, limit=pair.demand)
+            loaded.clear()
+            is_reroutable(g, systems, i)
+            assert len(loaded) == 1
+            for net in (built.net, loaded[0]):
+                want = _nx_view_components(nx, net)
+                assert _components(strongly_connected_components(net)) == want
+
+
+def test_labels_of_a_long_relay_chain_need_no_recursion():
+    # One pair joined by a chain of 20 000 interior vertices, ids in chain
+    # order.  With no flow, both arcs of every chain edge and every interior
+    # vertex arc are in the view, so the DFS from out(source) runs down the
+    # whole chain, about 40 000 nodes deep, before its first node finishes.
+    interior = 20_000
+    chain = [0] + list(range(2, interior + 2)) + [1]
+    ends = [(u, v, u == 0 or v == 1) for u, v in zip(chain, chain[1:])]
+    built = cuts._compile_network(_network([Pair(0, 1, 1)], ends)).pair_net(0)
+    labels = strongly_connected_components(built.net)
+    assert len(labels) == len(built.net.adj) == 2 * (interior + 2)
+    # The four terminal halves stand alone; every interior half is in one
+    # component.
+    assert _components(labels) == {
+        frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}),
+        frozenset(range(4, len(labels))),
+    }
 
 
 def _cuts_and_systems(g: Network):

@@ -9,6 +9,7 @@ decomposition.
 
 from __future__ import annotations
 
+import collections.abc
 import copy
 import dataclasses
 import pickle
@@ -72,9 +73,10 @@ def test_slotted_records_behave_as_frozen_values(record):
     assert repr(record) == f"{cls.__name__}({shown})"
     key = tuple(getattr(record, f.name) for f in fields if f.compare)
     if cls is InterconnectRun:
-        # Its trace holds dicts, so it never hashed.
-        with pytest.raises(TypeError):
+        # Its trace holds dicts, so it declares itself unhashable.
+        with pytest.raises(TypeError, match="unhashable type: 'InterconnectRun'"):
             hash(record)
+        assert not isinstance(record, collections.abc.Hashable)
     else:
         assert hash(record) == hash(key)
 
