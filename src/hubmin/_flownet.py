@@ -4,12 +4,13 @@ Nodes are the integers ``0 .. len(adj) - 1``; ``adj[node]`` lists the arc
 ids leaving a node.  Arcs are stored as flat lists where arc ``i`` and
 ``i ^ 1`` form a forward/residual pair, so the tail of arc ``a`` is
 ``to[a ^ 1]``.  All traversals follow the order of the adjacency lists, so
-results are deterministic.
+results are deterministic.  The component labelling searches only from the
+roots its caller names, so it reads no more of a net than a query needs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 INF = 10**9
 
@@ -195,30 +196,37 @@ class FlowNet:
         return arcs
 
 
-def strongly_connected_components(net: FlowNet) -> List[int]:
-    """Component id of every node in the unit residual view of ``net``'s flow.
+def strongly_connected_components(net: FlowNet, roots: Iterable[int]) -> List[int]:
+    """Component id of every node that ``roots`` reach in the unit residual
+    view of ``net``'s flow, and -1 for every other node.
 
     The view keeps a reverse arc (odd id) with remaining capacity and a
     forward arc (even id) that carries no flow, ``cap == base_cap > 0``.
     When every forward arc carries at most one unit, this is the residual
     graph of the same flow with all forward capacities cut to 1.  Iterative
-    Tarjan: roots in node order, each node's ``adj`` scanned in order with
-    the arc filter inline.  Every frame of the DFS path keeps one iterator
-    over its node's arcs, so a node's scan resumes where its last child was
-    entered and reads each arc once; the path and its iterators are lists,
-    so a deep DFS needs no recursion.  Component ids are arbitrary.
+    Tarjan: DFS from each root in turn, each node's ``adj`` scanned in
+    order with the arc filter inline.  Every frame of the DFS path keeps one
+    iterator over its node's arcs, so a node's scan resumes where its last
+    child was entered and reads each arc once; the path and its iterators
+    are lists, so a deep DFS needs no recursion.
+
+    The labels of the nodes reached are exact: whatever reaches one member
+    of a component reaches all of it, so each reached component lies whole
+    among the reached nodes, and Tarjan's DFS forest over them labels it as
+    a run over the whole view would.  Component ids are arbitrary.
     """
     adj, to, cap, base_cap = net.adj, net.to, net.cap, net.base_cap
     n = len(adj)
     index = [-1] * n
     lowlink = [0] * n
-    # comp[node] < 0 while a visited node is still on the Tarjan stack.
+    # comp[node] < 0 while a visited node is still on the Tarjan stack, and
+    # for good on a node no root reaches.
     comp = [-1] * n
     stack: List[int] = []
     counter = 0
     comp_count = 0
 
-    for root in range(n):
+    for root in roots:
         if index[root] >= 0:
             continue
         index[root] = lowlink[root] = counter

@@ -14,8 +14,11 @@ each pair's net (``_SplitNetwork.pair_net``) owns only its capacities, and
 every flow here runs on such a net.  ``_exact_flows`` decides membership
 and leaves a max flow in each net; ``_DeletionQueries`` keeps those nets
 and answers "is the network still in class without edge e?" from the
-strongly connected components of each flow's residual graph, or by
-rerouting that flow around e, instead of rebuilding the nets.
+strongly connected components of each flow's residual graph, labelled only
+from the arcs the query asks about, or by rerouting that flow around e,
+instead of rebuilding the nets.  The compile lists each edge's arcs and
+each edge arc's edge id; flow decomposition, the only reader of an arc's
+step, works it out from those lists (``_step``).
 
 One module-level slot keeps the compile of the network queried last
 (``_split``), keyed by identity: it holds the network itself, so no other
@@ -76,18 +79,20 @@ class _PairNet:
     ``s`` and ``t`` are the node ids of the pair's source and sink.  Every
     other vertex ``v`` is split into an in-node and an out-node joined by the
     unit arc ``vertex_arc[v]``; the map may also hold the pair's own
-    terminals, whose arcs then have capacity 0.  ``edge_arcs`` maps each
-    edge arc to its step ``(edge_id, forward)``, and ``arcs_of_edge`` lists
-    each edge's arcs, forward first, so step ``(e, fwd)`` runs on
-    ``arcs_of_edge[e][not fwd]``.  Nets of one network share these maps and
-    their arc lists; only the capacities are the pair's own.
+    terminals, whose arcs then have capacity 0.  The vertex arcs come first,
+    and then the edge arcs, each with its reverse: ``edge_of`` lists the
+    edge id of each of those arc pairs in arc order.  ``arcs_of_edge``
+    lists each edge's arcs, forward first, so step ``(e, fwd)`` runs on
+    ``arcs_of_edge[e][not fwd]``, and ``_step`` maps an edge arc back to
+    its step.  Nets of one network share these lists and maps; only the
+    capacities are the pair's own.
     """
 
     net: FlowNet
     s: int
     t: int
     vertex_arc: Dict[int, int]
-    edge_arcs: Dict[int, Tuple[int, bool]]
+    edge_of: List[int]
     arcs_of_edge: Dict[int, List[int]]
 
 
@@ -95,8 +100,9 @@ class _PairNet:
 class _SplitNetwork:
     """Every vertex of ``g`` split into an in/out half (see ``_compile_network``).
 
-    ``to``/``adj`` are the arc lists every pair's ``FlowNet`` shares; the
-    maps are those of ``_PairNet``.  ``demand_nets`` maps a pair index to
+    ``to``/``adj`` are the arc lists every pair's ``FlowNet`` shares;
+    ``vertex_arc``, ``edge_of`` and ``arcs_of_edge`` are those of
+    ``_PairNet``.  ``demand_nets`` maps a pair index to
     the net kept for it, carrying the flow stopped at the pair's demand,
     and the flow's value (see ``demand_flow``).
     """
@@ -105,7 +111,7 @@ class _SplitNetwork:
     to: List[int]
     adj: List[List[int]]
     vertex_arc: Dict[int, int]
-    edge_arcs: Dict[int, Tuple[int, bool]]
+    edge_of: List[int]
     arcs_of_edge: Dict[int, List[int]]
     demand_nets: Dict[int, Tuple[_PairNet, int]] = field(default_factory=dict)
 
@@ -122,7 +128,7 @@ class _SplitNetwork:
         """
         g = self.g
         pair = g.pairs[pair_index]
-        base_cap = [1, 0] * len(self.vertex_arc) + [INF, 0] * len(self.edge_arcs)
+        base_cap = [1, 0] * len(self.vertex_arc) + [INF, 0] * len(self.edge_of)
         source_arc, sink_arc = self.vertex_arc[pair.source], self.vertex_arc[pair.sink]
         base_cap[source_arc] = base_cap[sink_arc] = 0
         for eid in g.incident[pair.source]:
@@ -133,7 +139,7 @@ class _SplitNetwork:
             s=source_arc + 1,
             t=sink_arc,
             vertex_arc=self.vertex_arc,
-            edge_arcs=self.edge_arcs,
+            edge_of=self.edge_of,
             arcs_of_edge=self.arcs_of_edge,
         )
 
@@ -166,7 +172,7 @@ def _compile_network(g: Network) -> _SplitNetwork:
     n = 2 * len(order)
     to = [a ^ 1 for a in range(n)]
     adj = [[a] for a in range(n)]
-    edge_arcs: Dict[int, Tuple[int, bool]] = {}
+    edge_of: List[int] = []
     arcs_of_edge: Dict[int, List[int]] = {}
     arc = n
     for e in sorted(g.edges, key=lambda e: e.id):
@@ -178,7 +184,7 @@ def _compile_network(g: Network) -> _SplitNetwork:
         to.append(in_u + 1)
         adj[in_u + 1].append(arc)
         adj[in_v].append(arc + 1)
-        edge_arcs[arc] = (eid, True)
+        edge_of.append(eid)
         if e.directed:
             arcs_of_edge[eid] = [arc]
             arc += 2
@@ -188,10 +194,10 @@ def _compile_network(g: Network) -> _SplitNetwork:
             to.append(in_v + 1)
             adj[in_v + 1].append(arc + 2)
             adj[in_u].append(arc + 3)
-            edge_arcs[arc + 2] = (eid, False)
+            edge_of.append(eid)
             arcs_of_edge[eid] = [arc, arc + 2]
             arc += 4
-    return _SplitNetwork(g, to, adj, in_node, edge_arcs, arcs_of_edge)
+    return _SplitNetwork(g, to, adj, in_node, edge_of, arcs_of_edge)
 
 
 # ``_slot.split``: this thread's split of the network queried last (module
@@ -254,9 +260,19 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     return _decompose(g, pair_index, built, k)
 
 
+def _step(built: _PairNet, arc: int) -> Tuple[int, bool]:
+    """The step ``(edge_id, forward)`` that the edge arc ``arc`` runs: the
+    edge of its arc pair, forward exactly when ``arc`` is the edge's first
+    arc."""
+    eid = built.edge_of[(arc >> 1) - len(built.vertex_arc)]
+    return eid, arc == built.arcs_of_edge[eid][0]
+
+
 def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSystem:
     """The k paths of the flow of value k that ``built`` carries."""
-    net, edge_arcs = built.net, built.edge_arcs
+    net = built.net
+    # Arcs below this id are vertex arcs and their reverses.
+    first_edge_arc = 2 * len(built.vertex_arc)
     # The flow left to walk, over all arcs: reverse arcs read <= 0.  Units on
     # both arcs of an undirected edge u-v need no netting: the edge touches
     # no terminal, so u's and v's vertex arcs carry those units, and the four
@@ -272,8 +288,8 @@ def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSyst
             for arc in net.adj[node]:
                 if remaining[arc] > 0:
                     remaining[arc] -= 1
-                    if arc in edge_arcs:
-                        steps.append(edge_arcs[arc])
+                    if arc >= first_edge_arc:
+                        steps.append(_step(built, arc))
                     node = net.to[arc]
                     break
             else:
@@ -374,9 +390,13 @@ class _DeletionQueries:
         carries a unit, and the pair's strongly connected components
         decide.  They are those of the *unit residual view* of f
         (``strongly_connected_components``): reverse arcs with remaining
-        capacity, and forward arcs that carry no flow.  A pair labels its
-        net at most once per call, on the first edge that needs it, and no
-        pair is asked once no edge is left.
+        capacity, and forward arcs that carry no flow.  The pass first
+        collects each such edge's carrying arc a, then labels the net once,
+        rooted at the tails of those arcs: only the components of the
+        nodes they reach are read, and a head they do not reach shares no
+        component with its tail.  So a pair labels its net at most once per
+        call, only when some edge needs it, and no pair is asked once no
+        edge is left.
 
         Different labels answer no.  If a flow f' of value ``demand``
         avoids e, f' - f is a circulation with -1 on a.  It uses no forward
@@ -405,8 +425,11 @@ class _DeletionQueries:
             net = built.net
             cap, base_cap, to = net.cap, net.base_cap, net.to
             arcs_of_edge = built.arcs_of_edge
-            labels: Optional[List[int]] = None
-            kept = []
+            # Per edge of ``left``: the one arc that carries a unit, or -1
+            # when the edge survives the pass without labels; and the
+            # carrying arcs' tails, the roots of the labelling.
+            asked = []
+            tails = []
             for eid in left:
                 arcs = arcs_of_edge[eid]
                 a = arcs[0]
@@ -417,12 +440,18 @@ class _DeletionQueries:
                         # Only b carries, or both do and the edge survives.
                         a, carries = b, not carries
                 if carries:
-                    if labels is None:
-                        labels = strongly_connected_components(net)
-                    if labels[to[a ^ 1]] != labels[to[a]]:
-                        continue
-                kept.append(eid)
-            left = kept
+                    asked.append(a)
+                    tails.append(to[a ^ 1])
+                else:
+                    asked.append(-1)
+            if tails:
+                # A head no tail reaches reads -1, which no tail's label is.
+                labels = strongly_connected_components(net, tails)
+                left = [
+                    eid
+                    for eid, a in zip(left, asked)
+                    if a < 0 or labels[to[a ^ 1]] == labels[to[a]]
+                ]
         return left
 
     def stays_in_class(self, eid: int) -> bool:

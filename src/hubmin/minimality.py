@@ -187,12 +187,14 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
     flow, so the flow's unit residual view has those cycles, and the
     components alone decide, with no source->sink search.
 
-    Only the system's edge arcs are tested for a shared component; its used
-    vertices' arcs are pushed to load the flow, but their tests never
-    decide.  A cycle through the reverse of a used vertex v's arc enters
-    in(v), where the vertex arc is full and the only other residual arc is
-    the reverse of the system's edge arc into v.  So that edge arc lies on
-    the cycle too, and its ends share a component.
+    Only the system's edge arcs are tested for a shared component, so the
+    labelling runs only from their tails (see
+    ``strongly_connected_components``); its used vertices' arcs are pushed
+    to load the flow, but their tests never decide.  A cycle through the
+    reverse of a used vertex v's arc enters in(v), where the vertex arc is
+    full and the only other residual arc is the reverse of the system's
+    edge arc into v.  So that edge arc lies on the cycle too, and its ends
+    share a component.
 
     A simple augmenting path P needs no search of its own.  P takes no
     forward edge arc a that carries a unit: if a's head is not t, a's
@@ -218,9 +220,9 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
         net.push(built.vertex_arc[v])
 
     # Cancelling a carrying arc's unit is possible exactly when its ends
-    # share a component.
-    comp = strongly_connected_components(net)
+    # share a component; only the components the arcs' tails reach are read.
     to = net.to
+    comp = strongly_connected_components(net, [to[arc ^ 1] for arc in edge_flow])
     return any(comp[to[arc ^ 1]] == comp[to[arc]] for arc in edge_flow)
 
 

@@ -144,7 +144,9 @@ class _CompiledPairs:
         for i, pair in enumerate(g.pairs):
             built = split.pair_net(i)
             arcs_of_position = [built.arcs_of_edge[eid] for eid in edge_ids]
-            flow_arcs = [(arc ^ 1, bit_of[eid]) for arc, (eid, _) in built.edge_arcs.items()]
+            flow_arcs = [
+                (arc ^ 1, bit_of[eid]) for eid, arcs in built.arcs_of_edge.items() for arc in arcs
+            ]
             self._pairs.append(
                 (built.net, built.s, built.t, pair.demand, arcs_of_position, flow_arcs)
             )

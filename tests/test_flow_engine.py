@@ -5,9 +5,10 @@ labels decide and the deleting ones that reroute, are checked against
 rebuilding the network and calling ``in_class``; ``minimalize`` against
 the plain restart loop and, seeded, a rebuild per edge in its order; the
 compiled arc layout against one written out arc by arc; the shared split
-network against a net compiled for one pair at a time; the labels against
-networkx's components; ``in_class``, where a tight terminal stops a flow
-at the demand, and ``min_vertex_cut`` and the paths of
+network against a net compiled for one pair at a time; the labels, rooted
+at each query's tails, at random nodes and at every node, against what
+networkx reaches and its components; ``in_class``, where a tight terminal
+stops a flow at the demand, and ``min_vertex_cut`` and the paths of
 ``vertex_disjoint_paths`` against networkx max-flow, the last two on
 vertex-split graphs far beyond the brute-force oracle's size guards; and
 ``FlowNet.max_flow``, which searches once per round, against Edmonds-Karp
@@ -48,7 +49,7 @@ from hubmin._flownet import INF, FlowNet, strongly_connected_components
 from hubmin.minimality import deletable_private_edges, is_reroutable, theorem1_agreement
 from hubmin.oracle import enumerate_path_systems, min_hub_subgraph
 
-from conftest import FIXTURES
+from conftest import FIXTURES, two_pair_corpus
 
 
 def _with_direct_edge(g: Network, pair_index: int) -> Network:
@@ -156,9 +157,9 @@ def _count_labellings(monkeypatch):
     """Record every labelling the deletion queries build."""
     labelled = []
 
-    def counting(net):
+    def counting(net, roots):
         labelled.append(net)
-        return strongly_connected_components(net)
+        return strongly_connected_components(net, roots)
 
     monkeypatch.setattr(cuts, "strongly_connected_components", counting)
     return labelled
@@ -566,6 +567,43 @@ def test_minimalize_builds_no_labels(monkeypatch):
     assert not labelled
 
 
+def test_labellings_reach_only_what_their_queries_ask_about(monkeypatch):
+    # Each labelling as (nodes in the net, nodes its roots reach): the
+    # deletion queries of is_minimal, and in theorem1_agreement also the
+    # two is_reroutable checks, label a part of each net.
+    reached = []
+
+    def counting(net, roots):
+        labels = strongly_connected_components(net, roots)
+        reached.append((len(net.adj), sum(label >= 0 for label in labels)))
+        return labels
+
+    monkeypatch.setattr(cuts, "strongly_connected_components", counting)
+    monkeypatch.setattr(minimality, "strongly_connected_components", counting)
+    assert is_minimal(grid_graph(4, 4))
+    assert reached == [(72, 62), (72, 51)]
+    reached.clear()
+    assert is_minimal(ones_graph(3, 3, 2))
+    assert reached == [(60, 47), (60, 39)]
+    reached.clear()
+    g, _ = two_pair_corpus(3, 1, extra=2)[0]
+    g = minimalize(g)
+    report = theorem1_agreement(g, cuts._full_systems(g))
+    assert report.minimal and report.agree
+    assert (len(g.edges), reached) == (10, [(18, 3), (18, 3), (18, 7), (18, 13)])
+
+
+def test_only_flow_decomposition_maps_arcs_to_steps(monkeypatch):
+    lookups = []
+    step = cuts._step
+    monkeypatch.setattr(cuts, "_step", lambda built, arc: lookups.append(arc) or step(built, arc))
+    g = grid_graph(4, 4)
+    assert is_minimal(g)
+    assert not lookups
+    system = vertex_disjoint_paths(g, 0, g.pairs[0].demand)
+    assert len(lookups) == sum(len(p.steps) for p in system.paths)
+
+
 # ---------------------------------------------------------------------------
 # Menger's bound at tight terminals: a terminal with exactly ``demand``
 # edges proves its pair's cut exact at the demand, and its edges are needed.
@@ -663,47 +701,83 @@ def test_is_reroutable_above_the_demand_matches_enumeration(monkeypatch):
     assert above >= 20
 
 
-def _components(labels):
-    """The node sets that share a label."""
+def _components(labels, nodes=None):
+    """The node sets that share a label; ``labels[k]`` is the label of
+    ``nodes[k]``, by default of node k."""
     got = {}
-    for node, label in enumerate(labels):
+    for node, label in zip(range(len(labels)) if nodes is None else nodes, labels):
         got.setdefault(label, set()).add(node)
     return {frozenset(c) for c in got.values()}
 
 
-def _nx_view_components(nx, net: FlowNet):
-    """networkx's components of the unit residual view of ``net``'s flow."""
+def _nx_view(nx, net: FlowNet):
+    """The unit residual view of ``net``'s flow, as a networkx digraph."""
     view = nx.DiGraph()
     view.add_nodes_from(range(len(net.adj)))
     for arc, c in enumerate(net.cap):
         if c > 0 and (arc % 2 or c == net.base_cap[arc]):
             view.add_edge(net.to[arc ^ 1], net.to[arc])
-    return {frozenset(c) for c in nx.strongly_connected_components(view)}
+    return view
+
+
+def _assert_rooted_labels_match(nx, net: FlowNet, roots):
+    """The rooted labels of ``net`` against networkx: exactly the nodes the
+    roots reach in the view are labelled, their partition is networkx's
+    components, and every other node reads -1.  Returns how many nodes the
+    roots reach."""
+    view = _nx_view(nx, net)
+    labels = strongly_connected_components(net, roots)
+    # A new node with an arc to every root reaches what the roots reach.
+    hub = len(net.adj)
+    view.add_node(hub)
+    view.add_edges_from((hub, root) for root in roots)
+    reached = nx.descendants(view, hub)
+    view.remove_node(hub)
+    assert {node for node, label in enumerate(labels) if label >= 0} == reached
+    assert all(labels[node] == -1 for node in range(len(labels)) if node not in reached)
+    want = {frozenset(c) for c in nx.strongly_connected_components(view) if c & reached}
+    assert _components([labels[node] for node in sorted(reached)], sorted(reached)) == want
+    return len(reached)
 
 
 def test_labels_match_networkx_components(monkeypatch):
     # Every pair of every label-corpus network, on two flows: its demand
-    # flow, and its full system loaded as is_reroutable loads it.
+    # flow, and its full system loaded as is_reroutable loads it.  Each is
+    # labelled from three root sets: the tails its query roots the labels
+    # at, a seeded random subset of its nodes, and every node, which
+    # labels the whole view.
     nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
     loaded = []
 
-    def recording(net):
-        loaded.append(net)
-        return strongly_connected_components(net)
+    def recording(net, roots):
+        loaded.append((net, list(roots)))
+        return strongly_connected_components(net, roots)
 
     monkeypatch.setattr(minimality, "strongly_connected_components", recording)
+    monkeypatch.setattr(cuts, "strongly_connected_components", recording)
+    # Query tails that reach some nodes but not all, per query.
+    partial = {"deletable": 0, "is_reroutable": 0}
     for g in LABEL_CORPUS:
-        split = cuts._compile_network(g)
         systems = cuts._full_systems(g)
-        for i, pair in enumerate(g.pairs):
-            built = split.pair_net(i)
-            built.net.max_flow(built.s, built.t, limit=pair.demand)
+        queries = cuts._DeletionQueries(g)
+        nets = queries._nets
+        for i in range(len(g.pairs)):
+            # deletable labels pair i alone, rooted at its query tails.
+            loaded.clear()
+            queries._nets = [nets[i]]
+            queries.deletable(sorted(g.edge_by_id))
+            demand = loaded[0] if loaded else (nets[i].net, [])
             loaded.clear()
             is_reroutable(g, systems, i)
             assert len(loaded) == 1
-            for net in (built.net, loaded[0]):
-                want = _nx_view_components(nx, net)
-                assert _components(strongly_connected_components(net)) == want
+            for query, (net, tails) in zip(partial, (demand, loaded[0])):
+                nodes = range(len(net.adj))
+                reached = _assert_rooted_labels_match(nx, net, tails)
+                partial[query] += 0 < reached < len(nodes)
+                for roots in (rng.sample(nodes, rng.randint(1, len(nodes))), nodes):
+                    _assert_rooted_labels_match(nx, net, roots)
+    assert min(partial.values()) >= 20, partial
 
 
 def test_labels_of_a_long_relay_chain_need_no_recursion():
@@ -715,7 +789,7 @@ def test_labels_of_a_long_relay_chain_need_no_recursion():
     chain = [0] + list(range(2, interior + 2)) + [1]
     ends = [(u, v, u == 0 or v == 1) for u, v in zip(chain, chain[1:])]
     built = cuts._compile_network(_network([Pair(0, 1, 1)], ends)).pair_net(0)
-    labels = strongly_connected_components(built.net)
+    labels = strongly_connected_components(built.net, range(len(built.net.adj)))
     assert len(labels) == len(built.net.adj) == 2 * (interior + 2)
     # The four terminal halves stand alone; every interior half is in one
     # component.
@@ -765,10 +839,11 @@ def test_in_class_compiles_once(monkeypatch):
 
 
 def _reference_layout(g: Network):
-    """``_compile_network``'s lists and maps, one arc at a time: the vertex
-    at sorted position i has in-node 2i and out-node 2i + 1 joined by arc
-    2i; then each edge in id order runs from its tail's out-node to its
-    head's in-node, forward and then, if undirected, backward."""
+    """``_compile_network``'s arc lists and maps, and the step of each edge
+    arc, one arc at a time: the vertex at sorted position i has in-node 2i
+    and out-node 2i + 1 joined by arc 2i; then each edge in id order runs
+    from its tail's out-node to its head's in-node, forward and then, if
+    undirected, backward."""
     order = sorted(g.vertices)
     in_node = {v: 2 * i for i, v in enumerate(order)}
     to, adj = [], [[] for _ in range(2 * len(order))]
@@ -782,14 +857,14 @@ def _reference_layout(g: Network):
 
     for v in order:
         add_arc(in_node[v], in_node[v] + 1)
-    edge_arcs, arcs_of_edge = {}, {}
+    steps, arcs_of_edge = {}, {}
     for e in sorted(g.edges, key=lambda e: e.id):
         for forward in (True,) if e.directed else (True, False):
             tail, head = e.ends(forward)
             arc = add_arc(in_node[tail] + 1, in_node[head])
-            edge_arcs[arc] = (e.id, forward)
+            steps[arc] = (e.id, forward)
             arcs_of_edge.setdefault(e.id, []).append(arc)
-    return to, adj, in_node, edge_arcs, arcs_of_edge
+    return to, adj, in_node, steps, arcs_of_edge
 
 
 def test_compiled_layout_matches_reference():
@@ -800,12 +875,16 @@ def test_compiled_layout_matches_reference():
     graphs.append(Network(vertices=g.vertices[::-1], edges=g.edges[::-1], pairs=g.pairs))
     for g in graphs:
         split = cuts._compile_network(g)
-        got = (split.to, split.adj, split.vertex_arc, split.edge_arcs, split.arcs_of_edge)
-        want = _reference_layout(g)
-        assert got[:2] == want[:2], serialize_network(g)
+        to, adj, vertex_arc, steps, arcs_of_edge = _reference_layout(g)
+        assert (split.to, split.adj) == (to, adj), serialize_network(g)
         # The maps keep their insertion order too.
-        for have, ref in zip(got[2:], want[2:]):
-            assert list(have.items()) == list(ref.items()), serialize_network(g)
+        assert list(split.vertex_arc.items()) == list(vertex_arc.items()), serialize_network(g)
+        assert list(split.arcs_of_edge.items()) == list(arcs_of_edge.items())
+        # Each edge arc maps back to its step.
+        built = split.pair_net(0)
+        first_edge_arc = 2 * len(split.vertex_arc)
+        got = {arc: cuts._step(built, arc) for arc in range(first_edge_arc, len(to), 2)}
+        assert list(got.items()) == list(steps.items()), serialize_network(g)
 
 
 def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
@@ -830,7 +909,7 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
     s, t = add_node(), add_node()
     vin = {pair.source: s, pair.sink: t}
     vout = dict(vin)
-    vertex_arc, edge_arcs, arcs_of_edge = {}, {}, {}
+    vertex_arc, edge_of, arcs_of_edge = {}, [], {}
     for v in sorted(g.vertices):
         if v not in vin:
             vin[v], vout[v] = add_node(), add_node()
@@ -839,7 +918,7 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
     def add_edge_arc(e, forward, c):
         tail, head = e.ends(forward)
         arc = add_arc(vout[tail], vin[head], c)
-        edge_arcs[arc] = (e.id, forward)
+        edge_of.append(e.id)
         arcs_of_edge.setdefault(e.id, []).append(arc)
 
     for e in sorted(g.edges, key=lambda e: e.id):
@@ -848,7 +927,7 @@ def _reference_pair_net(g: Network, pair_index: int) -> cuts._PairNet:
         else:
             add_edge_arc(e, True, INF)
             add_edge_arc(e, False, INF)
-    return cuts._PairNet(FlowNet(to, adj, cap), s, t, vertex_arc, edge_arcs, arcs_of_edge)
+    return cuts._PairNet(FlowNet(to, adj, cap), s, t, vertex_arc, edge_of, arcs_of_edge)
 
 
 def _flow_answers(g: Network):

@@ -315,6 +315,51 @@ def test_walk_stops_when_the_step_budget_is_spent(ph, budget, step):
     )
 
 
+def _one_path_through_two_switch_edges():
+    """A fresh walk state on the 4x4 lattice whose forward walk would switch
+    at the choke of an R2R1 path with hubs a0 b0 a1 b1 a2 b2 choke, and
+    one stored path: the alternating path's own stretch a1 b1 a2 b2, which
+    holds both switch edges a1-b1 and a2-b2.  Returns the state, the
+    stretch, its vertices and the choke."""
+    st = _State(_grid_rep(4, 4), None)
+    index = next(i for i, alt in enumerate(st.alt) if alt.kind == _FORWARD.stop)
+    a0, b0, a1, b1, a2, b2, choke = st.hubs[index]
+    assert st.chokes[index] == choke
+    stretch, at = [], a1
+    for eid in st.alt[index].steps[3:6]:
+        forward = st.g.edge_by_id[eid].u == at
+        stretch.append((eid, forward))
+        at = st.g.edge_by_id[eid].ends(forward)[1]
+    st.store(stretch)
+    verts = path_vertices(st.g, Path(steps=tuple(stretch)))
+    assert verts == [a1, b1, a2, b2]
+    return st, stretch, verts, choke
+
+
+def test_an_edge_is_found_only_on_the_path_that_holds_it():
+    # The stored stretch owns the natural tails of edges it does not hold;
+    # looking one of them up finds no path.
+    st, stretch, verts, _ = _one_path_through_two_switch_edges()
+    assert all(st.path_with_edge(eid) is stretch for eid, _ in stretch)
+    held = {eid for eid, _ in stretch}
+    foreign = [e.id for e in st.g.edges if e.id not in held and st.ends[e.id][0] in verts]
+    assert foreign
+    for eid in foreign:
+        with pytest.raises(InvariantError) as info:
+            st.path_with_edge(eid)
+        assert str(info.value) == f"algorithm-stuck: edge {eid} on no interconnecting path"
+
+
+def test_switch_edges_on_one_path_stop_the_walk():
+    # a0 is the only free upper hub left, so the walk switches with d = 2,
+    # and both switch edges lie on the one stored stretch.
+    st, _, verts, choke = _one_path_through_two_switch_edges()
+    st.occupied.update(verts + [choke])
+    with pytest.raises(InvariantError) as info:
+        _walk(st, _FORWARD, [], choke, 1)
+    assert str(info.value) == "algorithm-stuck: switch edges share a path"
+
+
 def test_a_run_takes_one_step_per_hub_plus_one_per_path(monkeypatch):
     # Each start occupies two hubs, each stop none, and every other step one;
     # an iteration has one start and two stops.  So a run takes as many
