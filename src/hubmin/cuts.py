@@ -15,10 +15,10 @@ every flow here runs on such a net.  ``_exact_flows`` decides membership
 and leaves a max flow in each net; ``_DeletionQueries`` keeps those nets
 and answers "is the network still in class without edge e?" from the
 strongly connected components of each flow's residual graph, labelled only
-from the arcs the query asks about, or by rerouting that flow around e,
-instead of rebuilding the nets.  The compile lists each edge's arcs and
-each edge arc's edge id; flow decomposition, the only reader of an arc's
-step, works it out from those lists (``_step``).
+from the arcs the query asks about, instead of rebuilding the nets; an edge
+it keeps is deleted by moving each flow off it.  The compile lists each
+edge's arcs and each edge arc's edge id; flow decomposition, the only
+reader of an arc's step, works it out from those lists (``_step``).
 
 One module-level slot keeps the compile of the network queried last
 (``_split``), keyed by identity: it holds the network itself, so no other
@@ -354,12 +354,11 @@ class _DeletionQueries:
     stays in class without e exactly when every pair still reaches its
     demand avoiding e.
 
-    ``deletable`` answers many read-only queries at once, with no search;
-    ``stays_in_class`` answers one query by rerouting, and deletes the edge
-    when the answer is yes.  Both answer no at once for an edge of
-    ``_needed``, the edges at tight terminals read from ``g`` (module
-    docstring).  None of them is ever deleted, so their terminals stay
-    tight and the set stays valid for the object's life.
+    ``deletable`` decides every query, many at once, with no search, and
+    answers no at once for an edge of ``_needed``, the edges at tight
+    terminals read from ``g`` (module docstring).  ``delete`` deletes an
+    edge it has kept, so none of ``_needed`` is ever deleted, their
+    terminals stay tight and the set stays valid for the object's life.
     """
 
     def __init__(self, g: Network):
@@ -454,62 +453,38 @@ class _DeletionQueries:
                 ]
         return left
 
-    def stays_in_class(self, eid: int) -> bool:
-        """Whether ``g`` minus ``eid`` (and every edge deleted before) is in
-        class; a yes deletes ``eid``.
+    def delete(self, eid: int) -> None:
+        """Delete ``eid``, an edge ``deletable`` has just kept: move every
+        pair's flow off it, then remove its arcs.
 
-        An edge at a tight terminal answers no with no search: the
-        terminal's d edges, each carrying at most one unit, all carry a
-        unit in every flow of value d (module docstring).  Otherwise, for
-        each pair, the query does nothing when no arc of e carries
-        flow; cancels the unit cycle through both endpoints when both
-        directions of an undirected e carry flow, which leaves the flow
-        valid and e idle; and otherwise blocks e's arcs, takes the unit off
-        the carrying arc a, and looks for one residual path from a's tail
-        to its head.  Such a path exists exactly when a flow of value
-        ``demand`` avoids e: for any such flow f', f' - f is a circulation
-        that runs through the reverse of a.  A yes keeps the rerouted flows
-        and removes e's arcs for good; a no restores the flows.
+        A pair's flow needs no move when no arc of e carries a unit.  When
+        both directions of an undirected e carry one, the unit cycle through
+        both endpoints is cancelled.  Otherwise e's arcs are blocked, and
+        one residual path from the carrying arc's tail to its head takes
+        over its unit: ``deletable``'s equal labels promise that path.  If
+        the search finds none, e was not deletable, and ``edge-not-deletable``
+        is raised with the flows left part-moved.
         """
-        if eid in self._needed:
-            return False
-        undo: List[Tuple[List[int], int, int]] = []
-        ok = all(self._reroute(built, eid, undo) for built in self._nets)
-        if ok:
+        for i, built in enumerate(self._nets):
+            net = built.net
+            cap, base_cap = net.cap, net.base_cap
+            arcs = built.arcs_of_edge[eid]
+            carrying = [arc for arc in arcs if cap[arc] < base_cap[arc]]
+            if len(carrying) == 2:
+                edge = self.g.edge_by_id[eid]
+                for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):
+                    net.push(arc ^ 1)
+            elif carrying:
+                for arc in arcs:
+                    cap[arc] = cap[arc ^ 1] = 0
+                a = carrying[0]
+                path = net.residual_path(net.to[a ^ 1], net.to[a])
+                if path is None:
+                    raise InvariantError(
+                        "edge-not-deletable", f"pair {i}'s flow cannot avoid edge {eid}"
+                    )
+                for arc in path:
+                    net.push(arc)
             # No flow is left on e's arcs; zero capacity removes them.
-            for built in self._nets:
-                for arc in built.arcs_of_edge[eid]:
-                    built.net.cap[arc] = built.net.base_cap[arc] = 0
-        else:
-            for cap, arc, old in reversed(undo):
-                cap[arc] = old
-        return ok
-
-    def _reroute(self, built: _PairNet, eid: int, undo: list) -> bool:
-        """Move one pair's flow off edge ``eid``; False if the demand cannot
-        avoid the edge.  Saves every capacity it changes, except when it
-        cancels an opposed unit, which keeps the flow valid."""
-        net = built.net
-        cap = net.cap
-        arcs = built.arcs_of_edge[eid]
-        carrying = [arc for arc in arcs if net.flow_on(arc) > 0]
-        if not carrying:
-            return True
-        if len(carrying) == 2:
-            edge = self.g.edge_by_id[eid]
-            for arc in (*arcs, built.vertex_arc[edge.u], built.vertex_arc[edge.v]):
-                net.push(arc ^ 1)
-            return True
-        for arc in arcs:
-            for a in (arc, arc ^ 1):
-                undo.append((cap, a, cap[a]))
-                cap[a] = 0
-        path = net.residual_path(net.to[carrying[0] ^ 1], net.to[carrying[0]])
-        if path is None:
-            return False
-        for arc in path:
-            undo.append((cap, arc, cap[arc]))
-            undo.append((cap, arc ^ 1, cap[arc ^ 1]))
-            cap[arc] -= 1
-            cap[arc ^ 1] += 1
-        return True
+            for arc in arcs:
+                cap[arc] = base_cap[arc] = 0

@@ -237,14 +237,22 @@ def minimalize(g: Network, seed: Optional[int] = None) -> Network:
     One pass in ascending edge-id order, or in one seeded shuffle of it to
     sample other minimal subgraphs, deletes every edge that can go after
     the deletions before it.  Deleting edges never raises a cut, so an edge
-    found undeletable stays undeletable and the result is minimal.
-    Unseeded, the pass deletes what the plain restart loop does.
+    found undeletable stays undeletable.  So the pass deletes the first
+    edge a bulk query keeps and asks again only about the edges after it,
+    and the result is minimal.  Unseeded, the pass deletes what the plain
+    restart loop does.
     """
     queries = _DeletionQueries(g)
     order = sorted(g.edge_by_id)
     if seed is not None:
         random.Random(seed).shuffle(order)
-    return delete_edges(g, [eid for eid in order if queries.stays_in_class(eid)])
+    deleted = []
+    left = queries.deletable(order)
+    while left:
+        queries.delete(left[0])
+        deleted.append(left[0])
+        left = queries.deletable(left[1:])
+    return delete_edges(g, deleted)
 
 
 @dataclass(frozen=True, slots=True)

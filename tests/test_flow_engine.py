@@ -1,7 +1,7 @@
 """The compiled flow engine against independent references.
 
-Warm-start deletion queries, the bulk read-only ones that residual SCC
-labels decide and the deleting ones that reroute, are checked against
+Warm-start deletion queries, which residual SCC labels decide, and the
+deletions that then move each flow off the edge, are checked against
 rebuilding the network and calling ``in_class``; ``minimalize`` against
 the plain restart loop and, seeded, a rebuild per edge in its order; the
 compiled arc layout against one written out arc by arc; the shared split
@@ -288,8 +288,9 @@ def test_committed_deletions_keep_queries_exact():
         deleted = []
         for eid in order:
             expected = in_class(delete_edges(g, deleted + [eid]))
-            assert queries.stays_in_class(eid) == expected, (g, eid)
+            assert queries.deletable([eid]) == ([eid] if expected else []), (g, eid)
             if expected:
+                queries.delete(eid)
                 deleted.append(eid)
             _assert_flows_valid(queries, g)
         # A deleted edge is gone: querying it again changes nothing.
@@ -310,15 +311,18 @@ def test_minimalize_matches_reference_restart_loop():
 
 
 def test_opposed_flow_on_one_edge_is_cancelled(monkeypatch):
+    # A deleted edge whose two arcs carry opposed units of one pair's flow:
+    # afterwards every flow is valid with nothing on the edge's arcs, so
+    # the unit cycle through both endpoints was cancelled.
     opposed = []
-    reroute = cuts._DeletionQueries._reroute
+    delete = cuts._DeletionQueries.delete
 
-    def watching(self, built, eid, undo):
-        arcs = built.arcs_of_edge[eid]
-        opposed.append(len(arcs) == 2 and all(built.net.flow_on(a) > 0 for a in arcs))
-        return reroute(self, built, eid, undo)
+    def watching(self, eid):
+        opposed.extend(edge == eid for _, edge in _opposed_edges(self))
+        delete(self, eid)
+        _assert_flows_valid(self, self.g)
 
-    monkeypatch.setattr(cuts._DeletionQueries, "_reroute", watching)
+    monkeypatch.setattr(cuts._DeletionQueries, "delete", watching)
     g = _cycle_instance()
     assert minimalize(g) == _reference_minimalize(g)
     assert any(opposed)
@@ -342,14 +346,11 @@ def test_decompose_ignores_an_isolated_unit_cycle():
 
 
 @pytest.mark.parametrize("seed", [None, 3])
-def test_minimalize_queries_each_edge_at_most_once(monkeypatch, seed):
-    calls = []
-    stays = cuts._DeletionQueries.stays_in_class
-
-    def counting(self, eid):
-        calls.append(eid)
-        return stays(self, eid)
-
+def test_minimalize_asks_once_per_deletion_and_labels_once_per_pair(monkeypatch, seed):
+    # One bulk query per deletion and one to close the pass, each asking
+    # only about edges the one before it asked about, and so at most one
+    # labelling per pair and query.
+    labelled = _count_labellings(monkeypatch)
     bulk = cuts._DeletionQueries.deletable
     asked = []
 
@@ -358,21 +359,23 @@ def test_minimalize_queries_each_edge_at_most_once(monkeypatch, seed):
         asked.append(eids)
         return bulk(self, eids)
 
-    monkeypatch.setattr(cuts._DeletionQueries, "stays_in_class", counting)
     monkeypatch.setattr(cuts._DeletionQueries, "deletable", recording)
-    for g in CORPUS[:12]:
-        calls.clear()
-        minimalize(g, seed)
-        assert len(calls) <= len(g.edges)
-        assert len(set(calls)) == len(calls)
-        assert not asked
-        m = minimalize(g)
-        calls.clear()
+    total = 0
+    for g in CORPUS[:12] + [_cycle_instance()]:
+        asked.clear()
+        labelled.clear()
+        m = minimalize(g, seed)
+        deletions = len(g.edges) - len(m.edges)
+        total += deletions
+        assert len(asked) == deletions + 1
+        assert sorted(asked[0]) == sorted(g.edge_by_id)
+        assert all(set(later) < set(earlier) for earlier, later in zip(asked, asked[1:]))
+        assert len(labelled) <= (deletions + 1) * len(g.pairs)
+        asked.clear()
         assert is_minimal(m)
         # One bulk call decides each edge exactly once.
         assert [sorted(eids) for eids in asked] == [sorted(m.edge_by_id)]
-        assert not calls
-        asked.clear()
+    assert total
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +399,11 @@ def test_mixed_queries_match_rebuild(monkeypatch):
             if rng.random() < 0.25:
                 eid = rng.choice(eids)
                 expected = eid in deleted or in_class(delete_edges(g, deleted + [eid]))
-                assert queries.stays_in_class(eid) == expected, (index, eid)
+                assert queries.deletable([eid]) == ([eid] if expected else []), (index, eid)
                 if expected and eid not in deleted:
+                    queries.delete(eid)
                     deleted.append(eid)
+                    _assert_flows_valid(queries, g)
             else:
                 # A sweep over a random sample in random order, repeats
                 # and deleted edges included.
@@ -418,9 +423,11 @@ def test_mixed_queries_match_rebuild(monkeypatch):
         deleted = []
         for eid in eids:
             before = len(labelled)
-            assert queries.deletable(eids) == _rebuilt_deletable(g, deleted, eids), deleted
+            kept = queries.deletable(eids)
+            assert kept == _rebuilt_deletable(g, deleted, eids), deleted
             assert 1 <= len(labelled) - before <= len(g.pairs), deleted
-            if queries.stays_in_class(eid):
+            if eid in kept:
+                queries.delete(eid)
                 deleted.append(eid)
                 _assert_flows_valid(queries, g)
         assert deleted
@@ -447,8 +454,10 @@ def test_bulk_answer_on_an_opposed_flow_matches_rebuild(monkeypatch):
     for eid in eids:
         if _opposed_edges(queries):
             break
-        if queries.stays_in_class(eid):
+        if queries.deletable([eid]):
+            queries.delete(eid)
             deleted.append(eid)
+            _assert_flows_valid(queries, g)
     opposed = _opposed_edges(queries)
     assert opposed
     expected = _rebuilt_deletable(g, deleted, eids)
@@ -560,13 +569,6 @@ def test_read_only_queries_on_non_minimal_inputs_run_no_search(monkeypatch):
     assert rounds == [3, 4, 4, 5, 4, 3, 3, 2, 3, 2, 3, 3, 3]
 
 
-def test_minimalize_builds_no_labels(monkeypatch):
-    labelled = _count_labellings(monkeypatch)
-    for g in CORPUS[:12] + [_cycle_instance()]:
-        minimalize(g, 1)
-    assert not labelled
-
-
 def test_labellings_reach_only_what_their_queries_ask_about(monkeypatch):
     # Each labelling as (nodes in the net, nodes its roots reach): the
     # deletion queries of is_minimal, and in theorem1_agreement also the
@@ -588,6 +590,7 @@ def test_labellings_reach_only_what_their_queries_ask_about(monkeypatch):
     reached.clear()
     g, _ = two_pair_corpus(3, 1, extra=2)[0]
     g = minimalize(g)
+    reached.clear()
     report = theorem1_agreement(g, cuts._full_systems(g))
     assert report.minimal and report.agree
     assert (len(g.edges), reached) == (10, [(18, 3), (18, 3), (18, 7), (18, 13)])
@@ -651,12 +654,33 @@ def test_edges_at_tight_terminals_are_answered_without_search(monkeypatch):
         return bfs_parent(self, s, t)
 
     built = [cuts._DeletionQueries(g) for g in _bound_inputs()]
+    labelled = _count_labellings(monkeypatch)
     monkeypatch.setattr(FlowNet, "_bfs_parent", counting)
     for queries in built:
         assert queries._needed
-        for eid in sorted(queries._needed):
-            assert not queries.stays_in_class(eid)
+        assert queries.deletable(sorted(queries._needed)) == []
     assert not searches
+    assert not labelled
+
+
+def test_delete_refuses_an_edge_that_cannot_go():
+    # An edge at a tight terminal, which deletable rejects unlabelled, and
+    # every edge of a minimal lattice off its tight terminals, which the
+    # labels reject: delete's search finds no path and raises, each on a
+    # fresh object, since a failed delete leaves its flows part-moved.
+    g = grid_graph(2, 2)
+    eid = min(cuts._DeletionQueries(g)._needed)
+    cases = [(g, eid)]
+    lattice = grid_graph(3, 3)
+    needed = cuts._DeletionQueries(lattice)._needed
+    cases += [(lattice, eid) for eid in sorted(lattice.edge_by_id) if eid not in needed]
+    assert len(cases) > 1
+    for g, eid in cases:
+        queries = cuts._DeletionQueries(g)
+        assert queries.deletable([eid]) == []
+        with pytest.raises(InvariantError) as err:
+            queries.delete(eid)
+        assert err.value.code == "edge-not-deletable", (g, eid)
 
 
 def test_in_class_with_tight_terminals_matches_networkx():
