@@ -25,7 +25,12 @@ One module-level slot keeps the compile of the network queried last
 network can match it.  The slot is per thread, so threads share no flow.
 Every query here and in ``minimality`` but the oracle's search starts
 from the slot, so a pipeline that asks several questions of one network
-compiles it once.  For each pair the split also keeps the net that
+compiles it once.  A network that ``minimalize`` returns needs no compile
+of its own: the deletion queries leave it in the slot with an inherited
+split (``_SplitNetwork.without``), its input's compile with the arcs of
+the deleted edges dead, which answers as a fresh compile would.  The
+oracle's final check compiles its subgraph afresh, so it stays an
+independent check.  For each pair the split also keeps the net that
 carries the flow stopped at the pair's demand, once a caller has run it
 (``_SplitNetwork.demand_flow``).  A caller that only decomposes that flow
 reads the kept net and leaves it kept.  The two callers that go on to
@@ -61,7 +66,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._flownet import INF, FlowNet, strongly_connected_components
-from .graph_core import InvariantError, Network, Pair, Path, PathSystem, make_path_system
+from .graph_core import (
+    InvariantError,
+    Network,
+    Pair,
+    Path,
+    PathSystem,
+    delete_edges,
+    make_path_system,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +98,8 @@ class _PairNet:
     lists each edge's arcs, forward first, so step ``(e, fwd)`` runs on
     ``arcs_of_edge[e][not fwd]``, and ``_step`` maps an edge arc back to
     its step.  Nets of one network share these lists and maps; only the
-    capacities are the pair's own.
+    capacities are the pair's own.  The maps of an inherited split also
+    list the edges its network lacks, whose arcs are dead (``_SplitNetwork``).
     """
 
     net: FlowNet
@@ -105,6 +119,18 @@ class _SplitNetwork:
     ``_PairNet``.  ``demand_nets`` maps a pair index to
     the net kept for it, carrying the flow stopped at the pair's demand,
     and the flow's value (see ``demand_flow``).
+
+    A split may be *inherited* (``without``): compiled from a network with
+    more edges than ``g``.  The arcs of the edges ``g`` lacks stay in the
+    lists, and ``dead`` holds the forward ones, which every pair net starts
+    at zero base capacity; their reverses start at zero anyway.  A net of an
+    inherited split answers as a fresh compile of ``g`` does.  Every search
+    (``FlowNet``'s, the labelling, ``_decompose``) reads ``adj`` in order
+    and follows only arcs of positive capacity or flow, so it skips a dead
+    arc and meets the live ones in a fresh compile's relative order.  The
+    only arcs pushed are those of a path just found or of an edge of ``g``,
+    so no dead arc or its reverse ever gains capacity.  Only arc ids
+    differ, and every answer maps them back to vertices and edge ids.
     """
 
     g: Network
@@ -113,6 +139,7 @@ class _SplitNetwork:
     vertex_arc: Dict[int, int]
     edge_of: List[int]
     arcs_of_edge: Dict[int, List[int]]
+    dead: Tuple[int, ...] = ()
     demand_nets: Dict[int, Tuple[_PairNet, int]] = field(default_factory=dict)
 
     def pair_net(self, pair_index: int) -> _PairNet:
@@ -129,6 +156,8 @@ class _SplitNetwork:
         g = self.g
         pair = g.pairs[pair_index]
         base_cap = [1, 0] * len(self.vertex_arc) + [INF, 0] * len(self.edge_of)
+        for arc in self.dead:
+            base_cap[arc] = 0
         source_arc, sink_arc = self.vertex_arc[pair.source], self.vertex_arc[pair.sink]
         base_cap[source_arc] = base_cap[sink_arc] = 0
         for eid in g.incident[pair.source]:
@@ -141,6 +170,17 @@ class _SplitNetwork:
             vertex_arc=self.vertex_arc,
             edge_of=self.edge_of,
             arcs_of_edge=self.arcs_of_edge,
+        )
+
+    def without(self, h: Network, deleted: Iterable[int]) -> "_SplitNetwork":
+        """The inherited split of ``h``, which is ``g`` without the edges
+        ``deleted``: these arcs and maps, those edges' arcs dead besides
+        the ones already dead, and no kept flow."""
+        dead = list(self.dead)
+        for eid in deleted:
+            dead += self.arcs_of_edge[eid]
+        return _SplitNetwork(
+            h, self.to, self.adj, self.vertex_arc, self.edge_of, self.arcs_of_edge, tuple(dead)
         )
 
     def demand_flow(self, pair_index: int) -> Tuple[_PairNet, int]:
@@ -357,19 +397,23 @@ class _DeletionQueries:
     ``deletable`` decides every query, many at once, with no search, and
     answers no at once for an edge of ``_needed``, the edges at tight
     terminals read from ``g`` (module docstring).  ``delete`` deletes an
-    edge it has kept, so none of ``_needed`` is ever deleted, their
-    terminals stay tight and the set stays valid for the object's life.
+    edge it has kept, or one that ``carries`` finds idle, so none of
+    ``_needed`` is ever deleted, their terminals stay tight and the set
+    stays valid for the object's life.  ``result`` builds the network left
+    and hands it the split.
     """
 
     def __init__(self, g: Network):
         self.g = g
-        nets = _exact_flows(_split(g))
+        self._split = _split(g)
+        nets = _exact_flows(self._split)
         if nets is None:
             raise InvariantError("not-in-class")
         self._nets: List[_PairNet] = nets
         self._needed = frozenset(
             eid for pair in g.pairs for t in _tight_terminals(g, pair) for eid in g.incident[t]
         )
+        self.deleted: List[int] = []
 
     def deletable(self, eids: Iterable[int]) -> List[int]:
         """The edges of ``eids``, in order, whose deletion on its own keeps
@@ -453,9 +497,24 @@ class _DeletionQueries:
                 ]
         return left
 
+    def carries(self, eid: int) -> bool:
+        """Whether some pair's flow carries a unit on ``eid``.
+
+        An edge no flow carries is deletable: each pair's flow has value
+        ``demand`` and avoids it, and deleting edges never raises a cut.
+        No edge of ``_needed`` is idle, since each carries a unit.
+        """
+        for built in self._nets:
+            cap, base_cap = built.net.cap, built.net.base_cap
+            for arc in built.arcs_of_edge[eid]:
+                if cap[arc] < base_cap[arc]:
+                    return True
+        return False
+
     def delete(self, eid: int) -> None:
-        """Delete ``eid``, an edge ``deletable`` has just kept: move every
-        pair's flow off it, then remove its arcs.
+        """Delete ``eid``, an edge ``deletable`` has just kept or one that
+        ``carries`` finds idle: move every pair's flow off it, then remove
+        its arcs.
 
         A pair's flow needs no move when no arc of e carries a unit.  When
         both directions of an undirected e carry one, the unit cycle through
@@ -488,3 +547,13 @@ class _DeletionQueries:
             # No flow is left on e's arcs; zero capacity removes them.
             for arc in arcs:
                 cap[arc] = base_cap[arc] = 0
+        self.deleted.append(eid)
+
+    def result(self) -> Network:
+        """``g`` without the edges deleted, which takes over ``g``'s split
+        in the slot as the inherited split ``_SplitNetwork.without``
+        makes.  Its nets start with no flow, so they answer as a fresh
+        compile's, not from the flows moved here."""
+        h = delete_edges(self.g, self.deleted)
+        _slot.split = self._split.without(h, self.deleted)
+        return h

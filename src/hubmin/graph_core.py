@@ -75,7 +75,7 @@ class Network:
     vertices: Tuple[int, ...]
     edges: Tuple[Edge, ...]
     pairs: Tuple[Pair, ...]
-    # Derived lookups, built once in __post_init__.
+    # Derived lookups, built once in __post_init__ (or by delete_edges).
     edge_by_id: Dict[int, Edge] = field(init=False, repr=False, compare=False)
     incident: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
     source_set: frozenset = field(init=False, repr=False, compare=False)
@@ -147,17 +147,48 @@ class Network:
 
 
 def delete_edges(g: Network, edge_ids: Iterable[int]) -> Network:
-    """New network without the given edges; vertices, pairs and ids unchanged."""
-    doomed = set(edge_ids)
-    # Built from a list, the tuple is allocated at its final size.  CPython
-    # allocates one built from a generator at a guessed size and resizes it,
-    # so once freed it sits on the free list of a size that is seldom
-    # allocated; repeated calls fill those lists and raise peak memory.
-    return Network(
-        vertices=g.vertices,
-        edges=tuple([e for e in g.edges if e.id not in doomed]),
-        pairs=g.pairs,
-    )
+    """New network without the given edges; vertices, pairs and ids unchanged.
+    Ids that ``g`` lacks are ignored.
+
+    The result is derived from ``g``'s tables, not validated again by
+    ``Network.__post_init__``, which stays the one check of networks from
+    outside.  Every check there is about one vertex, one pair or one edge,
+    so ``g``'s vertices and pairs with a subset of its edges pass them all.
+    ``edge_by_id`` and ``incident`` are copies of ``g``'s without the
+    deleted edges, and only their endpoints' tuples are rebuilt, so they
+    keep the order a validated build gives them: ``edge_by_id`` follows
+    ``edges``, and each vertex's ids stay sorted.  The terminal sets are
+    ``g``'s own.
+    """
+    old = g.edge_by_id
+    doomed = {eid for eid in edge_ids if eid in old}
+    edge_by_id = dict(old)
+    incident = dict(g.incident)
+    for eid in doomed:
+        e = edge_by_id.pop(eid)
+        for v in (e.u, e.v):
+            ids = incident[v]
+            # An endpoint's tuple is rebuilt once, without every doomed edge.
+            if ids is g.incident[v]:
+                incident[v] = tuple([x for x in ids if x not in doomed])
+    h = object.__new__(Network)
+    # Set one by one in a validated build's order, the fields share its
+    # key table, so attribute reads stay specialised at sites both kinds of
+    # network pass.  A tuple built from a sized view, unlike one from a
+    # generator, is allocated at its final size and never resized, so it
+    # leaves no free lists of seldom-used sizes to fill and raise peak memory.
+    for name, value in (
+        ("vertices", g.vertices),
+        ("edges", tuple(edge_by_id.values())),
+        ("pairs", g.pairs),
+        ("edge_by_id", edge_by_id),
+        ("incident", incident),
+        ("source_set", g.source_set),
+        ("sink_set", g.sink_set),
+        ("terminal_set", g.terminal_set),
+    ):
+        object.__setattr__(h, name, value)
+    return h
 
 
 def hub_count(g: Network) -> int:
@@ -258,14 +289,25 @@ def make_path_system(g: Network, pair_index: int, paths: Sequence[Path]) -> Path
     return PathSystem(pair_index=pair_index, paths=tuple(paths))
 
 
-def _require_two_systems(systems: Sequence[PathSystem]) -> None:
-    if len(systems) != 2:
-        raise InvariantError("two-systems-required", f"got {len(systems)}")
+def _require_systems(systems: Sequence[PathSystem], pair_index: Optional[int] = None) -> None:
+    """Raise unless ``systems[i]`` is pair i's system: for ``i =
+    pair_index``, or, when it is None, for both of exactly two systems."""
+    if pair_index is None:
+        if len(systems) != 2:
+            raise InvariantError("two-systems-required", f"got {len(systems)}")
+        indices: Sequence[int] = (0, 1)
+    else:
+        indices = (pair_index,)
+    for i in indices:
+        found = systems[i].pair_index if 0 <= i < len(systems) else None
+        if found != i:
+            held = "no system" if found is None else f"pair {found}'s system"
+            raise InvariantError("system-pair-mismatch", f"systems[{i}] holds {held}")
 
 
 def classify_edges(g: Network, systems: Sequence[PathSystem]) -> Dict[int, str]:
     """Tag every edge as public / phi / psi / unused under two path systems."""
-    _require_two_systems(systems)
+    _require_systems(systems)
     phi_edges = systems[0].edge_ids()
     psi_edges = systems[1].edge_ids()
     tags: Dict[int, str] = {}

@@ -17,12 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ._flownet import strongly_connected_components
 from .cuts import _DeletionQueries, _split
 from .cuts import in_class  # noqa: F401  (still importable here; perfbench's tests look it up)
-from .graph_core import (
-    InvariantError,
-    Network,
-    PathSystem,
-    delete_edges,
-)
+from .graph_core import InvariantError, Network, PathSystem, _require_systems
 
 # One directed step of a walk: (edge id, forward).
 Step = Tuple[int, bool]
@@ -114,6 +109,7 @@ def find_consistent_cycle(
     closed walk that never uses one edge in both directions back to back,
     and never joins two steps off the system at a vertex the system uses.
     """
+    _require_systems(systems, tag)
     system = systems[tag]
     arcs = _cycle_arcs(g, system)
     orientation = system.orientation
@@ -205,6 +201,7 @@ def is_reroutable(g: Network, systems: Sequence[PathSystem], pair_index: int) ->
     every edge arc of that path has both ends in one component, and the
     test below answers yes.
     """
+    _require_systems(systems, pair_index)
     system = systems[pair_index]
     pair = g.pairs[pair_index]
     built = _split(g).pair_net(pair_index)
@@ -238,21 +235,27 @@ def minimalize(g: Network, seed: Optional[int] = None) -> Network:
     sample other minimal subgraphs, deletes every edge that can go after
     the deletions before it.  Deleting edges never raises a cut, so an edge
     found undeletable stays undeletable.  So the pass deletes the first
-    edge a bulk query keeps and asks again only about the edges after it,
-    and the result is minimal.  Unseeded, the pass deletes what the plain
-    restart loop does.
+    edge a bulk query keeps, then each edge after it that no pair's flow
+    carries (``_DeletionQueries.carries``), and asks again only about the
+    edges from the first one a flow carries on.  Unseeded, the pass deletes
+    what the plain restart loop does, and the result is minimal.
+
+    The result takes over ``g``'s compile (``_DeletionQueries.result``),
+    so the queries that follow on it compile nothing.
     """
     queries = _DeletionQueries(g)
     order = sorted(g.edge_by_id)
     if seed is not None:
         random.Random(seed).shuffle(order)
-    deleted = []
     left = queries.deletable(order)
     while left:
         queries.delete(left[0])
-        deleted.append(left[0])
-        left = queries.deletable(left[1:])
-    return delete_edges(g, deleted)
+        i = 1
+        while i < len(left) and not queries.carries(left[i]):
+            queries.delete(left[i])
+            i += 1
+        left = queries.deletable(left[i:]) if i < len(left) else []
+    return queries.result()
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,6 +283,7 @@ def theorem1_agreement(g: Network, systems: Sequence[PathSystem]) -> Theorem1Rep
             "two-pairs-required",
             f"the three-way equivalence holds only for two pairs, got {len(g.pairs)}",
         )
+    _require_systems(systems)
     # is_minimal and both is_reroutable checks share the slot's compile of
     # g.  The deletion queries take over the kept demand flows; each
     # is_reroutable check loads the given system into a net of its own.
@@ -305,7 +309,12 @@ def deletable_private_edges(
     frees an edge only that system was using).  ``g`` must be in class;
     otherwise ``not-in-class`` is raised.
     """
-    other = systems[1 - pair_index] if len(systems) == 2 else None
+    if len(systems) == 2:
+        _require_systems(systems)
+        other = systems[1 - pair_index]
+    else:
+        _require_systems(systems, pair_index)
+        other = None
     own = systems[pair_index].edge_ids()
     shared = own & other.edge_ids() if other is not None else frozenset()
     queries = _DeletionQueries(g)

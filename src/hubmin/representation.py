@@ -26,7 +26,7 @@ from .graph_core import (
     Network,
     Path,
     PathSystem,
-    _require_two_systems,
+    _require_systems,
     make_path_system,
 )
 
@@ -227,7 +227,7 @@ class _Rewrite:
     def stretch_crossings(self) -> None:
         """Split each crowded vertex, in ascending order, into an in-half and
         an out-half joined by a new public edge."""
-        _require_two_systems(self.systems)
+        _require_systems(self.systems)
         if not self.crowded:
             return
         phi_direction, psi_direction = self._orientations()
@@ -290,7 +290,7 @@ class _Rewrite:
     def match_directions(self) -> None:
         """Swap the second system's private edges around each public edge it
         traverses against the first system, in ascending edge-id order."""
-        _require_two_systems(self.systems)
+        _require_systems(self.systems)
         phi_direction, psi_direction = self._orientations()
         conflicts = sorted(
             [eid for eid, fwd in phi_direction.items() if psi_direction.get(eid, fwd) != fwd]

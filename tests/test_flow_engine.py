@@ -13,7 +13,8 @@ stops a flow at the demand, and ``min_vertex_cut`` and the paths of
 vertex-split graphs far beyond the brute-force oracle's size guards; and
 ``FlowNet.max_flow``, which searches once per round, against Edmonds-Karp
 with one search per unit, flow for flow; and every answer that ``cuts``'
-compile slot serves, in several call orders, against a fresh compile.
+compile slot serves, in several call orders and through the split
+``minimalize`` hands its result, against a fresh compile.
 """
 
 from __future__ import annotations
@@ -163,6 +164,12 @@ def _count_labellings(monkeypatch):
 
     monkeypatch.setattr(cuts, "strongly_connected_components", counting)
     return labelled
+
+
+def _carried(queries, eid: int) -> bool:
+    """Whether some pair's flow carries a unit on ``eid``, read off the
+    nets' arcs."""
+    return any(built.net.flow_on(arc) for built in queries._nets for arc in built.arcs_of_edge[eid])
 
 
 def _reference_minimalize(g: Network) -> Network:
@@ -345,37 +352,71 @@ def test_decompose_ignores_an_isolated_unit_cycle():
     assert cuts._decompose(g, 1, built, 1) == want
 
 
+def _carried(queries, eid: int) -> bool:
+    """Whether some pair's flow carries a unit on ``eid``, read off the
+    nets' arcs."""
+    return any(built.net.flow_on(arc) for built in queries._nets for arc in built.arcs_of_edge[eid])
+
+
 @pytest.mark.parametrize("seed", [None, 3])
 def test_minimalize_asks_once_per_deletion_and_labels_once_per_pair(monkeypatch, seed):
-    # One bulk query per deletion and one to close the pass, each asking
-    # only about edges the one before it asked about, and so at most one
-    # labelling per pair and query.
+    # One bulk query over every edge, then one after each deletion whose
+    # next candidate (the next edge of the last answer) carries a unit of
+    # some pair's flow, asking from that candidate on; a candidate no flow
+    # carries is deleted with no query.  Each query asks about a strict
+    # subset of the edges the one before it asked about and labels each
+    # pair at most once; nothing else labels.
     labelled = _count_labellings(monkeypatch)
     bulk = cuts._DeletionQueries.deletable
-    asked = []
+    delete = cuts._DeletionQueries.delete
+    asked, answers, deleted, carried_next = [], [], [], []
+    inside = [0]
 
     def recording(self, eids):
         eids = list(eids)
+        if asked:
+            answer = answers[-1]
+            assert eids == answer[answer.index(deleted[-1]) + 1 :]
+            assert _carried(self, eids[0])
         asked.append(eids)
-        return bulk(self, eids)
+        before = len(labelled)
+        answers.append(bulk(self, eids))
+        inside[0] += len(labelled) - before
+        return answers[-1]
+
+    def deleting(self, eid):
+        answer = answers[-1]
+        at = answer.index(eid)
+        # The answer's first edge, or the candidate after the edge just
+        # deleted, which no flow carried.
+        assert at == 0 or (deleted[-1] == answer[at - 1] and not carried_next[-1])
+        delete(self, eid)
+        deleted.append(eid)
+        if at + 1 < len(answer):
+            carried_next.append(_carried(self, answer[at + 1]))
 
     monkeypatch.setattr(cuts._DeletionQueries, "deletable", recording)
-    total = 0
+    monkeypatch.setattr(cuts._DeletionQueries, "delete", deleting)
+    total = idle = 0
     for g in CORPUS[:12] + [_cycle_instance()]:
-        asked.clear()
-        labelled.clear()
+        for record in (asked, answers, deleted, carried_next, labelled):
+            record.clear()
+        inside[0] = 0
         m = minimalize(g, seed)
-        deletions = len(g.edges) - len(m.edges)
-        total += deletions
-        assert len(asked) == deletions + 1
+        assert sorted(deleted) == sorted(set(g.edge_by_id) - set(m.edge_by_id))
+        total += len(deleted)
+        idle += carried_next.count(False)
+        assert len(asked) == 1 + carried_next.count(True)
+        # The pass ends when the last answer is empty or used up.
+        assert not answers[-1] or deleted[-1] == answers[-1][-1]
         assert sorted(asked[0]) == sorted(g.edge_by_id)
         assert all(set(later) < set(earlier) for earlier, later in zip(asked, asked[1:]))
-        assert len(labelled) <= (deletions + 1) * len(g.pairs)
+        assert len(labelled) == inside[0] <= len(asked) * len(g.pairs)
         asked.clear()
         assert is_minimal(m)
         # One bulk call decides each edge exactly once.
         assert [sorted(eids) for eids in asked] == [sorted(m.edge_by_id)]
-    assert total
+    assert 0 < idle < total
 
 
 # ---------------------------------------------------------------------------
@@ -1319,7 +1360,7 @@ def _call(g: Network, query):
 
 def _slot_orders(g: Network):
     """Call orders on one network, each of which leaves the slot holding it
-    between calls."""
+    between calls, except that ``minimalize`` leaves its result there."""
     pairs = range(len(g.pairs))
     demands = [p.demand for p in g.pairs]
     orders = [
@@ -1358,10 +1399,86 @@ def test_answers_through_the_slot_match_fresh_compiles():
             for query, want in zip(order, fresh):
                 kept += bool(cuts._slot.split is not None and cuts._slot.split.demand_nets)
                 assert _call(g, query) == want, (serialize_network(g), order, query)
-                assert cuts._slot.split.g is g
+                if query[0] == "minimalize" and isinstance(want, str):
+                    # The result takes over the compile of g.
+                    assert serialize_network(cuts._slot.split.g) == want
+                else:
+                    assert cuts._slot.split.g is g
             orders += 1
     assert any(not in_class(g) for g in SLOT_CORPUS)
     assert orders > 1000 and kept > 1000
+
+
+def _answers_on(h: Network) -> list:
+    """The flow engine's answers about ``h``, in one call order: each
+    pair's cut and its paths at every k to one past its cut and demand,
+    membership, and, in class, minimality, each full system's
+    reroutability and every single deletion."""
+    out = []
+    for i, pair in enumerate(h.pairs):
+        cut = min_vertex_cut(h, i)
+        out.append((cut.value, sorted(cut.separator)))
+        top = max(cut.value, pair.demand) + 1
+        out.append([vertex_disjoint_paths(h, i, k) for k in range(1, top + 1)])
+    out.append(in_class(h))
+    if out[-1]:
+        systems = cuts._full_systems(h)
+        out.append(is_minimal(h))
+        out.append([is_reroutable(h, systems, i) for i in range(len(h.pairs))])
+        out.append(cuts._DeletionQueries(h).deletable(sorted(h.edge_by_id)))
+    return out
+
+
+def _inherited_answers_match_fresh(h: Network) -> list:
+    """``h``'s answers through the inherited split in the slot, checked
+    against those after clearing the slot, which compile ``h`` afresh."""
+    inherited = cuts._slot.split
+    assert inherited.g is h and inherited.dead
+    got = _answers_on(h)
+    assert cuts._slot.split is inherited
+    cuts._slot.split = None
+    assert _answers_on(h) == got, serialize_network(h)
+    assert not cuts._slot.split.dead
+    return got
+
+
+def test_the_inherited_split_answers_as_a_fresh_compile():
+    # minimalize hands its result a split of its input's compile, with the
+    # deleted edges' arcs dead.  Every answer read through it equals one of
+    # a fresh compile: on the results of unseeded and seeded minimalize, on
+    # networks that are not minimal, whose split inherits dead arcs over
+    # two derivations, and on networks out of class.
+    minimal = not_minimal = out_of_class = 0
+    for index, g in enumerate(CORPUS):
+        for seed in (None, index):
+            m = minimalize(g, seed)
+            if len(m.edges) < len(g.edges):
+                _inherited_answers_match_fresh(m)
+                minimal += 1
+
+        queries = cuts._DeletionQueries(g)
+        needed = sorted(queries._needed)
+        left = queries.deletable(sorted(g.edge_by_id))
+        if left:
+            queries.delete(left[0])
+            h1 = queries.result()
+            first = cuts._slot.split
+            queries = cuts._DeletionQueries(h1)
+            assert queries._split is first
+            left = queries.deletable(sorted(h1.edge_by_id))
+        if left:
+            queries.delete(left[-1])
+            h2 = queries.result()
+            assert len(cuts._slot.split.dead) > len(first.dead)
+            # In class, so the answers end with is_minimal, is_reroutable
+            # and deletable.
+            not_minimal += not _inherited_answers_match_fresh(h2)[-3]
+
+        if needed:
+            h = delete_edges(g, needed[:1])
+            cuts._slot.split = cuts._compile_network(g).without(h, needed[:1])
+            out_of_class += not _inherited_answers_match_fresh(h)[-1]
+    assert minimal > 90 and not_minimal > 30 and out_of_class == len(CORPUS)
 
 
 def test_cuts_through_the_slot_match_networkx():

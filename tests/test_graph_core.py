@@ -172,6 +172,57 @@ def test_delete_edges_keeps_vertices_and_pairs():
     assert sorted(h.edge_by_id) == [1]
 
 
+def _assert_same_network(h: Network, want: Network) -> None:
+    """``h`` equals ``want`` field by field, the order of every table
+    included."""
+    assert h == want and hash(h) == hash(want) and repr(h) == repr(want)
+    assert (h.vertices, h.edges, h.pairs) == (want.vertices, want.edges, want.pairs)
+    assert list(h.edge_by_id.items()) == list(want.edge_by_id.items())
+    assert list(h.incident.items()) == list(want.incident.items())
+    assert (h.source_set, h.sink_set, h.terminal_set) == (
+        want.source_set,
+        want.sink_set,
+        want.terminal_set,
+    )
+
+
+def test_delete_edges_equals_a_validated_build():
+    # delete_edges derives its result from its input's tables instead of
+    # validating it; the result must be the network a validated build of
+    # the edges left gives, on inputs whose edges and vertices are out of
+    # id order too, and again on a derived network.
+    rng = random.Random(33)
+    corpus = [_tiny(), grid_graph(3, 3), reroutable_witness()]
+    for demands in ([1], [2, 3], [3, 1, 2], [4, 4], [1, 2, 2]):
+        corpus.append(random_network(rng, demands, extra=rng.randint(0, 6))[0])
+    for g in corpus[:]:
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        corpus.append(_net(reversed(g.vertices), edges, g.pairs))
+
+    def validated(g, doomed):
+        return _net(g.vertices, [e for e in g.edges if e.id not in set(doomed)], g.pairs)
+
+    for g in corpus:
+        ids = sorted(g.edge_by_id)
+        busiest = max(g.vertices, key=g.degree)
+        cases = [
+            [],
+            ids,
+            ids[::2],
+            [ids[-1], ids[0], ids[-1], ids[0]],
+            [max(ids) + 1, -1],
+            [ids[0], max(ids) + 7],
+            list(g.incident[busiest]),
+            rng.sample(ids, len(ids) // 2),
+        ]
+        for doomed in cases:
+            h = delete_edges(g, iter(doomed))
+            _assert_same_network(h, validated(g, doomed))
+            again = rng.sample(ids, len(ids) // 3)
+            _assert_same_network(delete_edges(h, again), validated(g, doomed + again))
+
+
 def test_hub_count_counts_degree_three_interiors():
     assert int(hub_count(grid_graph(2, 2))) == 8
     assert int(hub_count(_tiny())) == 0  # the interior vertex has degree 2

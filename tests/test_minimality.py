@@ -146,10 +146,12 @@ def test_agreement_compiles_the_network_once(monkeypatch):
 
 def test_pipeline_step_compiles_the_minimal_network_once(monkeypatch):
     # The pipeline's step after minimalize: both full systems, then the T1
-    # report on the same network.  One compile, and one net and one max
-    # flow per pair for the demand flows: the deletion queries take the
-    # kept flows over, and every terminal of a minimal network is tight, so
-    # no flow runs on.  Each is_reroutable check builds a net of its own.
+    # report on the same network.  No compile: minimalize leaves the
+    # minimal network's split, inherited from its input's compile, in the
+    # slot.  One net and one max flow per pair for the demand flows: the
+    # deletion queries take the kept flows over, and every terminal of a
+    # minimal network is tight, so no flow runs on.  Each is_reroutable
+    # check builds a net of its own.
     compiles, built = _count_compiles(monkeypatch)
     limits = []
     max_flow = FlowNet.max_flow
@@ -167,7 +169,7 @@ def test_pipeline_step_compiles_the_minimal_network_once(monkeypatch):
         systems = [vertex_disjoint_paths(m, i, pair.demand) for i, pair in enumerate(m.pairs)]
         report = theorem1_agreement(m, systems)
         assert report.minimal and report.agree
-        assert compiles == [m]
+        assert compiles == [] and cuts._slot.split.g is m
         assert built == [0, 1, 0, 1]
         assert limits == [pair.demand for pair in m.pairs]
 
@@ -197,6 +199,43 @@ def test_agreement_requires_two_pairs():
     with pytest.raises(InvariantError) as err:
         theorem1_agreement(g, systems)
     assert err.value.code == "two-pairs-required"
+
+
+def _expect_code(code, detail, call, *args):
+    with pytest.raises(InvariantError) as err:
+        call(*args)
+    assert str(err.value) == f"{code}: {detail}"
+
+
+def test_agreement_requires_each_pair_s_system_in_its_place(example_instance):
+    g, (phi, psi) = example_instance
+    _expect_code("two-systems-required", "got 1", theorem1_agreement, g, [phi])
+    _expect_code("two-systems-required", "got 3", theorem1_agreement, g, [phi, psi, psi])
+    detail = "systems[0] holds pair 1's system"
+    _expect_code("system-pair-mismatch", detail, theorem1_agreement, g, [psi, phi])
+    detail = "systems[1] holds pair 0's system"
+    _expect_code("system-pair-mismatch", detail, theorem1_agreement, g, [phi, phi])
+    assert theorem1_agreement(g, [phi, psi]).agree
+
+
+def test_reroutable_requires_the_pair_s_system_in_its_place(example_instance):
+    g, (phi, psi) = example_instance
+    for i in (0, 1):
+        detail = f"systems[{i}] holds pair {1 - i}'s system"
+        _expect_code("system-pair-mismatch", detail, is_reroutable, g, [psi, phi], i)
+    _expect_code("system-pair-mismatch", "systems[1] holds no system", is_reroutable, g, [phi], 1)
+    # Only the queried pair's system is read.
+    assert not is_reroutable(g, [phi, phi], 0)
+
+
+def test_consistent_cycle_requires_the_pair_s_system_in_its_place(example_instance):
+    g, (phi, psi) = example_instance
+    for tag in (0, 1):
+        detail = f"systems[{tag}] holds pair {1 - tag}'s system"
+        _expect_code("system-pair-mismatch", detail, find_consistent_cycle, g, [psi, phi], tag)
+    detail = "systems[1] holds no system"
+    _expect_code("system-pair-mismatch", detail, find_consistent_cycle, g, [phi], 1)
+    assert find_consistent_cycle(g, [psi, psi], 1) is None
 
 
 def test_unused_edge_breaks_minimality_but_not_rerouting():
@@ -368,6 +407,19 @@ def test_reroutable_systems_expose_deletable_private_edges():
                 assert tags[eid] == own_tag
                 assert in_class(delete_edges(g, [eid]))
     assert hits >= 5, "corpus too tame to exercise rerouting"
+
+
+def test_deletable_private_edges_require_each_pair_s_system_in_its_place(example_instance):
+    g, (phi, psi) = example_instance
+    for i in (0, 1):
+        detail = "systems[0] holds pair 1's system"
+        _expect_code("system-pair-mismatch", detail, deletable_private_edges, g, [psi, phi], i)
+        detail = f"systems[{1 - i}] holds pair {i}'s system"
+        same = [phi, phi] if i == 0 else [psi, psi]
+        _expect_code("system-pair-mismatch", detail, deletable_private_edges, g, same, i)
+    detail = "systems[1] holds no system"
+    _expect_code("system-pair-mismatch", detail, deletable_private_edges, g, [phi], 1)
+    assert deletable_private_edges(g, [phi, psi], 0) == []
 
 
 def test_deletable_private_edges_requires_class_membership():

@@ -294,6 +294,21 @@ def test_stretch_crossings_rejects_a_crossing_walked_one_way():
     assert str(err.value) == "unexpected-degree-4: vertex 5 is not a two-in two-out crossing"
 
 
+def test_representation_requires_each_pair_s_system_in_its_place():
+    g, _ = random_network(4, (2, 3), extra=2)
+    m = minimalize(g)
+    phi, psi = (vertex_disjoint_paths(m, i, p.demand) for i, p in enumerate(m.pairs))
+    for systems, message in (
+        ([psi, phi], "system-pair-mismatch: systems[0] holds pair 1's system"),
+        ([phi, phi], "system-pair-mismatch: systems[1] holds pair 0's system"),
+        ([phi], "two-systems-required: got 1"),
+    ):
+        with pytest.raises(InvariantError) as err:
+            to_representation(m, systems)
+        assert str(err.value) == message
+    assert to_representation(m, [phi, psi]) == to_representation(m)
+
+
 def test_rewrites_require_two_systems():
     # With or without a crossing or an opposed public edge to rewrite.
     for step, case in (
