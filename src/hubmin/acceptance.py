@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Tuple
 
-from .cuts import _full_systems
+from .cuts import _full_systems, in_class
 from .extremal import (
     finiteness_bound,
     grid_graph,
@@ -42,7 +42,7 @@ from .extremal import (
     signature_bound,
     witness_222,
 )
-from .graph_core import InvariantError, Network, hub_count
+from .graph_core import hub_count
 from .interconnect import run_interconnect, verify_run
 from .minimality import is_minimal, is_reroutable, minimalize, theorem1_agreement
 from .oracle import enumerate_path_systems, min_hub_subgraph
@@ -143,24 +143,13 @@ def claim_t5(seed: int) -> Tuple[bool, str]:
     return True, f"{checked} bound checks"
 
 
-def _in_class_and_minimal(g: Network) -> bool:
-    """``in_class(g) and is_minimal(g)`` on one compile: ``is_minimal``
-    raises ``not-in-class`` for a network out of class."""
-    try:
-        return is_minimal(g)
-    except InvariantError as err:
-        if err.code != "not-in-class":
-            raise
-        return False
-
-
 def claim_t6(_: int) -> Tuple[bool, str]:
     for c1 in range(1, 5):
         for c2 in range(1, 5):
             g = grid_graph(c1, c2)
             if hub_count(g) != 2 * c1 * c2:
                 return False, f"grid({c1},{c2}) hub count"
-            if not _in_class_and_minimal(g):
+            if not (in_class(g) and is_minimal(g)):
                 return False, f"grid({c1},{c2}) membership"
     return True, "grids up to (4,4)"
 
@@ -172,12 +161,12 @@ def claim_t7(_: int) -> Tuple[bool, str]:
                 g = ones_graph(c1, c2, n)
                 if hub_count(g) != 2 * (c1 * c2 + n):
                     return False, f"ones({c1},{c2},{n}) hub count"
-                if not _in_class_and_minimal(g):
+                if not (in_class(g) and is_minimal(g)):
                     return False, f"ones({c1},{c2},{n}) membership"
     if ones_graph(2, 3, 0) != grid_graph(2, 3):
         return False, "ones(_, _, 0) differs from grid"
     w = witness_222()
-    if hub_count(w) != 12 or not _in_class_and_minimal(w):
+    if hub_count(w) != 12 or not (in_class(w) and is_minimal(w)):
         return False, "merged witness"
     if min_hub_subgraph(w).min_hubs != 12:
         return False, "witness not tight"
@@ -207,7 +196,7 @@ def claim_t9(_: int) -> Tuple[bool, str]:
     if signature_bound([2, 2, 2]) != 12 or signature_bound([3, 3, 1, 1]) != 22:
         return False, "signature bound"
     w = reroutable_witness()
-    if not _in_class_and_minimal(w):
+    if not (in_class(w) and is_minimal(w)):
         return False, "witness membership"
     systems = _full_systems(w)
     if not is_reroutable(w, systems, 2):

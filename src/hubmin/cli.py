@@ -101,8 +101,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check(args) -> int:
     g, systems = _read_instance(args.input)
-    # Each cut runs on from the demand flow that the full systems leave in
-    # cuts' slot, so the network is compiled once and no cut starts from zero.
+    # The full systems leave each pair's flow kept in cuts' slot, so the
+    # network is compiled once and each cut reads the flow already run.
     full = _full_systems(g)
     lines = []
     member = True

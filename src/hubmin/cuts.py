@@ -11,12 +11,20 @@ subdivided); ``CutResult.separator`` holds interior vertices only, hence
 ``_compile_network`` splits every vertex of a network once.  A source only
 sends and a sink only receives, so that one topology serves every pair:
 each pair's net (``_SplitNetwork.pair_net``) owns only its capacities, and
-every flow here runs on such a net.  ``_exact_flows`` decides membership
-and leaves a max flow in each net; ``_DeletionQueries`` keeps those nets
-and answers "is the network still in class without edge e?" from the
-strongly connected components of each flow's residual graph, labelled only
-from the arcs the query asks about, instead of rebuilding the nets; an edge
-it keeps is deleted by moving each flow off it.  The compile lists each
+every flow here runs on such a net.  The split keeps one flow per pair
+(``_SplitNetwork.flow``), run once, to ``_limit``: one unit past the
+demand, or the demand itself at a tight terminal (below).  So the kept
+flow is maximum unless its value passed the demand; its value decides
+membership, and its flow serves the pair's cut and full system.  Only a
+cut above the demand runs the flow on, and takes it out of the split
+first.  ``_DeletionQueries`` takes every pair's flow and answers "is the
+network still in class without edge e?" from the strongly connected
+components of each flow's residual graph, labelled only from the arcs
+the query asks about, instead of rebuilding the nets; an edge it keeps is
+deleted by moving each flow off it.  Reusing a kept flow changes no
+answer: ``FlowNet.max_flow`` pushes Edmonds-Karp's paths unit for unit,
+so the first k units of a run are the same whatever its limit, and a
+flow run on is the flow of one run from zero.  The compile lists each
 edge's arcs and each edge arc's edge id; flow decomposition, the only
 reader of an arc's step, works it out from those lists (``_step``).
 
@@ -30,18 +38,7 @@ of its own: the deletion queries leave it in the slot with an inherited
 split (``_SplitNetwork.without``), its input's compile with the arcs of
 the deleted edges dead, which answers as a fresh compile would.  The
 oracle's final check compiles its subgraph afresh, so it stays an
-independent check.  For each pair the split also keeps the net that
-carries the flow stopped at the pair's demand, once a caller has run it
-(``_SplitNetwork.demand_flow``).  A caller that only decomposes that flow
-reads the kept net and leaves it kept.  The two callers that go on to
-change the flow, ``min_vertex_cut`` and ``_exact_flows``, pop the net:
-the split forgets it, so no net is shared with a caller that changes it
-and none is copied.  A caller that finds no kept net builds its own, so
-a network queried once does no extra work.  Reusing a kept
-flow changes no answer: ``FlowNet.max_flow`` pushes Edmonds-Karp's paths
-unit for unit, each the first shortest residual path from the flow
-before it, so a flow stopped at the demand and then continued is the
-flow of one run from zero.
+independent check.
 
 Menger's bound at a terminal: a pair's cut is at most the number of edges
 at its source, and likewise at its sink.  Every unit of a pair's flow
@@ -116,9 +113,9 @@ class _SplitNetwork:
 
     ``to``/``adj`` are the arc lists every pair's ``FlowNet`` shares;
     ``vertex_arc``, ``edge_of`` and ``arcs_of_edge`` are those of
-    ``_PairNet``.  ``demand_nets`` maps a pair index to
-    the net kept for it, carrying the flow stopped at the pair's demand,
-    and the flow's value (see ``demand_flow``).
+    ``_PairNet``.  ``flows`` maps a pair index to its kept flow: the net
+    that carries it and its value (see ``flow``).  A caller that changes a
+    kept flow takes it out of the map first.
 
     A split may be *inherited* (``without``): compiled from a network with
     more edges than ``g``.  The arcs of the edges ``g`` lacks stay in the
@@ -140,7 +137,7 @@ class _SplitNetwork:
     edge_of: List[int]
     arcs_of_edge: Dict[int, List[int]]
     dead: Tuple[int, ...] = ()
-    demand_nets: Dict[int, Tuple[_PairNet, int]] = field(default_factory=dict)
+    flows: Dict[int, Tuple[_PairNet, int]] = field(default_factory=dict)
 
     def pair_net(self, pair_index: int) -> _PairNet:
         """The net of one pair: s = out(source), t = in(sink).
@@ -183,17 +180,20 @@ class _SplitNetwork:
             h, self.to, self.adj, self.vertex_arc, self.edge_of, self.arcs_of_edge, tuple(dead)
         )
 
-    def demand_flow(self, pair_index: int) -> Tuple[_PairNet, int]:
-        """The pair's net carrying the flow stopped at its demand, and the
-        flow's value: the kept net, or a new one run to the demand and kept.
-        The caller must not change its flow (module docstring)."""
-        kept = self.demand_nets.get(pair_index)
+    def flow(self, pair_index: int) -> Tuple[_PairNet, int]:
+        """The pair's kept flow, run to ``_limit`` on a new net on first
+        use, and its value (module docstring)."""
+        kept = self.flows.get(pair_index)
         if kept is None:
             built = self.pair_net(pair_index)
-            demand = self.g.pairs[pair_index].demand
-            value = built.net.max_flow(built.s, built.t, limit=demand)
-            kept = self.demand_nets[pair_index] = (built, value)
+            value = built.net.max_flow(built.s, built.t, limit=_limit(self.g, pair_index))
+            kept = self.flows[pair_index] = (built, value)
         return kept
+
+    def exact(self) -> bool:
+        """Whether every pair's cut equals its demand, read from the kept
+        flows in pair order up to the first pair whose cut differs."""
+        return all(self.flow(i)[1] == pair.demand for i, pair in enumerate(self.g.pairs))
 
 
 def _compile_network(g: Network) -> _SplitNetwork:
@@ -264,13 +264,15 @@ def _build_pair_net(g: Network, pair_index: int) -> _PairNet:
 def min_vertex_cut(g: Network, pair_index: int) -> CutResult:
     """Exact minimum interior-vertex cut between the pair's terminals.
 
-    The flow runs on from a kept demand flow, which it takes over (module
-    docstring), or from zero in a net of its own.
+    The pair's kept flow is maximum unless its value passed the demand;
+    only then is it taken out of the split and run on (module docstring).
     """
-    kept = _split(g).demand_nets.pop(pair_index, None)
-    built, value = kept if kept is not None else (_build_pair_net(g, pair_index), 0)
+    split = _split(g)
+    built, value = split.flow(pair_index)
     net = built.net
-    value += net.max_flow(built.s, built.t)
+    if value > g.pairs[pair_index].demand:
+        del split.flows[pair_index]
+        value += net.max_flow(built.s, built.t)
     reachable = net.residual_reachable(built.s)
     # The pair's own terminals drop out: nothing reaches in(source), and t
     # is unreachable once the flow is maximum.
@@ -286,13 +288,15 @@ def vertex_disjoint_paths(g: Network, pair_index: int, k: int) -> Optional[PathS
     """k pairwise vertex-disjoint source->sink paths, or None if fewer exist.
 
     The integral flow is decomposed deterministically, lowest arc id first.
-    At ``k == demand`` it is the pair's kept demand flow (module docstring).
+    At ``k == demand`` it is the pair's kept flow, unless the cut is above
+    the demand: a flow of value k then needs a net of its own.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    value = INF
     if k == g.pairs[pair_index].demand:
-        built, value = _split(g).demand_flow(pair_index)
-    else:
+        built, value = _split(g).flow(pair_index)
+    if value > k:
         built = _build_pair_net(g, pair_index)
         value = built.net.max_flow(built.s, built.t, limit=k)
     if value < k:
@@ -340,8 +344,8 @@ def _decompose(g: Network, pair_index: int, built: _PairNet, k: int) -> PathSyst
 
 def _full_systems(g: Network) -> List[Optional[PathSystem]]:
     """Every pair's full system, ``vertex_disjoint_paths(g, i, demand)``, or
-    None when the cut is below the demand, from the pairs' kept demand
-    flows.  Raises nothing of its own; callers word their own errors."""
+    None when the cut is below the demand, from the pairs' kept flows.
+    Raises nothing of its own; callers word their own errors."""
     return [vertex_disjoint_paths(g, i, pair.demand) for i, pair in enumerate(g.pairs)]
 
 
@@ -350,46 +354,25 @@ def _tight_terminals(g: Network, pair: Pair) -> List[int]:
     return [t for t in (pair.source, pair.sink) if len(g.incident[t]) == pair.demand]
 
 
-def _exact_flows(split: _SplitNetwork) -> Optional[List[_PairNet]]:
-    """Each pair's net, in pair order, carrying a max flow of value
-    ``demand``; None at the first pair whose cut differs from its demand.
-
-    A flow stops one unit past the demand, or at the demand when the pair
-    has a tight terminal: its d edges, each carrying at most one unit,
-    bound the cut by d, so a flow of value d proves the cut exact (module
-    docstring).  Both limits run the same first d augmentations, so a kept
-    demand flow, which the nets are taken over from, needs at most one more
-    unit; a kept flow below the demand is already maximum.
-    """
-    g = split.g
-    nets = []
-    for i, pair in enumerate(g.pairs):
-        limit = pair.demand if _tight_terminals(g, pair) else pair.demand + 1
-        kept = split.demand_nets.pop(i, None)
-        if kept is None:
-            built = split.pair_net(i)
-            value = built.net.max_flow(built.s, built.t, limit=limit)
-        else:
-            built, value = kept
-            if value == pair.demand < limit:
-                value += built.net.max_flow(built.s, built.t, limit=1)
-        if value != pair.demand:
-            return None
-        nets.append(built)
-    return nets
+def _limit(g: Network, pair_index: int) -> int:
+    """Where the pair's kept flow stops: at the demand when a tight
+    terminal bounds the cut by it, else one unit past (module docstring)."""
+    pair = g.pairs[pair_index]
+    return pair.demand if _tight_terminals(g, pair) else pair.demand + 1
 
 
 def in_class(g: Network) -> bool:
     """True iff every pair's minimum vertex cut equals its demand exactly."""
-    return _exact_flows(_split(g)) is not None
+    return _split(g).exact()
 
 
 class _DeletionQueries:
     """Answers "does ``g`` stay in class without edge e?" from warm max flows.
 
     The network's split comes from the slot, and each pair's net carries
-    the max flow of value ``demand`` left by ``_exact_flows`` (a network
-    out of class raises ``not-in-class``).  An edge arc carries
+    its kept flow, a max flow of value ``demand`` (a network out of class
+    raises ``not-in-class``).  The object takes the flows out of the
+    split, since ``delete`` moves them.  An edge arc carries
     at most one unit.  Deleting edges never raises a cut, so the network
     stays in class without e exactly when every pair still reaches its
     demand avoiding e.
@@ -405,11 +388,10 @@ class _DeletionQueries:
 
     def __init__(self, g: Network):
         self.g = g
-        self._split = _split(g)
-        nets = _exact_flows(self._split)
-        if nets is None:
+        split = self._split = _split(g)
+        if not split.exact():
             raise InvariantError("not-in-class")
-        self._nets: List[_PairNet] = nets
+        self._nets = [split.flows.pop(i)[0] for i in range(len(g.pairs))]
         self._needed = frozenset(
             eid for pair in g.pairs for t in _tight_terminals(g, pair) for eid in g.incident[t]
         )

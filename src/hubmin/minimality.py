@@ -285,8 +285,8 @@ def theorem1_agreement(g: Network, systems: Sequence[PathSystem]) -> Theorem1Rep
         )
     _require_systems(systems)
     # is_minimal and both is_reroutable checks share the slot's compile of
-    # g.  The deletion queries take over the kept demand flows; each
-    # is_reroutable check loads the given system into a net of its own.
+    # g.  The deletion queries take the kept flows; each is_reroutable
+    # check loads the given system into a net of its own.
     minimal = is_minimal(g)
     non_reroutable = not (is_reroutable(g, systems, 0) or is_reroutable(g, systems, 1))
     no_cycle = (

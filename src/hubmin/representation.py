@@ -367,8 +367,11 @@ def remove_relays(g: Network, systems: Sequence[PathSystem]) -> Rewritten:
     one (or an isolated vertex), ``g`` and the systems are returned as they
     are; otherwise the merges edit working copies of the edges and paths,
     and one validated build ends the step.  ``to_representation`` runs the
-    same code on the state it shares with the other two rewrites.
+    same code on the state it shares with the other two rewrites.  Any
+    number of systems is taken; ``systems[i]`` must be pair i's system.
     """
+    for i in range(len(systems)):
+        _require_systems(systems, i)
     return _rewrite(g, systems, _Rewrite.merge_relays)
 
 

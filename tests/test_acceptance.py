@@ -18,7 +18,6 @@ from hubmin import (
     classify_edges,
     decompose_private,
     deletable_private_edges,
-    delete_edges,
     enumerate_path_systems,
     finiteness_bound,
     grid_graph,
@@ -41,7 +40,8 @@ from hubmin import (
     vertex_disjoint_paths,
     witness_222,
 )
-from hubmin.acceptance import _in_class_and_minimal, claim_t6
+from hubmin._flownet import INF, FlowNet
+from hubmin.acceptance import claim_t6
 
 CORPUS_SIZE = 500
 
@@ -235,19 +235,24 @@ def test_criterion_10_hub_counts_through_pipeline(corpus):
 
 
 def test_claim_catalog_compiles_each_network_once(monkeypatch):
-    compiled = []
+    # claim_t6 asks in_class(g) and is_minimal(g) of each grid, (1..4) x
+    # (1..4): one compile per grid, and one max flow per pair, which
+    # in_class runs and keeps and the deletion queries behind is_minimal
+    # take.
+    compiled, flows = [], []
     compile_network = hubmin.cuts._compile_network
+    max_flow = FlowNet.max_flow
 
     def counting(g):
         compiled.append(g)
         return compile_network(g)
 
+    def recording(net, s, t, limit=INF):
+        flows.append(compiled[-1])
+        return max_flow(net, s, t, limit)
+
     monkeypatch.setattr(hubmin.cuts, "_compile_network", counting)
+    monkeypatch.setattr(FlowNet, "max_flow", recording)
     assert claim_t6(0)[0]
-    # One is_minimal call per grid, (1..4) x (1..4).
     assert len(compiled) == 16
-    grid = grid_graph(2, 2)
-    assert _in_class_and_minimal(grid)
-    assert not _in_class_and_minimal(delete_edges(grid, [0]))
-    g, _ = random_network(2, (2, 3), extra=4)
-    assert in_class(g) and not _in_class_and_minimal(g)
+    assert flows == [g for g in compiled for _ in g.pairs]

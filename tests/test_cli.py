@@ -103,10 +103,38 @@ def test_check_builds_deletion_queries_once(tmp_path, capsys, monkeypatch):
 
 def test_check_compiles_the_network_once(tmp_path, capsys, monkeypatch):
     # One compile gives the cut lines, the systems and the T1 check: the
-    # agreement report finds the network in cuts' compile slot.  Each cut
-    # runs on from the demand flow that the full systems kept (limit INF,
-    # no second flow to the demand); membership, which finds no kept flow
-    # left, runs its own to the tight terminals' demand.
+    # agreement report finds the network in cuts' compile slot.  Each pair
+    # runs one flow, to its tight terminals' demand, when the full systems
+    # ask for it; the cuts and the deletion queries read those kept flows.
+    compiles, limits = _count_compiles_and_limits(monkeypatch)
+    path = tmp_path / "grid.json"
+    path.write_text(serialize_network(grid_graph(3, 3)))
+    assert main(["check", "-i", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "minimal: True" in out and "agree=True" in out
+    assert len(compiles) == 1
+    assert limits == [3, 3]
+
+
+def test_check_runs_a_cut_above_the_demand_on_from_its_kept_flow(capsys, monkeypatch):
+    # Pair 0's source is tight, so its kept flow stops at its demand of 2.
+    # Pair 1's kept flow passes its demand of 2, so its full system comes
+    # from a flow of its own stopped at 2, and its cut line runs the kept
+    # flow on.
+    compiles, limits = _count_compiles_and_limits(monkeypatch)
+    assert main(["check", "-i", str(FIXTURES / "oracle_cut_above_demand.json")]) == 1
+    assert capsys.readouterr().out == (
+        "pair 0: cut 2 == demand 2\n"
+        "pair 1: cut 3 != demand 2\n"
+        "in class: False\n"
+        "hubs: 4\n"
+    )
+    assert len(compiles) == 1
+    assert limits == [2, 3, 2, INF]
+
+
+def _count_compiles_and_limits(monkeypatch):
+    """Lists that record every compile of cuts and every max flow's limit."""
     compiles, limits = [], []
     compile_network = hubmin.cuts._compile_network
     max_flow = FlowNet.max_flow
@@ -121,13 +149,7 @@ def test_check_compiles_the_network_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(hubmin.cuts, "_compile_network", counting)
     monkeypatch.setattr(FlowNet, "max_flow", recording)
-    path = tmp_path / "grid.json"
-    path.write_text(serialize_network(grid_graph(3, 3)))
-    assert main(["check", "-i", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "minimal: True" in out and "agree=True" in out
-    assert len(compiles) == 1
-    assert limits == [3, 3, INF, INF, 3, 3]
+    return compiles, limits
 
 
 def test_minimalize_reports_out_of_class_input(tmp_path, capsys):

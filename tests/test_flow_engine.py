@@ -866,8 +866,8 @@ def test_labels_of_a_long_relay_chain_need_no_recursion():
 
 def _cuts_and_systems(g: Network):
     """Every pair's cut value and full system, read as ``hubmin check``
-    reads them: the full systems, then each cut run on from the demand
-    flow that they keep."""
+    reads them: the full systems, then each cut from the flow that they
+    keep."""
     systems = cuts._full_systems(g)
     return [(min_vertex_cut(g, i).value, system) for i, system in enumerate(systems)]
 
@@ -1271,8 +1271,8 @@ def test_max_flow_matches_a_search_per_unit_on_the_corpora():
 
 def test_library_flows_match_a_search_per_unit(monkeypatch):
     # Every max flow the library runs, from the flow its net carries: the
-    # oracle's, whose deleted arcs are zeroed, and the continuation of each
-    # kept demand flow in min_vertex_cut.
+    # oracle's, whose deleted arcs are zeroed, and min_vertex_cut's
+    # continuation of a kept flow that passed the demand.
     max_flow = FlowNet.max_flow
     starts = []
 
@@ -1283,7 +1283,7 @@ def test_library_flows_match_a_search_per_unit(monkeypatch):
 
     monkeypatch.setattr(FlowNet, "max_flow", refereed)
     direct = _parallel_direct_instance()
-    for g in _pipeline_corpus()[::4] + CORPUS + [direct]:
+    for g in _pipeline_corpus()[::4] + CORPUS + [direct, _cut_above_demand_instance()]:
         _cuts_and_systems(g)
     for g in _oracle_corpus(60):
         if len(g.edges) <= 16:
@@ -1294,7 +1294,7 @@ def test_library_flows_match_a_search_per_unit(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # cuts' compile slot: every answer served from the slot's compile and its
-# kept demand flows equals the answer from a fresh compile.
+# kept flows equals the answer from a fresh compile.
 # ---------------------------------------------------------------------------
 
 
@@ -1397,7 +1397,7 @@ def test_answers_through_the_slot_match_fresh_compiles():
             # left in the slot.
             cuts._slot.split = None
             for query, want in zip(order, fresh):
-                kept += bool(cuts._slot.split is not None and cuts._slot.split.demand_nets)
+                kept += bool(cuts._slot.split is not None and cuts._slot.split.flows)
                 assert _call(g, query) == want, (serialize_network(g), order, query)
                 if query[0] == "minimalize" and isinstance(want, str):
                     # The result takes over the compile of g.
@@ -1486,18 +1486,19 @@ def test_cuts_through_the_slot_match_networkx():
     for g in SLOT_CORPUS[::3]:
         systems = cuts._full_systems(g)
         for i in range(len(g.pairs)):
-            # The cut takes over the demand flow that _full_systems kept.
-            assert cuts._slot.split.demand_nets.get(i) is not None
+            # The cut reads the flow that _full_systems kept.
+            assert cuts._slot.split.flows.get(i) is not None
             cut = min_vertex_cut(g, i)
             assert cut.value == _nx_cut(nx, g, i), serialize_network(g)
             assert _nx_separates(nx, g, i, cut.separator)
             assert (systems[i] is None) == (cut.value < g.pairs[i].demand)
 
 
-def test_a_kept_demand_flow_needs_at_most_one_more_unit(monkeypatch):
-    # Pair 0 of the loose instance has no tight terminal: membership takes
-    # over the kept flow of value 1 and runs one more unit, which finds no
-    # path; pair 1's sink is tight, so its kept flow decides with no flow.
+def test_each_pair_runs_one_kept_flow_to_its_limit(monkeypatch):
+    # Pair 0 of the loose instance has no tight terminal, so its flow runs
+    # to one unit past its demand of 1; pair 1's sink is tight, so its flow
+    # stops at the demand.  The flows stay kept for the queries after, until
+    # the deletion queries behind is_minimal take them.
     limits = []
     max_flow = FlowNet.max_flow
 
@@ -1508,14 +1509,40 @@ def test_a_kept_demand_flow_needs_at_most_one_more_unit(monkeypatch):
     monkeypatch.setattr(FlowNet, "max_flow", recording)
     g = _loose_instance()
     cuts._full_systems(g)
-    assert limits == [1, 1]
+    assert limits == [2, 1]
     limits.clear()
-    assert in_class(g) and not cuts._slot.split.demand_nets
-    assert limits == [1]
-    # Nothing is kept now, so the next check runs both flows itself.
+    assert in_class(g) and in_class(g) and sorted(cuts._slot.split.flows) == [0, 1]
+    assert limits == []
+    assert not is_minimal(g) and not cuts._slot.split.flows
+    # Nothing is kept now, so the next check runs both flows again.
     limits.clear()
     assert in_class(g)
     assert limits == [2, 1]
+
+
+def test_a_cut_above_the_demand_takes_its_flow_out_of_the_split():
+    # Each pair of the lattice has cut 3 against a demand of 1, so its kept
+    # flow stops at 2 and the cut runs it on to 3.  The split then keeps no
+    # flow for the pair, and a second cut and the paths start afresh.
+    lattice = grid_graph(3, 3)
+    g = Network(
+        vertices=lattice.vertices,
+        edges=lattice.edges,
+        pairs=tuple(Pair(p.source, p.sink, 1) for p in lattice.pairs),
+    )
+    want = []
+    for i in (0, 1):
+        cuts._slot.split = None
+        want.append(min_vertex_cut(g, i))
+        cuts._slot.split = None
+        want.append(vertex_disjoint_paths(g, i, 1))
+    cuts._slot.split = None
+    # Membership stops at pair 0, the first pair whose cut differs.
+    assert not in_class(g) and sorted(cuts._slot.split.flows) == [0]
+    for i in (0, 1):
+        assert min_vertex_cut(g, i) == want[2 * i] and i not in cuts._slot.split.flows
+        assert min_vertex_cut(g, i) == want[2 * i] and want[2 * i].value == 3
+        assert vertex_disjoint_paths(g, i, 1) == want[2 * i + 1]
 
 
 def test_the_slot_keeps_only_the_network_queried_last():
@@ -1530,11 +1557,11 @@ def test_the_slot_keeps_only_the_network_queried_last():
     gc.collect()
     assert ref() is None
     # The last network, its compile and one net per pair.
-    assert cuts._slot.split.g is b and sorted(cuts._slot.split.demand_nets) == [0, 1]
+    assert cuts._slot.split.g is b and sorted(cuts._slot.split.flows) == [0, 1]
 
 
 def test_paths_below_the_demand_come_from_a_flow_of_their_own():
-    # A kept demand flow cannot serve k < demand: its first k paths often
+    # A kept flow cannot serve k < demand: its first k paths often
     # differ from those of a flow stopped at k.
     differ = 0
     for g in SLOT_CORPUS:
@@ -1553,26 +1580,17 @@ def test_paths_below_the_demand_come_from_a_flow_of_their_own():
 
 
 def test_threads_share_no_kept_flow(monkeypatch):
-    # A reader in one thread holds its kept demand flow while another
-    # thread runs a cut on the same network, which takes over what its own
-    # slot keeps and runs it on.  Pair 0's demand is one below its cut,
-    # and the first paths of the maximum flow differ from those of the
-    # demand flow, so a flow shared between the threads would change the
-    # reader's answer.
-    raw, _ = random_network(0, (3, 2), extra=3)
-    first = raw.pairs[0]
-    g = Network(
-        vertices=raw.vertices,
-        edges=raw.edges,
-        pairs=(Pair(first.source, first.sink, first.demand - 1), raw.pairs[1]),
-    )
+    # A reader in one thread decomposes pair 0's kept flow while another
+    # thread minimalizes the same network: its deletion queries take what
+    # its own slot keeps and move those flows off the edges they delete.
+    # The moved flow of pair 0 decomposes into other paths, so a flow
+    # shared between the threads would change the reader's answer.
+    g, _ = random_network(11, (3, 2), extra=3)
     demand = g.pairs[0].demand
     want_paths = vertex_disjoint_paths(g, 0, demand)
-    want_cut = min_vertex_cut(g, 0)
-    assert want_cut.value > demand
-    shared = cuts._compile_network(g).pair_net(0)
-    shared.net.max_flow(shared.s, shared.t)
-    assert cuts._decompose(g, 0, shared, demand) != want_paths
+    kept = cuts._slot.split.flows[0][0]
+    want_minimal = minimalize(g)
+    assert cuts._decompose(g, 0, kept, demand) != want_paths
 
     holding, released = threading.Event(), threading.Event()
     decompose = cuts._decompose
@@ -1589,9 +1607,9 @@ def test_threads_share_no_kept_flow(monkeypatch):
     reader.start()
     try:
         assert holding.wait(timeout=60)
-        cut = min_vertex_cut(g, 0)
+        minimal = minimalize(g)
     finally:
         released.set()
         reader.join(timeout=60)
     assert not reader.is_alive()
-    assert got == [want_paths] and cut == want_cut
+    assert got == [want_paths] and minimal == want_minimal

@@ -148,10 +148,10 @@ def test_pipeline_step_compiles_the_minimal_network_once(monkeypatch):
     # The pipeline's step after minimalize: both full systems, then the T1
     # report on the same network.  No compile: minimalize leaves the
     # minimal network's split, inherited from its input's compile, in the
-    # slot.  One net and one max flow per pair for the demand flows: the
-    # deletion queries take the kept flows over, and every terminal of a
-    # minimal network is tight, so no flow runs on.  Each is_reroutable
-    # check builds a net of its own.
+    # slot.  One net and one max flow per pair for the kept flows, each
+    # stopped at the demand since every terminal of a minimal network is
+    # tight; the deletion queries take them.  Each is_reroutable check
+    # builds a net of its own.
     compiles, built = _count_compiles(monkeypatch)
     limits = []
     max_flow = FlowNet.max_flow

@@ -309,6 +309,18 @@ def test_representation_requires_each_pair_s_system_in_its_place():
     assert to_representation(m, [phi, psi]) == to_representation(m)
 
 
+def test_remove_relays_requires_each_pair_s_system_in_its_place(example_instance):
+    g, (phi, psi) = example_instance
+    for systems, detail in (
+        ([psi, phi], "systems[0] holds pair 1's system"),
+        ([phi, phi], "systems[1] holds pair 0's system"),
+    ):
+        with pytest.raises(InvariantError) as err:
+            remove_relays(g, systems)
+        assert str(err.value) == f"system-pair-mismatch: {detail}"
+    assert remove_relays(g, [phi, psi])[1] == [phi, psi]
+
+
 def test_rewrites_require_two_systems():
     # With or without a crossing or an opposed public edge to rewrite.
     for step, case in (
